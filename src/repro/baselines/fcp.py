@@ -93,9 +93,7 @@ class FcpLogic(RouterLogic):
         if table is None:
             # One SPF per distinct (router, carried set); destinations are
             # resolved lazily below, so a carried set that only ever routes
-            # towards one destination never pays for the full table.  The
-            # parent tree is only chain-walked, so the content-only
-            # (order-free) repaired tree applies.
+            # towards one destination never pays for the full table.
             table = (self._engine.sssp_tree(node, failures)[1], {})
             self._spf_cache.put(cache_key, table)
         parent, first_hops = table

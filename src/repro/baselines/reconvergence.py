@@ -130,8 +130,6 @@ class Reconvergence(ForwardingScheme):
                 continue
             parent = trees.get(destination)
             if parent is None:
-                # Content-only tree: the walk does parent lookups only, so
-                # the cheaper order-free repair applies.
                 parent = engine.sssp_tree(destination, excluded)[1]
                 trees[destination] = parent
             path = [source]

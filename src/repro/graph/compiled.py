@@ -37,8 +37,9 @@ _COST_EPSILON = 1e-9
 #: ``2**-20``: finite sums of such weights are computed exactly in double
 #: precision, so the reference Dijkstra's epsilon comparisons degenerate to
 #: exact equality and its tie-breaking becomes order-independent — the
-#: property every soundness argument of :meth:`CompiledGraph.sssp_repair`
-#: rests on.  Graphs with other weights simply fall back to full recompute.
+#: property :meth:`CompiledGraph.sssp_repair_content` rests on when it
+#: re-solves only part of a tree.  Graphs with other weights simply fall back
+#: to full recompute.
 _REPAIR_WEIGHT_SCALE = 1048576.0
 
 #: Weights must also dwarf the tie-breaking epsilon, so a single edge can
@@ -52,8 +53,8 @@ _REPAIR_MIN_WEIGHT = 1e-6
 _REPAIR_MAX_TOTAL_WEIGHT = 4294967296.0
 
 #: Above this fraction of affected (reachable) vertices a repair would do
-#: almost as much heap work as a full recompute while still paying the
-#: order-replay pass on top — recompute from scratch instead.
+#: almost as much heap work as a full recompute on top of copying the base
+#: tree — recompute from scratch instead.
 REPAIR_MAX_AFFECTED_FRACTION = 0.5
 
 
@@ -62,8 +63,7 @@ def graph_signature(graph: Graph) -> Tuple:
 
     Two graphs with equal signatures produce byte-identical shortest-path
     results, so the signature doubles as the cache key of the per-process
-    engine registry (see :func:`repro.graph.spcache.engine_for`) and as the
-    ``graph_version`` component of memoization keys.
+    engine registry (see :func:`repro.graph.spcache.engine_for`).
     """
     return (
         tuple(graph.nodes()),
@@ -189,9 +189,9 @@ class CompiledGraph:
 
         Semantically identical to :func:`repro.graph.shortest_paths.dijkstra`
         — same float arithmetic, same epsilon comparisons, same
-        lexicographic tie-breaking, and the returned dicts have the same
-        *insertion order* as the reference implementation's (consumers rely
-        on that order for deterministic equal-cost sorts).
+        lexicographic tie-breaking.  The returned dicts happen to share the
+        reference's insertion order, but engine trees do not promise it
+        (repaired trees are patched copies).
         """
         dist: Dict[int, float] = {source: 0.0}
         parent: Dict[int, Tuple[int, int]] = {}
@@ -329,16 +329,28 @@ class CompiledGraph:
         base_masks: Dict[int, int],
         max_affected_fraction: float = REPAIR_MAX_AFFECTED_FRACTION,
     ) -> Optional[Tuple[Dict[int, float], Dict[int, Tuple[int, int]]]]:
-        """Content-only repair: correct values and parents, unspecified order.
+        """Repair a failure-free SSSP tree under ``excluded_mask``.
 
-        For consumers that only *look up* tree entries (the re-convergence
-        walk, FCP's per-carried-set SPF tables) the discovery-order replay of
-        :meth:`sssp_repair` is pure overhead.  This variant patches a C-speed
-        copy of the base dicts instead: unaffected vertices keep their
-        entries, affected vertices are re-solved by the frontier Dijkstra and
-        overwritten (or dropped when unreachable).  Same fallback conditions
-        and ``repair_safe`` prerequisites as :meth:`sssp_repair`; with no
-        affected vertices the memoized base dicts are returned as-is.
+        ``base_*`` describe the memoized failure-free run: ``base_dist`` /
+        ``base_parent`` are its result and ``base_masks[v]`` the bitmask of
+        edges on the failure-free shortest path from the root to ``v``.
+        The repair
+
+        1. finds the *affected* vertices — one bitmask AND per reachable
+           vertex — whose failure-free path crosses an excluded edge; every
+           other vertex provably keeps its distance and parent;
+        2. re-solves only the affected region with a frontier Dijkstra
+           seeded from the unaffected boundary, and patches a C-speed copy
+           of the base dicts (affected vertices overwritten, or dropped when
+           unreachable).
+
+        With no affected vertices the memoized base dicts are returned
+        as-is.  Values, parents and tie-breaking equal a full
+        :meth:`dijkstra_indexed` run *provided* the graph is
+        :attr:`repair_safe` (callers must check); the dict insertion order
+        is unspecified.  Returns ``None`` when more than
+        ``max_affected_fraction`` of the reachable vertices are affected —
+        the caller should fall back to a full recompute.
         """
         affected = [v for v, mask in base_masks.items() if mask & excluded_mask]
         if not affected:
@@ -359,198 +371,6 @@ class CompiledGraph:
                 del dist_out[node]
                 del parent_out[node]
         return dist_out, parent_out
-
-    def sssp_repair(
-        self,
-        source: int,
-        excluded_mask: int,
-        base_dist: Dict[int, float],
-        base_parent: Dict[int, Tuple[int, int]],
-        base_order: Tuple[int, ...],
-        base_masks: Dict[int, int],
-        base_discovery_mask: int,
-        max_affected_fraction: float = REPAIR_MAX_AFFECTED_FRACTION,
-    ) -> Optional[Tuple[Dict[int, float], Dict[int, Tuple[int, int]]]]:
-        """Repair the failure-free SSSP tree of ``source`` under ``excluded_mask``.
-
-        ``base_*`` describe the memoized failure-free run: ``base_dist`` /
-        ``base_parent`` are its result, ``base_order`` its finalization (heap
-        pop) order, ``base_masks[v]`` the bitmask of edges on the
-        failure-free shortest path ``source -> v`` and ``base_discovery_mask``
-        the bitmask of edges whose scan *discovered* a vertex (first
-        insertion into the result dicts).  The repair
-
-        1. finds the *affected* vertices — one bitmask AND per reachable
-           vertex — whose failure-free path crosses an excluded edge; every
-           other vertex provably keeps its distance and parent;
-        2. re-runs Dijkstra only over the affected region, seeded from the
-           unaffected boundary;
-        3. replays the discovery scan over the merged finalization order so
-           the returned dicts have exactly the insertion order a full
-           :meth:`dijkstra_indexed` run would produce.
-
-        When nothing is affected *and* no excluded edge was a discovery edge,
-        the failed run is the failure-free run with some no-op scans removed,
-        so the memoized base dicts are returned as-is (they are shared
-        read-only, like every engine result).
-
-        The result is bit-identical to a full recompute — values, parents,
-        tie-breaking and dict insertion order — *provided* the graph is
-        :attr:`repair_safe` (callers must check; with exact weight sums the
-        reference epsilon tie-breaking is order-independent and the
-        finalization order is exactly ``sorted((dist, node))``, which are the
-        two facts steps 2 and 3 rely on).  Returns ``None`` when more than
-        ``max_affected_fraction`` of the reachable vertices are affected —
-        the caller should fall back to a full recompute.
-        """
-        affected = [v for v, mask in base_masks.items() if mask & excluded_mask]
-        if not affected and not (excluded_mask & base_discovery_mask):
-            return base_dist, base_parent
-        if len(affected) > max_affected_fraction * len(base_dist):
-            return None
-
-        adj_start = self.adj_start
-        adj_items = self.adj_items
-
-        if affected:
-            in_affected = set(affected)
-            dist, parent = self._repair_frontier(
-                excluded_mask, base_dist, affected, in_affected
-            )
-            # Merge the two finalization orders: unaffected vertices keep
-            # their relative base order, repaired vertices slot in by their
-            # new (dist, index) keys.  Both sequences are sorted by that key,
-            # and keys are unique, so this is a plain two-way merge.
-            repaired = sorted((cost, v) for v, cost in dist.items())
-            unaffected = [v for v in base_order if v not in in_affected]
-            merged: List[int] = []
-            append = merged.append
-            i = j = 0
-            while i < len(unaffected) and j < len(repaired):
-                u = unaffected[i]
-                key = (base_dist[u], u)
-                if key < repaired[j]:
-                    append(u)
-                    i += 1
-                else:
-                    append(repaired[j][1])
-                    j += 1
-            merged.extend(unaffected[i:])
-            for _cost, v in repaired[j:]:
-                append(v)
-            final_dist = dist
-            final_parent = parent
-        else:
-            in_affected = ()
-            merged = base_order
-            final_dist = {}
-            final_parent = {}
-
-        # Replay the reference discovery scan: walk the finalization order,
-        # scan each vertex's adjacency in CSR order, and record every vertex
-        # the first time a usable edge reaches it.  This reproduces the
-        # insertion order of dijkstra_indexed's result dicts exactly.  A
-        # neighbor the reference would skip as already-finalized is always
-        # already discovered here (discovery strictly precedes finalization),
-        # so the single ``discovered`` test subsumes the finalized test.
-        dist_out: Dict[int, float] = {source: 0.0}
-        parent_out: Dict[int, Tuple[int, int]] = {}
-        discovered = bytearray(len(self.names))
-        discovered[source] = 1
-        for node in merged:
-            for edge_id, neighbor, _weight in adj_items[
-                adj_start[node] : adj_start[node + 1]
-            ]:
-                if discovered[neighbor]:
-                    continue
-                if (excluded_mask >> edge_id) & 1:
-                    continue
-                discovered[neighbor] = 1
-                if neighbor in in_affected:
-                    dist_out[neighbor] = final_dist[neighbor]
-                    parent_out[neighbor] = final_parent[neighbor]
-                else:
-                    dist_out[neighbor] = base_dist[neighbor]
-                    parent_out[neighbor] = base_parent[neighbor]
-        return dist_out, parent_out
-
-    def discovery_edge_mask(self, source: int, order: Iterable[int]) -> int:
-        """Bitmask of the edges whose scan discovered a vertex.
-
-        Replays the failure-free discovery scan over ``order`` (the
-        finalization order of the unexcluded run) and collects the edge that
-        first reaches each vertex.  Excluding only edges outside this mask
-        (and off every shortest path) provably leaves the result dicts of
-        :meth:`dijkstra_indexed` untouched — the zero-work fast path of
-        :meth:`sssp_repair`.
-        """
-        adj_start = self.adj_start
-        adj_items = self.adj_items
-        discovered = bytearray(len(self.names))
-        discovered[source] = 1
-        mask = 0
-        for node in order:
-            for edge_id, neighbor, _weight in adj_items[
-                adj_start[node] : adj_start[node + 1]
-            ]:
-                if not discovered[neighbor]:
-                    discovered[neighbor] = 1
-                    mask |= 1 << edge_id
-        return mask
-
-    def dijkstra_named(
-        self, source: str, excluded_edges: Optional[Iterable[int]] = None
-    ) -> Tuple[Dict[str, float], Dict[str, Tuple[str, int]]]:
-        """Drop-in equivalent of the reference ``dijkstra()`` (name-keyed)."""
-        dist_idx, parent_idx = self.dijkstra_indexed(
-            self.node_index(source), self.exclusion_mask(excluded_edges)
-        )
-        names = self.names
-        dist = {names[node]: cost for node, cost in dist_idx.items()}
-        parent = {
-            names[node]: (names[towards], edge_id)
-            for node, (towards, edge_id) in parent_idx.items()
-        }
-        return dist, parent
-
-    def dijkstra_to(
-        self,
-        source: int,
-        target: int,
-        excluded_mask: int = 0,
-    ) -> Optional[float]:
-        """Early-exit Dijkstra: cost from ``source`` to ``target`` or ``None``.
-
-        Stops as soon as the target is finalized; tie-breaking is irrelevant
-        for the cost, so this variant skips the parent bookkeeping entirely.
-        """
-        if source == target:
-            return 0.0
-        dist: Dict[int, float] = {source: 0.0}
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        finalized = bytearray(len(self.names))
-        adj_start = self.adj_start
-        adj_items = self.adj_items
-        while heap:
-            cost, node = heapq.heappop(heap)
-            if finalized[node]:
-                continue
-            if node == target:
-                return cost
-            finalized[node] = 1
-            for edge_id, neighbor, weight in adj_items[
-                adj_start[node] : adj_start[node + 1]
-            ]:
-                if (excluded_mask >> edge_id) & 1:
-                    continue
-                if finalized[neighbor]:
-                    continue
-                candidate = cost + weight
-                current = dist.get(neighbor)
-                if current is None or candidate < current:
-                    dist[neighbor] = candidate
-                    heapq.heappush(heap, (candidate, neighbor))
-        return None
 
     # ------------------------------------------------------------------
     # connectivity

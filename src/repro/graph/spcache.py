@@ -4,9 +4,9 @@ This module is the caching layer between the experiments and the compiled
 graph core (:mod:`repro.graph.compiled`):
 
 * :class:`ShortestPathEngine` — per-topology memoization of SSSP trees,
-  all-pairs costs, connectivity labels and failure-free path-edge bitmasks,
-  all keyed by ``(graph_version, source, frozenset(excluded_edges))`` with an
-  LRU bound.
+  all-pairs costs, connectivity labels and failure-free path-edge bitmasks.
+  SSSP trees live in one LRU-bounded memo keyed by
+  ``(source, frozenset(excluded_edges))``.
 * :func:`engine_for` — a per-process, content-addressed registry: every
   consumer (routing tables, FCP, LFA, the campaign executor) asking for the
   engine of an equal-content graph gets the *same* engine object, which is
@@ -14,11 +14,13 @@ graph core (:mod:`repro.graph.compiled`):
   process.
 
 Results returned by the engine are cached objects shared between callers and
-must be treated as **read-only**.  The underlying algorithms are bit-identical
-to the reference implementations in :mod:`repro.graph.shortest_paths` —
-identical tie-breaking, identical dict insertion order — which the
-equivalence suite in ``tests/graph/test_compiled_equivalence.py`` asserts
-across randomized topologies.
+must be treated as **read-only**.  Trees carry exactly the distances, parents
+and equal-cost tie-breaking of the reference
+:func:`repro.graph.shortest_paths.dijkstra`, but their dict insertion order is
+unspecified (a repaired tree is a patched copy of the failure-free one), so
+no consumer may let it leak into a result.  The equivalence suite in
+``tests/graph/test_compiled_equivalence.py`` asserts the content across
+randomized topologies and the whole corpus.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ import threading
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.errors import NodeNotFound, NoPathExists
+from repro.errors import NodeNotFound
 from repro.graph.compiled import CompiledGraph, graph_signature
 from repro.graph.multigraph import Graph
 
-#: Default bound of the per-engine SSSP memo (an entry is one (dist, parent)
-#: tree, i.e. O(nodes) — FCP sweeps can touch thousands of distinct carried
-#: failure sets, hence a generous default).
+#: Bound of the per-engine SSSP memo (an entry is one (dist, parent) tree,
+#: i.e. O(nodes) — FCP sweeps can touch thousands of distinct carried
+#: failure sets, hence a generous bound).
 DEFAULT_SSSP_CACHE = 8192
 
 #: Bound of the per-process engine registry (one entry per distinct topology
@@ -47,6 +49,13 @@ _MISSING = object()
 #: nested hop engines alike) — the per-cell telemetry deltas count builds
 #: through this instead of registry size, which eviction would distort.
 _ENGINE_BUILDS = 0
+
+
+def _frozen(excluded_edges: Optional[Iterable[int]]) -> FrozenSet[int]:
+    """``excluded_edges`` as the frozenset memo keys are built from."""
+    if isinstance(excluded_edges, frozenset):
+        return excluded_edges
+    return frozenset(excluded_edges or ())
 
 
 class _LruDict(OrderedDict):
@@ -85,18 +94,14 @@ class ShortestPathEngine:
     dictionary lookup the second time.
     """
 
-    def __init__(self, graph: Graph, sssp_cache_size: int = DEFAULT_SSSP_CACHE) -> None:
+    def __init__(self, graph: Graph) -> None:
         global _ENGINE_BUILDS
         _ENGINE_BUILDS += 1
         self.compiled = CompiledGraph(graph)
-        #: Content identity of the snapshot; part of every external cache key.
-        self.graph_version = hash(self.compiled.signature)
-        self._sssp: _LruDict = _LruDict(sssp_cache_size)
-        self._sssp_idx: _LruDict = _LruDict(sssp_cache_size)
-        self._tree: _LruDict = _LruDict(sssp_cache_size)
+        #: The SSSP memo: ``(source, excluded) -> (dist, parent)``, index-keyed.
+        self._tree: _LruDict = _LruDict(DEFAULT_SSSP_CACHE)
         self._apsp: _LruDict = _LruDict(64)
         self._components: _LruDict = _LruDict(1024)
-        self._path_masks: Optional[Dict[str, Dict[str, int]]] = None
         self._pair_mask_rows: Optional[List[Tuple[Tuple[str, str], int]]] = None
         #: Free-form per-engine memo for consumers that live in modules the
         #: engine cannot import (FCP SPF/outcome memos, PR outcome memos,
@@ -109,10 +114,10 @@ class ShortestPathEngine:
         #: (discriminator, excluded set), each O(nodes^2) — bounded separately
         #: because a long campaign touches thousands of distinct failure sets.
         self.tables_cache: _LruDict = _LruDict(128)
-        #: Per-source bases for incremental SSSP repair: the failure-free
-        #: indexed tree plus its finalization order and per-vertex path-edge
-        #: bitmasks.  At most one entry per node, each O(nodes) — never
-        #: evicted, so scenario churn cannot force a base rebuild.
+        #: Per-root failure-free bases: the tree plus its per-vertex
+        #: path-edge bitmasks, read by incremental repair and
+        #: :meth:`affecting_pairs`.  At most one entry per node, each
+        #: O(nodes) — never evicted, so scenario churn cannot force a rebuild.
         self._repair_base: Dict[str, Tuple] = {}
         self.hits = 0
         self.misses = 0
@@ -128,122 +133,45 @@ class ShortestPathEngine:
     def sssp(
         self, source: str, excluded_edges: Optional[Iterable[int]] = None
     ) -> Tuple[Dict[str, float], Dict[str, Tuple[str, int]]]:
-        """Memoized ``(dist, parent)`` from ``source`` (read-only result).
+        """Name-keyed ``(dist, parent)`` from ``source``.
 
-        Bit-identical to :func:`repro.graph.shortest_paths.dijkstra`,
-        including the insertion order of the returned dicts.
+        A fresh, unmemoized view of :meth:`sssp_tree`: same content as
+        :func:`repro.graph.shortest_paths.dijkstra`, unspecified dict order.
         """
-        excluded: FrozenSet[int] = (
-            excluded_edges
-            if isinstance(excluded_edges, frozenset)
-            else frozenset(excluded_edges or ())
-        )
-        key = (source, excluded)
-        cached = self._sssp.get_or_none(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        # Built on the index-keyed memo so a key needed in both
-        # representations runs Dijkstra once.
-        dist_idx, parent_idx = self.sssp_indexed(source, excluded)
+        dist, parent = self.sssp_tree(source, excluded_edges)
         names = self.compiled.names
-        dist = {names[node]: cost for node, cost in dist_idx.items()}
-        parent = {
-            names[node]: (names[towards], edge_id)
-            for node, (towards, edge_id) in parent_idx.items()
-        }
-        value = (dist, parent)
-        self._sssp.put(key, value)
-        return value
-
-    def distances(
-        self, source: str, excluded_edges: Optional[Iterable[int]] = None
-    ) -> Dict[str, float]:
-        """Memoized distance map from ``source`` (read-only result)."""
-        return self.sssp(source, excluded_edges)[0]
-
-    def sssp_indexed(
-        self, source: str, excluded_edges: Optional[Iterable[int]] = None
-    ) -> Tuple[Dict[int, float], Dict[int, Tuple[int, int]]]:
-        """Memoized index-keyed ``(dist, parent)`` from ``source``.
-
-        The raw :meth:`CompiledGraph.dijkstra_indexed` result without the
-        node-name conversion — for consumers that walk trees in index space
-        (read-only).  Memoized separately from :meth:`sssp` so neither
-        representation is rebuilt when only the other is needed.
-        """
-        excluded: FrozenSet[int] = (
-            excluded_edges
-            if isinstance(excluded_edges, frozenset)
-            else frozenset(excluded_edges or ())
+        return (
+            {names[node]: cost for node, cost in dist.items()},
+            {
+                names[node]: (names[towards], edge_id)
+                for node, (towards, edge_id) in parent.items()
+            },
         )
-        key = (source, excluded)
-        cached = self._sssp_idx.get_or_none(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        compiled = self.compiled
-        value = None
-        if excluded and compiled.repair_safe:
-            # Incremental repair: re-run Dijkstra only over the vertices
-            # whose failure-free path crosses an excluded edge, then replay
-            # the discovery order — bit-identical to the full recompute
-            # (asserted across the corpus by the equivalence suite).
-            value = compiled.sssp_repair(
-                compiled.node_index(source),
-                compiled.exclusion_mask(excluded),
-                *self._repair_base_for(source),
-            )
-            if value is not None:
-                self.repair_hits += 1
-            else:
-                self.repair_fallbacks += 1
-        if value is None:
-            value = compiled.dijkstra_indexed(
-                compiled.node_index(source), compiled.exclusion_mask(excluded)
-            )
-        self._sssp_idx.put(key, value)
-        return value
 
     def sssp_tree(
         self, source: str, excluded_edges: Optional[Iterable[int]] = None
     ) -> Tuple[Dict[int, float], Dict[int, Tuple[int, int]]]:
-        """Memoized index-keyed ``(dist, parent)`` with *unspecified* order.
+        """Memoized index-keyed ``(dist, parent)`` from ``source`` (read-only).
 
-        Same distances, parents and tie-breaking as :meth:`sssp_indexed`,
-        but the dict insertion order is not part of the contract — which
-        lets a repair skip the discovery-order replay and patch a copy of
-        the failure-free tree instead.  For consumers that only look up
-        entries (next-hop walks, parent-chain resolution); anything that
-        iterates the dicts and leaks the order into results must use
-        :meth:`sssp_indexed`.  Results are read-only and may alias the
-        ordered memo's (a hit in either representation is shared).
+        Same distances, parents and tie-breaking as the reference
+        :func:`repro.graph.shortest_paths.dijkstra`; the dict insertion
+        order is unspecified.  On a miss with exclusions the failure-free
+        tree is repaired (:meth:`CompiledGraph.sssp_repair_content`) when
+        the graph is ``repair_safe``, otherwise recomputed in full.
         """
-        excluded: FrozenSet[int] = (
-            excluded_edges
-            if isinstance(excluded_edges, frozenset)
-            else frozenset(excluded_edges or ())
-        )
+        excluded = _frozen(excluded_edges)
         key = (source, excluded)
         cached = self._tree.get_or_none(key)
         if cached is not None:
             self.hits += 1
             return cached
-        # An ordered tree is a valid unordered tree: share it when present.
-        cached = self._sssp_idx.get_or_none(key)
-        if cached is not None:
-            self.hits += 1
-            self._tree.put(key, cached)
-            return cached
         self.misses += 1
         compiled = self.compiled
+        excluded_mask = compiled.exclusion_mask(excluded)
         value = None
         if excluded and compiled.repair_safe:
-            base = self._repair_base_for(source)
             value = compiled.sssp_repair_content(
-                compiled.exclusion_mask(excluded), base[0], base[1], base[3]
+                excluded_mask, *self._repair_base_for(source)
             )
             if value is not None:
                 self.repair_hits += 1
@@ -251,76 +179,42 @@ class ShortestPathEngine:
                 self.repair_fallbacks += 1
         if value is None:
             value = compiled.dijkstra_indexed(
-                compiled.node_index(source), compiled.exclusion_mask(excluded)
+                compiled.node_index(source), excluded_mask
             )
-            # A full run is discovery-ordered, so it serves both memos.
-            self._sssp_idx.put(key, value)
         self._tree.put(key, value)
         return value
 
-    def _repair_base_for(self, source: str) -> Tuple:
-        """The failure-free repair base of ``source`` (built once per source).
+    def _repair_base_for(self, root: str) -> Tuple:
+        """Failure-free ``(dist, parent, masks)`` of ``root`` (built once).
 
-        ``(dist, parent, finalization order, path-edge masks, discovery-edge
-        mask)`` of the failure-free indexed tree.  Only meaningful on
-        ``repair_safe`` graphs, where the finalization order is exactly
-        ``sorted((dist, index))`` and path masks follow parent pointers
-        (parents always precede children in finalization order because
-        weights are strictly positive).
+        ``masks[v]`` has bit ``e`` set iff edge ``e`` lies on the
+        (deterministically tie-broken) failure-free shortest path between
+        ``root`` and ``v`` — the path the routing tables forward along when
+        ``root`` is the destination.  Unreachable vertices do not appear.
+        The parent-chain walk needs no particular dict order and works on
+        every graph, ``repair_safe`` or not.
         """
-        base = self._repair_base.get(source)
+        base = self._repair_base.get(root)
         if base is None:
-            compiled = self.compiled
-            dist_idx, parent_idx = self.sssp_indexed(source)
-            order = tuple(
-                node for _cost, node in sorted((c, v) for v, c in dist_idx.items())
-            )
-            masks: Dict[int, int] = {}
-            source_idx = compiled.node_index(source)
-            discovery_mask = 0
-            if order:
-                masks[order[0]] = 0
-                for node in order[1:]:
-                    towards, edge_id = parent_idx[node]
-                    masks[node] = masks[towards] | (1 << edge_id)
-                discovery_mask = compiled.discovery_edge_mask(source_idx, order)
-            base = (dist_idx, parent_idx, order, masks, discovery_mask)
-            self._repair_base[source] = base
+            dist, parent = self.sssp_tree(root)
+            masks: Dict[int, int] = {self.compiled.index[root]: 0}
+            for node in parent:
+                if node in masks:
+                    continue
+                # Resolve the parent chain iteratively; every hop strictly
+                # approaches the root, so the chain terminates.
+                chain = []
+                walk = node
+                while walk not in masks:
+                    chain.append(walk)
+                    walk = parent[walk][0]
+                mask = masks[walk]
+                for link in reversed(chain):
+                    mask |= 1 << parent[link][1]
+                    masks[link] = mask
+            base = (dist, parent, masks)
+            self._repair_base[root] = base
         return base
-
-    def cost_between(
-        self,
-        source: str,
-        destination: str,
-        excluded_edges: Optional[Iterable[int]] = None,
-    ) -> float:
-        """Cost of the shortest ``source -> destination`` path.
-
-        Serves from the SSSP memo when the tree is already cached; otherwise
-        runs a destination-targeted early-exit Dijkstra (which does *not*
-        populate the memo — it finalizes only a prefix of the tree).  Raises
-        :class:`NoPathExists` when unreachable.
-        """
-        excluded: FrozenSet[int] = (
-            excluded_edges
-            if isinstance(excluded_edges, frozenset)
-            else frozenset(excluded_edges or ())
-        )
-        compiled = self.compiled
-        target = compiled.node_index(destination)  # validates the destination
-        cached = self._sssp.get_or_none((source, excluded))
-        if cached is not None:
-            self.hits += 1
-            try:
-                return cached[0][destination]
-            except KeyError:
-                raise NoPathExists(source, destination) from None
-        cost = compiled.dijkstra_to(
-            compiled.node_index(source), target, compiled.exclusion_mask(excluded)
-        )
-        if cost is None:
-            raise NoPathExists(source, destination)
-        return cost
 
     # ------------------------------------------------------------------
     # all-pairs shortest costs
@@ -330,18 +224,16 @@ class ShortestPathEngine:
     ) -> Dict[str, Dict[str, float]]:
         """Memoized all-pairs cost table (read-only result).
 
-        Identical to :func:`repro.graph.shortest_paths.all_pairs_shortest_costs`:
-        one SSSP per node, nodes in graph insertion order.
+        Same content as
+        :func:`repro.graph.shortest_paths.all_pairs_shortest_costs`: one
+        SSSP per node, outer keys in graph insertion order.
         """
-        excluded: FrozenSet[int] = (
-            excluded_edges
-            if isinstance(excluded_edges, frozenset)
-            else frozenset(excluded_edges or ())
-        )
+        excluded = _frozen(excluded_edges)
         cached = self._apsp.get_or_none(excluded)
         if cached is not None:
             self.hits += 1
             return cached
+        self.misses += 1
         value = {
             node: self.sssp(node, excluded)[0] for node in self.compiled.order
         }
@@ -378,83 +270,43 @@ class ShortestPathEngine:
             raise NodeNotFound(v)
         if u == v:
             return True
-        excluded: FrozenSet[int] = (
-            excluded_edges
-            if isinstance(excluded_edges, frozenset)
-            else frozenset(excluded_edges or ())
-        )
-        labels = self._labels(excluded)
+        labels = self._labels(_frozen(excluded_edges))
         return labels[index[u]] == labels[index[v]]
 
     def is_connected(self, excluded_edges: Optional[Iterable[int]] = None) -> bool:
         """Whether the whole graph stays connected under the exclusions."""
         if not self.compiled.names:
             return True
-        excluded: FrozenSet[int] = (
-            excluded_edges
-            if isinstance(excluded_edges, frozenset)
-            else frozenset(excluded_edges or ())
-        )
-        labels = self._labels(excluded)
+        labels = self._labels(_frozen(excluded_edges))
         return max(labels) == 0 if labels else True
 
     # ------------------------------------------------------------------
     # failure-free path-edge bitmasks (the all_affecting_pairs fast path)
     # ------------------------------------------------------------------
-    def path_edge_masks(self) -> Dict[str, Dict[str, int]]:
-        """Per destination: bitmask of edges on every source's failure-free path.
-
-        ``masks[destination][source]`` has bit ``e`` set iff edge ``e`` lies
-        on the (deterministically tie-broken) failure-free shortest path from
-        ``source`` to ``destination`` — the exact path the routing tables
-        forward along.  Sources with no route do not appear.  Computed once
-        per engine and reused by every scenario.
-        """
-        if self._path_masks is not None:
-            self.hits += 1
-            return self._path_masks
-        masks: Dict[str, Dict[str, int]] = {}
-        for destination in self.compiled.order:
-            _dist, parent = self.sssp(destination)
-            dest_masks: Dict[str, int] = {destination: 0}
-            for node in parent:
-                if node in dest_masks:
-                    continue
-                # Resolve the parent chain iteratively; every hop strictly
-                # approaches the destination, so the chain terminates.
-                chain = []
-                walk = node
-                while walk not in dest_masks:
-                    chain.append(walk)
-                    walk = parent[walk][0]
-                mask = dest_masks[walk]
-                for link in reversed(chain):
-                    mask = mask | (1 << parent[link][1])
-                    dest_masks[link] = mask
-            del dest_masks[destination]
-            masks[destination] = dest_masks
-        self._path_masks = masks
-        return masks
-
     def affecting_pairs(self, failed_links: Iterable[int]) -> List[Tuple[str, str]]:
         """Ordered pairs whose failure-free path crosses a failed link.
 
         Equivalent to :func:`repro.failures.scenarios.all_affecting_pairs`
         with default failure-free tables — same pairs, same order — but each
         pair is one bitmask AND over a flat, precomputed ``(pair, mask)``
-        row list (built once per engine; a routed pair's path has at least
-        one edge, so a zero mask never occurs and rows hold exactly the
-        pairs the nested ``masks[destination].get(source)`` walk would test).
+        row list (built once per engine from the per-destination repair
+        bases; a routed pair's path has at least one edge, so a zero mask
+        never occurs and rows hold exactly the routed pairs).
         """
         rows = self._pair_mask_rows
         if rows is None:
-            masks = self.path_edge_masks()
+            order = self.compiled.order
+            index = self.compiled.index
+            masks = {
+                destination: self._repair_base_for(destination)[2]
+                for destination in order
+            }
             rows = []
-            for source in self.compiled.order:
-                for destination in self.compiled.order:
+            for source in order:
+                for destination in order:
                     if source == destination:
                         continue
-                    path_mask = masks[destination].get(source)
+                    path_mask = masks[destination].get(index[source])
                     if path_mask:
                         rows.append(((source, destination), path_mask))
             self._pair_mask_rows = rows
@@ -464,7 +316,8 @@ class ShortestPathEngine:
     def cache_info(self) -> Dict[str, int]:
         """Hit/miss counters plus current memo sizes (for ``repro bench``).
 
-        ``repair_hits`` counts memo misses answered by incrementally
+        Every memo lookup counts exactly one hit or one miss.
+        ``repair_hits`` counts SSSP misses answered by incrementally
         repairing the failure-free tree; ``repair_fallbacks`` counts misses
         where repair bailed out to a full Dijkstra (affected fraction above
         the threshold).  Both stay zero when ``repair_safe`` is false — on
@@ -473,7 +326,7 @@ class ShortestPathEngine:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "sssp_entries": len(self._sssp),
+            "sssp_entries": len(self._tree),
             "apsp_entries": len(self._apsp),
             "component_entries": len(self._components),
             "repair_hits": self.repair_hits,
@@ -486,9 +339,7 @@ class ShortestPathEngine:
     def evictions(self) -> int:
         """Entries dropped by LRU bounds across every memo of this engine."""
         return (
-            self._sssp.evictions
-            + self._sssp_idx.evictions
-            + self._tree.evictions
+            self._tree.evictions
             + self._apsp.evictions
             + self._components.evictions
             + self.consumer_cache.evictions
@@ -575,7 +426,7 @@ def cached_diameter(graph: Graph, hop_count: bool = True) -> float:
     """Graph diameter, memoized per topology content.
 
     Same value as :func:`repro.graph.shortest_paths.diameter` — the engine
-    trees are bit-identical to the reference Dijkstra — but the all-pairs
+    trees carry the reference Dijkstra's distances — but the all-pairs
     pass runs once per (topology content, metric) per process instead of
     once per caller (PR's DD-bit sizing, overhead rows and the CLI all ask).
     """

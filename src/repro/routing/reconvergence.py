@@ -108,7 +108,7 @@ class ReconvergenceModel:
         excluded = frozenset((failed_edge,))
         distances: Dict[str, float] = {}
         for endpoint in (edge.u, edge.v):
-            dist = hop_engine.distances(endpoint, excluded)
+            dist = hop_engine.sssp(endpoint, excluded)[0]
             for node, hops in dist.items():
                 if node not in distances or hops < distances[node]:
                     distances[node] = hops

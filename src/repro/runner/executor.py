@@ -288,7 +288,7 @@ def _run_cell_body(cell: CampaignCell, cache_dir: Optional[str] = None) -> Dict[
     # so a cell whose scheme builds no routing tables doesn't force a full
     # table construction just for the stretch baseline.
     engine = engine_for(graph)
-    engine_distances = engine.distances
+    node_index = engine.compiled.index
 
     cache: Optional[ArtifactCache] = None
     embedding = None
@@ -355,7 +355,7 @@ def _run_cell_body(cell: CampaignCell, cache_dir: Optional[str] = None) -> Dict[
                     # cost(source -> destination) == dist[source] of the
                     # destination-rooted failure-free tree (undirected graph,
                     # exactly what RoutingTables stores in its cost column).
-                    baseline_cost = engine_distances(pair[1])[pair[0]]
+                    baseline_cost = engine.sssp_tree(pair[1])[0][node_index[pair[0]]]
                     baseline_cost_of[pair] = baseline_cost
                 n_samples += 1
                 if delivered and baseline_cost > 0:

@@ -452,7 +452,10 @@ class ServeSession:
         if outcome.drop_reason:
             response["drop_reason"] = outcome.drop_reason
         engine = engine_for(scheme.graph)
-        baseline = engine.distances(destination).get(source)
+        # An unknown source has no index, hence no baseline (None).
+        baseline = engine.sssp_tree(destination)[0].get(
+            engine.compiled.index.get(source)
+        )
         response["baseline_cost"] = baseline
         if delivered and baseline:
             response["stretch"] = outcome.cost / baseline

@@ -1,6 +1,7 @@
 """Resident serve loop: session ops, error containment, socket transport."""
 
 import json
+import random
 import socket
 import threading
 import time
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from repro.errors import ReproError
+from repro.routing.tables import RoutingTables
 from repro.runner import faults
 from repro.runner.executor import run_campaign
 from repro.runner.faults import parse_plan
@@ -20,6 +22,7 @@ from repro.store.serve import (
     socket_alive,
     stream,
 )
+from repro.topologies.registry import by_name
 
 from tests.store.conftest import deterministic_part, pair_spec
 
@@ -74,6 +77,40 @@ class TestSessionOps:
         assert response["ok"] is True
         assert response["failed_links"], "the E-F link must resolve to an edge id"
         assert response["stretch"] >= 1.0
+
+    @pytest.mark.parametrize("topology", ["abilene", "geant"])
+    def test_baseline_cost_matches_routing_tables(self, session, topology):
+        graph = by_name(topology)
+        tables = RoutingTables(graph)
+        rng = random.Random(f"baseline:{topology}")
+        nodes = graph.nodes()
+        edge_ids = graph.edge_ids()
+        for op, scheme in (("deliver", "reconvergence"), ("stretch", "fcp")):
+            for _ in range(6):
+                source, destination = rng.sample(nodes, 2)
+                failed = rng.sample(edge_ids, rng.randint(0, 2))
+                response = session.handle({
+                    "op": op,
+                    "topology": topology,
+                    "scheme": scheme,
+                    "source": source,
+                    "destination": destination,
+                    "failed": failed,
+                })
+                assert response["ok"] is True, response
+                assert response["baseline_cost"] == tables.cost(source, destination)
+
+    def test_unknown_source_has_no_baseline_cost(self, session):
+        response = session.handle({
+            "op": "deliver",
+            "topology": "abilene",
+            "scheme": "reconvergence",
+            "source": "no-such-node",
+            "destination": "Seattle",
+        })
+        assert response["ok"] is True
+        assert response["delivered"] is False
+        assert response["baseline_cost"] is None
 
     def test_errors_come_back_as_responses(self, session):
         response = session.handle({
