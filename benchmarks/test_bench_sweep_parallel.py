@@ -39,7 +39,7 @@ def test_bench_sweep_cold_vs_cached_vs_parallel(benchmark):
         timings = {}
         with tempfile.TemporaryDirectory() as tmp:
             cache = Path(tmp) / "cache"
-            results = Path(tmp) / "results.jsonl"
+            results = Path(tmp) / "results.sqlite"
             spec = _spec()
 
             started = time.perf_counter()

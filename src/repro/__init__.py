@@ -25,7 +25,7 @@ The package is organised around a small set of subsystems:
   table of the paper's evaluation.
 * :mod:`repro.runner` — the campaign runner: declarative parallel sweeps
   over the evaluation grid with a content-addressed offline-stage artifact
-  cache and resumable results backends.
+  cache and resumable runs into the campaign store.
 * :mod:`repro.store` — the results layer: the queryable SQLite campaign
   store, the checksummed JSONL interchange format, migration between the
   two, the filter grammar and the resident serve loop.
@@ -45,7 +45,6 @@ from repro._version import __version__
 from repro.api import (
     ArtifactCache,
     CampaignHandle,
-    CampaignResult,
     CampaignSpec,
     CampaignStore,
     FailureScenario,
@@ -86,7 +85,6 @@ __all__ = [
     "__version__",
     "ArtifactCache",
     "CampaignHandle",
-    "CampaignResult",
     "CampaignSpec",
     "CampaignStore",
     "FailureScenario",

@@ -13,22 +13,13 @@ For sweeps, :class:`~repro.runner.spec.CampaignSpec` and
 the grid (topologies x schemes x discriminators x failure scenarios)
 declaratively and run it in parallel with a content-addressed offline-stage
 artifact cache and resume-from-partial.  ``run_campaign`` returns a
-:class:`~repro.runner.executor.CampaignHandle` whose ``results=`` backend
-is selected by path suffix — a ``.sqlite`` path lands the campaign in the
-queryable :class:`~repro.store.database.CampaignStore`, a ``.jsonl`` path
-streams the checksummed interchange format — and which exposes ``.store``,
-``.query(expr)`` (the ``scheme=pr topology~zoo campaign:last10`` grammar of
-:mod:`repro.store.query`), ``.summary()`` and ``.telemetry()``.
-
-Deprecated spellings (kept as shims that emit :class:`DeprecationWarning`):
-
-===============================================  ===========================
-old                                              new
-===============================================  ===========================
-``run_campaign(spec, results_path="c.jsonl")``   ``run_campaign(spec, results="c.jsonl")``
-``CampaignResult`` (as the return-type name)     ``CampaignHandle`` (same object)
-manifest sidecar next to ``--results`` JSONL     ``handle.telemetry()`` / the store's telemetry table
-===============================================  ===========================
+:class:`~repro.runner.executor.CampaignHandle`; a ``results=`` path
+(``.sqlite``/``.sqlite3``/``.db``) lands the campaign in the queryable
+:class:`~repro.store.database.CampaignStore`, and the handle exposes
+``.store``, ``.query(expr)`` (the ``scheme=pr topology~zoo campaign:last10``
+grammar of :mod:`repro.store.query`), ``.summary()`` and ``.telemetry()``.
+Checksummed JSONL (:class:`~repro.store.jsonl.ResultStore`) is only the
+``repro migrate`` import/export format.
 
 The failure-scenario toolbox rides along: the enumerators and sampler behind
 the built-in scenario kinds (:func:`single_link_failures`,
@@ -71,7 +62,6 @@ from repro.routing.discriminator import DiscriminatorKind
 from repro.runner import (  # noqa: F401  (re-exported convenience API)
     ArtifactCache,
     CampaignHandle,
-    CampaignResult,
     CampaignSpec,
     ScenarioSpec,
     run_campaign,

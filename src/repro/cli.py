@@ -30,12 +30,13 @@ the reproduction can be driven without writing Python:
   (topologies x schemes x discriminators x failure scenarios) through the
   :mod:`repro.runner` subsystem, with a content-addressed offline-stage
   artifact cache (``--cache-dir``), process parallelism (``--workers``), a
-  streaming JSONL result store (``--results``) and resume-from-partial
+  SQLite campaign store the records stream into (``--results``, a
+  ``.sqlite``/``.sqlite3``/``.db`` path) and resume-from-partial
   (``--resume``).  Example::
 
       python -m repro sweep --topologies abilene geant \\
           --schemes reconvergence fcp pr --failures 4 --samples 20 \\
-          --workers 4 --cache-dir .repro-cache --results campaign.jsonl
+          --workers 4 --cache-dir .repro-cache --results campaign.sqlite
 
   ``--topology-set zoo|synthetic|all`` shards the campaign across a whole
   corpus set instead of (or on top of) ``--topologies``; the report then
@@ -43,11 +44,14 @@ the reproduction can be driven without writing Python:
   scheme).  Example::
 
       python -m repro sweep --topology-set all --schemes reconvergence fcp \\
-          --workers 4 --results corpus.jsonl
+          --workers 4 --results corpus.sqlite
 
   A campaign can also be saved to / loaded from a JSON spec file
   (``--save-spec`` / ``--spec``); a second invocation with the same spec
   hits the artifact cache, and ``--resume`` skips completed cells.
+  Checksummed JSONL is only an import/export format: ``repro migrate
+  corpus.sqlite corpus.jsonl`` exports a campaign (with its telemetry and
+  quarantine sidecars), and the reverse direction imports one.
 """
 
 from __future__ import annotations
@@ -396,9 +400,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _resolve_results(path_arg: str):
     """The one results-argument resolver every subcommand shares.
 
-    Classifies the path (SQLite store / checksummed JSONL / telemetry
-    manifest) and returns a :class:`repro.store.ResolvedResults`; a missing
-    file exits with the error instead of a traceback.
+    Classifies the path (SQLite store / telemetry manifest) and returns a
+    :class:`repro.store.ResolvedResults`; a JSONL or missing path exits with
+    the error instead of a traceback.
     """
     from repro.store import resolve_results
 
@@ -583,6 +587,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _sweep_spec_from_args(args)
     if args.resume and not args.results:
         raise SystemExit("--resume needs --results to know which cells are done")
+    if args.results:
+        from repro.store import require_store_path
+
+        try:
+            require_store_path(args.results, spec.spec_hash())
+        except ReproError as exc:
+            raise SystemExit(str(exc))
     if args.no_telemetry:
         telemetry.set_enabled(False)
     try:
@@ -652,20 +663,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 for entry in result.quarantined
             ],
         ))
-        if result.quarantine_path is not None:
-            print(f"quarantine sidecar: {result.quarantine_path}")
-        elif result.store is not None:
-            print(f"quarantine entries recorded in {result.results_path}")
+        if result.store is not None:
+            print(f"quarantine entries recorded in {result.store.path}")
     stats = result.cache_stats()
     if args.cache_dir:
         print(f"artifact cache: {stats['hits']} hits, {stats['misses']} misses "
               f"({args.cache_dir})")
     if result.store is not None:
-        print(f"results store: {result.results_path} "
+        print(f"results store: {result.store.path} "
               f"(campaign {spec.spec_hash()}; query with: "
-              f"repro query {result.results_path} campaign:last1)")
-    elif result.results_path is not None:
-        print(f"results: {result.results_path}")
+              f"repro query {result.store.path} campaign:last1)")
     engine_counters = result.engine_counters()
     if engine_counters:
         # Merged across every worker through the per-cell snapshots — the
@@ -673,11 +680,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("engine counters (all workers): "
               + ", ".join(f"{name}={value}"
                           for name, value in sorted(engine_counters.items())))
-    if result.telemetry_path is not None:
-        print(f"telemetry manifest: {result.telemetry_path}")
-    elif result.store is not None:
-        print(f"telemetry manifest recorded in {result.results_path} "
-              f"(repro report {result.results_path})")
+    if result.store is not None:
+        print(f"telemetry manifest recorded in {result.store.path} "
+              f"(repro report {result.store.path})")
     if args.slowest:
         manifest = result.telemetry(slowest=args.slowest)
         rows = telemetry.report.slowest_rows(manifest, args.slowest)
@@ -906,10 +911,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cache-dir", default=".repro-cache",
                        help="offline-stage artifact cache directory")
     sweep.add_argument("--results",
-                       help="results backend to stream cell records into, "
-                            "auto-detected by suffix: a .sqlite/.sqlite3/.db "
-                            "path lands the campaign in the queryable store, "
-                            "anything else streams checksummed JSONL")
+                       help="SQLite campaign store (.sqlite/.sqlite3/.db) to "
+                            "stream cell records into; JSONL is refused (export "
+                            "a finished campaign with repro migrate)")
     sweep.add_argument("--resume", action="store_true",
                        help="skip cells already recorded in --results")
     sweep.add_argument("--spec", help="load the campaign spec from this JSON file "
@@ -926,8 +930,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--on-error", choices=["fail", "quarantine"], default="fail",
                        help="what to do when a cell exhausts its retries: abort the "
                             "campaign after draining (fail, default) or record the "
-                            "cell in the campaign.quarantine.jsonl sidecar and keep "
-                            "going (quarantine)")
+                            "cell in the store's quarantine table and keep going "
+                            "(quarantine)")
     sweep.add_argument("--inject", metavar="PLAN",
                        help="arm the deterministic fault-injection harness (testing "
                             "only); same grammar as the REPRO_FAULTS environment "
@@ -946,9 +950,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("results",
                         help="a results store (.sqlite — the latest campaign's "
-                             "manifest), campaign results JSONL (its "
-                             ".telemetry.json sidecar is used) or a manifest "
-                             "file directly")
+                             "manifest) or a manifest file directly (such as "
+                             "the .telemetry.json sidecar repro migrate "
+                             "exports); JSONL results are refused")
     report.add_argument("--slowest", type=int, default=10, metavar="N",
                         help="rows in the slowest-cells table (default 10)")
     report.add_argument("--validate", action="store_true",
@@ -958,11 +962,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser(
         "query",
-        help="filter records out of a results store or JSONL file "
+        help="filter records out of a results store "
              "(scheme=pr topology~zoo campaign:last10)",
     )
     query.add_argument("results",
-                       help="results store (.sqlite) or campaign JSONL file")
+                       help="results store (.sqlite); import JSONL results "
+                            "first with repro migrate")
     query.add_argument("filter", nargs="*", metavar="CLAUSE",
                        help="filter clauses: field=value, field!=value, "
                             "field~value (substring) over topology/scheme/"
@@ -1013,8 +1018,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: derived from --socket, e.g. "
                             ".repro-serve.jobs.sqlite)")
     serve.add_argument("--no-jobs", action="store_true",
-                       help="disable the job journal; submit runs "
-                            "synchronously in the request thread")
+                       help="disable the job journal; submit, job, jobs "
+                            "and cancel answer with an error")
     serve.add_argument("--max-jobs", type=int, default=64, metavar="N",
                        help="queued+running jobs before submit sheds "
                             "with Overloaded (default 64)")

@@ -523,7 +523,7 @@ def aggregate_cache_info() -> Dict[str, int]:
     **Scope caveat:** this sees only the *calling process*.  Cells executed
     by worker processes accumulate their counters in those workers, so a
     parallel sweep's totals must be read from the merged telemetry manifest
-    (``CampaignResult.telemetry()`` / the ``.telemetry.json`` sidecar),
+    (``CampaignHandle.telemetry()`` / the store's ``telemetry`` table),
     which routes per-worker counters back through the chunk-result
     envelopes — serial and parallel runs of the same campaign then report
     identical totals for identical work.

@@ -8,8 +8,8 @@ runs.  This subsystem turns that grid into a first-class object:
 * :mod:`repro.runner.cache` — a content-addressed on-disk cache of
   offline-stage artifacts (cellular embeddings), shared across processes;
 * :mod:`repro.runner.executor` — a :mod:`concurrent.futures`-based parallel
-  executor streaming into a results backend (the SQLite campaign store of
-  :mod:`repro.store`, or checksummed JSONL) with resume-from-partial;
+  executor streaming into the SQLite campaign store of :mod:`repro.store`
+  with resume-from-partial;
 * :mod:`repro.runner.policy` — the fault-tolerance policy (per-cell
   timeouts, bounded retries with deterministic backoff, quarantine);
 * :mod:`repro.runner.faults` — a deterministic fault-injection harness for
@@ -47,7 +47,7 @@ from repro.runner.spec import (
 from repro.runner.cache import ArtifactCache, cached_embedding, topology_fingerprint
 from repro.runner import aggregate, faults
 from repro.runner.faults import FaultPlan, FaultSpec, parse_plan
-from repro.runner.policy import ExecutionPolicy, quarantine_path_for, run_with_timeout
+from repro.runner.policy import ExecutionPolicy, run_with_timeout
 from repro.runner.aggregate import (
     coverage_reports,
     families_in,
@@ -61,8 +61,6 @@ from repro.runner.aggregate import (
 )
 from repro.runner.executor import (
     CampaignHandle,
-    CampaignResult,
-    ResultStore,
     build_scheme,
     generate_scenarios,
     load_topology,
@@ -82,13 +80,11 @@ __all__ = [
     "ArtifactCache",
     "CampaignCell",
     "CampaignHandle",
-    "CampaignResult",
     "CampaignSpec",
     "CampaignStore",
     "ExecutionPolicy",
     "FaultPlan",
     "FaultSpec",
-    "ResultStore",
     "ScenarioSpec",
     "available_schemes",
     "build_scheme",
@@ -107,7 +103,6 @@ __all__ = [
     "node_failure_campaign_spec",
     "overhead_rows",
     "parse_plan",
-    "quarantine_path_for",
     "run_bench",
     "run_campaign",
     "run_cell",

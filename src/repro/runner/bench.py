@@ -9,7 +9,7 @@ wall-clock timings as a JSON artifact (``BENCH_*.json``):
 * **sweep** — a (topologies × schemes) campaign executed four ways: cold
   (offline embedding computed and persisted), warm (artifact cache hit,
   in-process engine caches hot), parallel (worker processes) and resumed
-  (every cell skipped via the JSONL store);
+  (every cell skipped via the campaign store);
 * **corpus** — a corpus-sharded single-link campaign over zoo snapshots and
   parameterized synthetic instances (quick mode uses a 4-topology slice,
   full mode the entire ``all`` set), exercising lazy per-worker topology
@@ -36,6 +36,7 @@ when any ``throughput`` rate drops below the baseline by the same margin
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -121,7 +122,12 @@ def run_bench(
         timings["figure2_s"] = time.perf_counter() - started
 
     # The cross-topology aggregation is part of the corpus workload: the
-    # sweep is not done until the per-topology summary exists.
+    # sweep is not done until the per-topology summary exists.  Both legs
+    # of every fault-layer overhead pair start from a collected heap: a
+    # full cyclic-GC pass owed to earlier allocations takes longer than a
+    # quick-mode leg, and landing in one leg of a pair it would read as
+    # fault-layer overhead (see check_ft_overhead).
+    gc.collect()
     started = time.perf_counter()
     corpus_result = run_campaign(_corpus_spec(quick), workers=1)
     corpus_rows = len(corpus_result.topology_summary())
@@ -135,6 +141,7 @@ def run_bench(
     # the *_ft_s timings exist so CI can gate the layer's overhead against
     # the fault-free baseline (see check_ft_overhead).
     ft_policy = ExecutionPolicy(max_retries=2, cell_timeout=600.0, on_error="quarantine")
+    gc.collect()
     started = time.perf_counter()
     ft_result = run_campaign(_corpus_spec(quick), workers=1, policy=ft_policy)
     timings["corpus_sweep_ft_s"] = time.perf_counter() - started
@@ -142,7 +149,7 @@ def run_bench(
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         cache_dir = Path(tmp) / "cache"
-        results = Path(tmp) / "results.jsonl"
+        results = Path(tmp) / "results.sqlite"
         spec = _sweep_spec(quick)
 
         started = time.perf_counter()
@@ -153,10 +160,12 @@ def run_bench(
         run_campaign(spec, workers=1, cache_dir=cache_dir)
         timings["sweep_warm_s"] = time.perf_counter() - started
 
+        gc.collect()
         started = time.perf_counter()
         run_campaign(spec, workers=workers, cache_dir=cache_dir)
         timings["sweep_parallel_s"] = time.perf_counter() - started
 
+        gc.collect()
         started = time.perf_counter()
         run_campaign(spec, workers=workers, cache_dir=cache_dir, policy=ft_policy)
         timings["sweep_parallel_ft_s"] = time.perf_counter() - started

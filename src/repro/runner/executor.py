@@ -1,9 +1,9 @@
 """Parallel campaign execution with streaming results and resume.
 
 The executor turns a :class:`~repro.runner.spec.CampaignSpec` into records:
-one JSON-serialisable dictionary per cell, appended to the results backend
-(the SQLite campaign store of :mod:`repro.store`, or checksummed JSONL —
-selected by the ``results`` path suffix) as soon as the cell finishes.  Cells are independent by construction, so
+one JSON-serialisable dictionary per cell, appended to the SQLite campaign
+store of :mod:`repro.store` (or kept in memory when no ``results`` path is
+given) as soon as the cell finishes.  Cells are independent by construction, so
 they fan out across worker processes with :mod:`concurrent.futures`; the
 artifact cache is shared through the filesystem, which means the expensive
 offline stage of a topology runs in exactly one worker and every other cell
@@ -19,16 +19,14 @@ Records have three parts:
 * ``meta`` — timing, cache statistics and the worker pid.  Never compared.
 
 Records are flushed to the store in cell order (a completed record waits
-until every earlier cell has completed), so a results file produced by a
-parallel run is record-for-record comparable with a serial one — whichever
-backend it streamed into.
+until every earlier cell has completed), so a campaign produced by a
+parallel run is record-for-record comparable with a serial one.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -65,7 +63,7 @@ from repro.metrics.overhead import overhead_comparison
 from repro.routing.discriminator import DiscriminatorKind
 from repro.runner import aggregate, faults
 from repro.runner.cache import ArtifactCache, cached_embedding
-from repro.runner.policy import ExecutionPolicy, quarantine_path_for, run_with_timeout
+from repro.runner.policy import ExecutionPolicy, run_with_timeout
 from repro.runner.spec import (
     EMBEDDING_SCHEMES,
     SCHEME_NAMES,
@@ -74,8 +72,7 @@ from repro.runner.spec import (
     chunk_cells,
 )
 from repro.scenarios import get_scenario_model
-from repro.store.database import BoundCampaign, CampaignStore, is_store_path
-from repro.store.jsonl import ResultStore
+from repro.store.database import CampaignStore, require_store_path
 from repro.store.query import Filter, parse_filter
 from repro.topologies import corpus
 
@@ -248,8 +245,8 @@ def run_cell(
     counters (hits/misses/repair/evictions/builds accumulate on the engines
     across a whole worker; diffing around the cell attributes them to it).
     Snapshots ride inside the records, so they cross the chunk-result
-    envelopes from workers unchanged and survive the JSONL store for
-    resumed campaigns.  The ``payload`` is byte-identical with telemetry on
+    envelopes from workers unchanged and persist in the store for resumed
+    campaigns.  The ``payload`` is byte-identical with telemetry on
     or off.
     """
     faults.checkpoint("cell-body", cell.cell_id, attempt)
@@ -393,7 +390,7 @@ def _run_cell_body(cell: CampaignCell, cache_dir: Optional[str] = None) -> Dict[
             "delivery_ratio": delivered_samples / n_samples if n_samples else 1.0,
             "n_stretch": len(stretch_values),
             # JSON-normalised (lists, not tuples) so in-memory records compare
-            # equal to records reloaded from the JSONL store.
+            # equal to records reloaded from the store.
             "ccdf": [
                 [x, p]
                 for x, p in ccdf_curve(stretch_values, default_stretch_thresholds())
@@ -529,7 +526,7 @@ def _run_cell_chunk(
     context across the whole chunk; one submission and one result message
     replace a per-cell pickling round trip.  Cells stay independent even
     inside a chunk: one cell raising must not discard its siblings'
-    completed records (they still reach the JSONL store, so a resumed run
+    completed records (they still reach the store, so a resumed run
     skips them), hence the per-cell ``("ok", record, info) | ("error", exc,
     info)`` envelope instead of a bare record list.  Retries and the cell
     timeout run *inside* the worker (the cheapest place to re-attempt);
@@ -554,12 +551,11 @@ def _run_cell_chunk(
 # campaign driver
 # ----------------------------------------------------------------------
 @dataclass
-class CampaignResult:
+class CampaignHandle:
     """Everything a finished (or resumed) campaign produced.
 
-    This is the ``CampaignHandle`` the redesigned results API returns: on
-    top of the aggregation views it exposes the results backend itself
-    (:attr:`store`, ``None`` for JSONL or in-memory runs), the filter-based
+    On top of the aggregation views it exposes the campaign store itself
+    (:attr:`store`, ``None`` for in-memory runs), the filter-based
     :meth:`query` and the one-dictionary :meth:`summary`.
     """
 
@@ -568,21 +564,16 @@ class CampaignResult:
     executed: int = 0
     skipped: int = 0
     elapsed_s: float = 0.0
-    results_path: Optional[Path] = None
-    #: The SQLite store the campaign ran into (``None`` for JSONL/in-memory).
+    #: The SQLite store the campaign ran into (``None`` for in-memory runs).
     store: Optional[CampaignStore] = None
     #: cell_ids actually run in this invocation (resumed cells excluded).
     executed_cell_ids: Set[str] = field(default_factory=set)
     #: Worker count of this invocation (recorded in the telemetry manifest).
     workers: int = 1
-    #: Sidecar manifest path, when the campaign streamed to a JSONL store.
-    telemetry_path: Optional[Path] = None
     #: Quarantined-cell entries (``on_error="quarantine"``), in cell order.
     quarantined: List[Dict[str, Any]] = field(default_factory=list)
-    #: Quarantine sidecar path, when quarantining into a JSONL store.
-    quarantine_path: Optional[Path] = None
     #: Non-zero ``faults/*`` counters of this invocation (retries, timeouts,
-    #: quarantined cells, pool rebuilds, torn records skipped on resume).
+    #: quarantined cells, pool rebuilds).
     fault_counters: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -599,7 +590,7 @@ class CampaignResult:
 
         A ``campaign:`` selector in the expression routes the query through
         the backing store (cross-campaign); otherwise this campaign's own
-        records are filtered in memory, identically for every backend.
+        records are filtered in memory.
         """
         filt = (
             expression
@@ -622,10 +613,8 @@ class CampaignResult:
             "quarantined": len(self.quarantined),
             "elapsed_s": self.elapsed_s,
             "workers": self.workers,
-            "results": str(self.results_path) if self.results_path else None,
-            "backend": "sqlite" if self.store is not None else (
-                "jsonl" if self.results_path is not None else "memory"
-            ),
+            "results": str(self.store.path) if self.store is not None else None,
+            "backend": "sqlite" if self.store is not None else "memory",
             "fault_counters": dict(self.fault_counters),
             "topologies": aggregate.topologies_in(self.records),
             "schemes": sorted({r.get("scheme", "") for r in self.records}),
@@ -699,13 +688,7 @@ class CampaignResult:
         }
 
 
-#: The name the redesigned results API returns ``run_campaign``'s value
-#: under.  An alias (not a subclass) so every existing isinstance check and
-#: caller of :class:`CampaignResult` keeps working unchanged.
-CampaignHandle = CampaignResult
-
-
-def telemetry_manifest(result: CampaignResult, slowest: int = 10) -> Dict[str, Any]:
+def telemetry_manifest(result: CampaignHandle, slowest: int = 10) -> Dict[str, Any]:
     """The telemetry manifest of a campaign result (see :mod:`repro.telemetry`)."""
     return telemetry.build_manifest(
         result.records,
@@ -727,10 +710,6 @@ def telemetry_manifest(result: CampaignResult, slowest: int = 10) -> Dict[str, A
 
 ProgressCallback = Callable[[CampaignCell, Dict[str, Any], int, int], None]
 
-#: Sentinel distinguishing "not passed" from an explicit ``None`` for the
-#: deprecated ``results_path`` keyword.
-_RESULTS_PATH_UNSET: Any = object()
-
 
 def run_campaign(
     spec: CampaignSpec,
@@ -740,7 +719,6 @@ def run_campaign(
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
     policy: Optional[ExecutionPolicy] = None,
-    results_path: Optional[Union[str, Path]] = _RESULTS_PATH_UNSET,
 ) -> CampaignHandle:
     """Run every cell of a campaign, optionally in parallel and resumably.
 
@@ -754,11 +732,12 @@ def run_campaign(
         Artifact-cache directory shared by all workers; ``None`` disables
         caching (every cell recomputes its offline stage).
     results:
-        Results backend records stream into, selected by suffix: a
-        ``.sqlite``/``.sqlite3``/``.db`` path opens (or creates) a
-        :class:`~repro.store.database.CampaignStore` and the campaign lands
-        in it under its spec hash; anything else streams checksummed JSONL.
-        Required for ``resume``.
+        A ``.sqlite``/``.sqlite3``/``.db`` path: records stream into that
+        :class:`~repro.store.database.CampaignStore` (opened or created)
+        under the campaign's spec hash.  Any other path raises
+        :class:`~repro.errors.ExperimentError` before a cell runs (JSONL is
+        only the ``repro migrate`` format).  ``None`` keeps the records in
+        memory.  Required for ``resume``.
     resume:
         Skip cells whose ``cell_id`` already has a record in ``results``
         and reuse those records in the returned handle.
@@ -770,25 +749,18 @@ def run_campaign(
         retries, no timeout, the first error aborts the campaign (raised
         only after every completed record — and the telemetry manifest —
         has been flushed).
-    results_path:
-        Deprecated spelling of ``results`` (same values, same slot).
     """
-    if results_path is not _RESULTS_PATH_UNSET:
-        warnings.warn(
-            "run_campaign(results_path=...) is deprecated; call"
-            " run_campaign(results=...) instead (same values: a .jsonl path"
-            " streams JSONL, a .sqlite path lands in the campaign store)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if results is None:
-            results = results_path
     started = time.perf_counter()
     if policy is None:
         policy = ExecutionPolicy()
     if not workers:
         workers = os.cpu_count() or 1
     cache_str = str(cache_dir) if cache_dir is not None else None
+    campaign_id = spec.spec_hash()
+    if results is not None:
+        results = require_store_path(results, campaign_id)
+    elif resume:
+        raise ExperimentError("resume requires a results store to resume from")
     cells = spec.cells()
     cells_by_id = {cell.cell_id: cell for cell in cells}
 
@@ -797,36 +769,20 @@ def run_campaign(
         "faults/timeouts": 0,
         "faults/quarantined_cells": 0,
         "faults/pool_rebuilds": 0,
-        "faults/torn_records_skipped": 0,
     }
-    # Backend selection: a store path binds the campaign (keyed by its spec
-    # hash) inside the SQLite store; anything else keeps the JSONL path.
-    # Both expose the same append/load/truncate surface from here on.
-    store: Optional[Union[ResultStore, BoundCampaign]] = None
-    if results is not None:
-        if is_store_path(results):
-            store = BoundCampaign(CampaignStore(results), spec.spec_hash())
-            store.begin(
-                spec_dict=spec.to_dict(),
-                cells=len(cells),
-                workers=workers,
-                resume=resume,
-            )
-        else:
-            store = ResultStore(results)
+    store: Optional[CampaignStore] = None
     previous: Dict[str, Dict[str, Any]] = {}
-    if resume:
-        if store is None:
-            raise ExperimentError("resume requires a results backend to resume from")
-        for record in store.load():
-            if record.get("cell_id") in cells_by_id:
-                previous[record["cell_id"]] = record
-        fault_counters["faults/torn_records_skipped"] += store.torn_records_skipped
-    elif isinstance(store, ResultStore) and store.exists():
-        # Without resume the file represents *this* run; appending to the
-        # previous run's records would double-count every cell downstream.
-        # (The store backend already started the campaign over in begin().)
-        store.truncate()
+    if results is not None:
+        store = CampaignStore(results)
+        if resume:
+            store.ensure_campaign(campaign_id, spec.to_dict(), len(cells), workers)
+            for record in store.load_records(campaign_id):
+                if record.get("cell_id") in cells_by_id:
+                    previous[record["cell_id"]] = record
+        else:
+            # Without resume the campaign represents *this* run; keeping the
+            # previous run's records would double-count every cell.
+            store.begin_campaign(campaign_id, spec.to_dict(), len(cells), workers)
 
     pending = [cell for cell in cells if cell.cell_id not in previous]
     total = len(pending)
@@ -836,13 +792,13 @@ def run_campaign(
         nonlocal done
         done += 1
         if store is not None:
-            store.append(record)
+            store.append_record(campaign_id, record)
         if progress is not None:
             progress(cell, record, done, total)
 
     # Failure disposition: quarantine mode records the cell and moves on;
     # fail mode remembers the first error, which is re-raised only after
-    # the campaign has drained and the manifest sidecar is on disk.
+    # the campaign has drained and its manifest is in the store.
     first_error: Optional[BaseException] = None
     quarantined: List[Dict[str, Any]] = []
 
@@ -993,10 +949,29 @@ def run_campaign(
                 rebuilds += 1
                 fault_counters["faults/pool_rebuilds"] += 1
                 if rebuilds > policy.max_pool_rebuilds:
-                    raise ExperimentError(
+                    # Give up like any other failure: the unresolved cells
+                    # fail, completed records flush, and the campaign is
+                    # finalized below before the error is raised.
+                    unresolved = [(group, 1) for group in crashed_groups]
+                    unresolved += [(group, 0) for group in recovery_queue]
+                    unresolved += [(group, 0) for group in normal_queue]
+                    for (group_cells, bases), crashed in unresolved:
+                        for cell, base in zip(group_cells, bases):
+                            buffered[positions[cell.index]] = None
+                            dispose_failure(
+                                cell,
+                                WorkerCrashError(
+                                    f"worker pool gave up before cell"
+                                    f" {cell.cell_id} completed"
+                                ),
+                                base + crashed,
+                            )
+                    flush_ready()
+                    first_error = ExperimentError(
                         f"worker pool died {rebuilds} times; giving up"
                         f" (max_pool_rebuilds={policy.max_pool_rebuilds})"
                     )
+                    break
                 pool.shutdown(wait=False)
                 pool = make_pool()
                 if len(crashed_groups) == 1 and len(crashed_groups[0][0]) == 1:
@@ -1045,28 +1020,19 @@ def run_campaign(
             ordered.append(record)
     # Quarantine entries are sorted into cell order and rewritten as a
     # whole at the end of the run, so serial and parallel runs of the same
-    # campaign leave identical sidecars (quarantined cells never enter the
-    # results store — a resumed run re-attempts them).
+    # campaign leave identical quarantine sets (quarantined cells never
+    # enter the records table — a resumed run re-attempts them).
     quarantined.sort(key=lambda entry: entry["index"])
-    quarantine_path: Optional[Path] = None
-    if isinstance(store, ResultStore) and policy.quarantines:
-        quarantine_store = ResultStore(quarantine_path_for(store.path))
-        quarantine_store.truncate()
-        for entry in quarantined:
-            quarantine_store.append(entry)
-        quarantine_path = quarantine_store.path
-    result = CampaignResult(
+    handle = CampaignHandle(
         spec=spec,
         records=ordered,
         executed=len(new_records),
         skipped=len(previous),
         elapsed_s=time.perf_counter() - started,
-        results_path=store.path if store is not None else None,
-        store=store.store if isinstance(store, BoundCampaign) else None,
+        store=store,
         executed_cell_ids=executed_ids,
         workers=workers,
         quarantined=quarantined,
-        quarantine_path=quarantine_path,
         fault_counters={k: v for k, v in fault_counters.items() if v},
     )
     if store is not None:
@@ -1074,22 +1040,16 @@ def run_campaign(
         # resumed campaign rewrites a manifest covering the whole campaign.
         # Written before the first-error re-raise below: a failing cell
         # must not lose the telemetry of the records that did complete.
-        manifest = telemetry_manifest(result)
-        if isinstance(store, BoundCampaign):
-            # The store backend has no sidecars: the manifest lands in the
-            # telemetry table and the quarantine entries in theirs.
-            store.finalize(
-                executed=result.executed,
-                skipped=result.skipped,
-                elapsed_s=result.elapsed_s,
-                manifest=manifest,
-                quarantined=quarantined if policy.quarantines else None,
-                status="failed" if first_error is not None else "done",
-            )
-        else:
-            result.telemetry_path = telemetry.write_manifest(
-                manifest, telemetry.manifest_path_for(store.path)
-            )
+        store.put_manifest(campaign_id, telemetry_manifest(handle))
+        if policy.quarantines:
+            store.put_quarantine(campaign_id, quarantined)
+        store.finish_campaign(
+            campaign_id,
+            handle.executed,
+            handle.skipped,
+            handle.elapsed_s,
+            status="failed" if first_error is not None else "done",
+        )
     if first_error is not None:
         raise first_error
-    return result
+    return handle

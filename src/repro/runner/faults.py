@@ -15,8 +15,8 @@ Sites (where :func:`checkpoint` is called from):
   (key: the cell id, attempt: the retry attempt number);
 * ``chunk-envelope`` — before a worker returns its chunk-result envelope
   (key: the first cell id of the chunk);
-* ``store-append``  — before :meth:`ResultStore.append` writes a record
-  (key: the record's cell id);
+* ``store-append``  — before :meth:`CampaignStore.append_record` writes a
+  record (key: the record's cell id);
 * ``cache-read``    — before :meth:`ArtifactCache.load_embedding` reads an
   artifact (key: the artifact's content-addressed key);
 * ``serve-request`` — before a ``repro serve`` request dispatches to its
@@ -35,7 +35,8 @@ Kinds:
   the whole campaign when injected at a parent-side site);
 * ``hang``          — sleep ``seconds`` (exercises the cell-timeout reaper);
 * ``partial-write`` — returned to the call site, which simulates a torn
-  write (store: half a line then death; cache: truncate the artifact).
+  write (store: death with the insert transaction open; cache: truncate
+  the artifact).
 
 Plans are configured through the ``REPRO_FAULTS`` environment variable — the
 cross-process contract that reaches worker processes however they start —

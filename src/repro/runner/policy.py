@@ -3,8 +3,8 @@
 :class:`ExecutionPolicy` bundles the knobs `run_campaign` consults when a
 cell fails: how many times to retry, how long a cell may run, and whether a
 cell that exhausts its retries aborts the campaign (``on_error="fail"``, the
-legacy behaviour and the default) or is quarantined into a JSONL sidecar
-next to the results file (``on_error="quarantine"``) so the rest of the
+legacy behaviour and the default) or is quarantined (``on_error="quarantine"``:
+recorded in the campaign store's ``quarantine`` table) so the rest of the
 sweep completes.
 
 Backoff between retries is exponential with **deterministic jitter**: the
@@ -19,8 +19,7 @@ import hashlib
 import signal
 import threading
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.errors import CellTimeoutError, ExperimentError
 
@@ -160,14 +159,3 @@ def run_with_timeout(
         raise box["error"]
     return box["value"]
 
-
-def quarantine_path_for(results_path: Union[str, Path]) -> Path:
-    """The quarantine sidecar path of a JSONL results file.
-
-    ``campaign.jsonl`` -> ``campaign.quarantine.jsonl``; other names get
-    ``.quarantine.jsonl`` appended, mirroring the telemetry sidecar naming.
-    """
-    path = Path(results_path)
-    if path.suffix == ".jsonl":
-        return path.with_name(path.stem + ".quarantine.jsonl")
-    return path.with_name(path.name + ".quarantine.jsonl")

@@ -2,14 +2,15 @@
 
 * :mod:`repro.store.schema` — the SQLite schema and its append-only
   migration list (WAL mode, indexed cross-campaign columns).
-* :mod:`repro.store.database` — :class:`CampaignStore` (the default results
-  backend) and :class:`BoundCampaign` (one campaign's executor-facing view).
+* :mod:`repro.store.database` — :class:`CampaignStore`, the one results
+  backend campaigns write into.
 * :mod:`repro.store.jsonl` — the checksummed JSONL :class:`ResultStore`,
-  demoted to the import/export format.
+  the ``repro migrate`` import/export format.
 * :mod:`repro.store.query` — the filter-expression grammar
   (``scheme=pr topology~zoo campaign:last10``) evaluated over SQL or plain
   record lists.
-* :mod:`repro.store.migrate` — byte-identical JSONL ↔ SQLite conversion.
+* :mod:`repro.store.migrate` — byte-identical JSONL ↔ SQLite conversion
+  (the only module that knows the JSONL sidecar file names).
 * :mod:`repro.store.resolve` — shared results-path resolution for the CLI.
 * :mod:`repro.store.serve` — the resident query loop (imported on demand:
   ``from repro.store import serve``; it pulls in the runner package).
@@ -17,9 +18,9 @@
 
 from repro.store.database import (
     STORE_SUFFIXES,
-    BoundCampaign,
     CampaignStore,
     is_store_path,
+    require_store_path,
 )
 from repro.store.jsonl import ResultStore
 from repro.store.migrate import export_jsonl, import_jsonl, migrate
@@ -28,7 +29,6 @@ from repro.store.resolve import ResolvedResults, classify_results_path, resolve_
 from repro.store.schema import SCHEMA_VERSION
 
 __all__ = [
-    "BoundCampaign",
     "CampaignStore",
     "FIELD_COLUMNS",
     "Filter",
@@ -42,5 +42,6 @@ __all__ = [
     "is_store_path",
     "migrate",
     "parse_filter",
+    "require_store_path",
     "resolve_results",
 ]

@@ -1,4 +1,4 @@
-"""The SQLite campaign store — the default results backend.
+"""The SQLite campaign store — the one results backend campaigns write.
 
 :class:`CampaignStore` owns one database file (WAL mode, schema managed by
 :mod:`repro.store.schema`) holding any number of campaigns.  Each campaign
@@ -15,11 +15,10 @@ canonical serialisation the checksummed JSONL format uses — so a record
 loaded from the store compares equal to the in-memory record that produced
 it, and exporting back to JSONL regenerates byte-identical lines.
 
-:class:`BoundCampaign` binds a store to one campaign spec and exposes the
-same duck-typed surface the executor drives the JSONL
-:class:`~repro.store.jsonl.ResultStore` through (``exists`` / ``load`` /
-``truncate`` / ``append`` / ``completed_cell_ids``), which is how
-``run_campaign`` streams into either backend through one code path.
+``run_campaign`` drives a store directly, keyed by the campaign's spec
+hash.  A results path without a store suffix is refused
+(:func:`require_store_path`): JSONL is only the ``repro migrate``
+import/export format.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import json
 import sqlite3
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from repro.errors import ExperimentError, ResultStoreError
 from repro.store import schema
@@ -42,6 +41,30 @@ def is_store_path(path: Union[str, Path, None]) -> bool:
     if path is None:
         return False
     return Path(path).suffix.lower() in STORE_SUFFIXES
+
+
+def require_store_path(
+    path: Union[str, Path], campaign_id: Optional[str] = None
+) -> Path:
+    """``path`` as a store path; anything else is refused with the fix.
+
+    Raised before any work starts or any file is created, so a JSONL path
+    costs nothing.  The message names both ways out: write to a store and
+    export with ``repro migrate``, or import legacy JSONL results (under
+    their spec hash, so a resumed run finds them) and resume from the store.
+    """
+    path = Path(path)
+    if is_store_path(path):
+        return path
+    store = path.with_suffix(".sqlite")
+    raise ExperimentError(
+        f"{path} is not a SQLite results store ({'/'.join(STORE_SUFFIXES)});"
+        " checksummed JSONL is only the repro migrate import/export format."
+        f" Write to a store and export it: --results {store}, then"
+        f" repro migrate {store} {path}. To resume or query a legacy JSONL"
+        f" campaign, import it first: repro migrate {path} {store}"
+        f" --campaign {campaign_id or '<spec hash>'}"
+    )
 
 
 def _faults():
@@ -165,9 +188,8 @@ class CampaignStore:
     ) -> None:
         """Start a campaign over: drop its rows and give it a fresh seq.
 
-        This is the store-backend analogue of truncating the JSONL file on
-        a fresh (non-resume) run: the old records vanish and the campaign
-        becomes the most recent one (``campaign:last1``).
+        A fresh (non-resume) run calls this: the old records vanish and the
+        campaign becomes the most recent one (``campaign:last1``).
         """
         conn = self.conn
         conn.execute("BEGIN IMMEDIATE")
@@ -323,8 +345,7 @@ class CampaignStore:
     def put_quarantine(
         self, campaign_id: str, entries: Sequence[Dict[str, Any]]
     ) -> None:
-        """Replace the campaign's quarantine entries (whole-set rewrite,
-        mirroring the JSONL sidecar's truncate-then-append)."""
+        """Replace the campaign's quarantine entries (whole-set rewrite)."""
         conn = self.conn
         conn.execute("BEGIN IMMEDIATE")
         try:
@@ -409,72 +430,3 @@ class CampaignStore:
         self, expression: Union[str, Sequence[str], Filter, None] = None
     ) -> int:
         return len(self.query(expression))
-
-
-class BoundCampaign:
-    """One campaign's view of a store, with the executor's backend surface.
-
-    ``run_campaign`` drives its results backend through ``exists()`` /
-    ``load()`` / ``truncate()`` / ``append()`` / ``completed_cell_ids()``
-    plus the ``path`` and ``torn_records_skipped`` attributes; this adapter
-    maps those onto one campaign inside a :class:`CampaignStore`.  A SQLite
-    transaction cannot tear, so ``torn_records_skipped`` is always 0.
-    """
-
-    def __init__(self, store: CampaignStore, campaign_id: str) -> None:
-        self.store = store
-        self.campaign_id = campaign_id
-        self.torn_records_skipped = 0
-
-    @property
-    def path(self) -> Path:
-        return self.store.path
-
-    def exists(self) -> bool:
-        if not self.store.path.exists():
-            return False
-        return self.store.campaign_row(self.campaign_id) is not None
-
-    def begin(
-        self,
-        spec_dict: Optional[Dict[str, Any]] = None,
-        cells: Optional[int] = None,
-        workers: Optional[int] = None,
-        resume: bool = False,
-    ) -> None:
-        """Open the campaign for writing: keep its rows when resuming,
-        start it over (fresh seq) otherwise."""
-        if resume:
-            self.store.ensure_campaign(self.campaign_id, spec_dict, cells, workers)
-        else:
-            self.store.begin_campaign(self.campaign_id, spec_dict, cells, workers)
-
-    def truncate(self) -> None:
-        self.store.begin_campaign(self.campaign_id)
-
-    def append(self, record: Dict[str, Any]) -> None:
-        self.store.append_record(self.campaign_id, record)
-
-    def load(self) -> List[Dict[str, Any]]:
-        return self.store.load_records(self.campaign_id)
-
-    def completed_cell_ids(self) -> Set[str]:
-        return self.store.completed_cell_ids(self.campaign_id)
-
-    def finalize(
-        self,
-        executed: int,
-        skipped: int,
-        elapsed_s: float,
-        manifest: Optional[Dict[str, Any]] = None,
-        quarantined: Optional[Iterable[Dict[str, Any]]] = None,
-        status: str = "done",
-    ) -> None:
-        """Record the run facts, manifest and quarantine set in one place."""
-        if manifest is not None:
-            self.store.put_manifest(self.campaign_id, manifest)
-        if quarantined is not None:
-            self.store.put_quarantine(self.campaign_id, list(quarantined))
-        self.store.finish_campaign(
-            self.campaign_id, executed, skipped, elapsed_s, status
-        )

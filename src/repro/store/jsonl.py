@@ -1,31 +1,22 @@
-"""Checksummed JSONL result files — the store's import/export format.
+"""Checksummed JSONL result files — the ``repro migrate`` interchange format.
 
-:class:`ResultStore` is the original streaming results backend of the
-campaign runner (one checksummed JSON record per line, fsync-per-append,
-torn-tail repair).  Since the SQLite :class:`~repro.store.database.CampaignStore`
-became the queryable backend, this format is kept as the interchange shape:
-``repro migrate`` converts either direction and round-trips byte-identical
-files, resumed campaigns can still read their old JSONL stores, and CI
-artifacts stay diffable with plain text tools.
-
-One record per line, flushed (and by default fsynced) as soon as the cell
-completes, which makes a killed campaign resumable: on the next run every
-``cell_id`` already in the file is skipped and its record reused.
+Campaigns stream their records into the SQLite
+:class:`~repro.store.database.CampaignStore`; no live run writes JSONL.
+:class:`ResultStore` reads and writes the one-record-per-line text form
+that ``repro migrate`` converts to and from (byte-identical in both
+directions), which keeps CI artifacts diffable with plain text tools and
+lets campaigns recorded by older versions be imported and resumed.
 
 Each line carries an injected ``_checksum`` field (CRC-32 of the record
 without it), so every line stays plain JSON while :meth:`ResultStore.load`
 can tell a *trusted* record from a corrupted one.  A torn or
-checksum-failing **final** line is the expected shape of a crash mid-append
-and is silently skipped (counted in :attr:`ResultStore.torn_records_skipped`);
-the same damage **mid-file** means the store cannot be trusted as a whole
-and raises :class:`~repro.errors.ResultStoreError` with the line number,
-byte offset and (when parseable) the cell id.  The first append after
-reopening a file truncates any torn tail so the new record starts on a
-clean line boundary instead of welding onto the crash debris.
-
-Per-append ``fsync`` is on by default and gated by the ``REPRO_STORE_FSYNC``
-environment variable (set ``0`` to trade crash consistency for throughput
-on slow filesystems).
+checksum-failing **final** line is the shape a crash mid-append left in
+files written by older, streaming versions; it is skipped (counted in
+:attr:`ResultStore.torn_records_skipped`) so such a file still imports and
+the missing cell re-runs on resume.  The same damage **mid-file** means
+the file cannot be trusted as a whole and raises
+:class:`~repro.errors.ResultStoreError` with the line number, byte offset
+and (when parseable) the cell id.
 """
 
 from __future__ import annotations
@@ -35,34 +26,18 @@ import os
 import re
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Set, Union
+from typing import Any, Dict, Iterable, List, Union
 
 from repro.errors import ResultStoreError
 
 
-def _faults():
-    # Imported lazily: the fault-injection harness lives in the runner
-    # package, which itself imports this module at load time.
-    from repro.runner import faults
-
-    return faults
-
-
 class ResultStore:
-    """Append-only JSONL store of campaign cell records, crash-consistent."""
+    """One checksummed JSONL file of campaign records (see module docstring)."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         #: torn trailing records dropped by the most recent :meth:`load`.
         self.torn_records_skipped = 0
-        # Whether this instance has verified the file ends on a clean line
-        # boundary.  A crash mid-append leaves a torn tail without a
-        # newline; appending straight onto it would weld two records into
-        # one garbage line, so the first append repairs the tail first.
-        self._tail_clean = False
-
-    def exists(self) -> bool:
-        return self.path.exists()
 
     #: Lines are written as ``{"_checksum": "xxxxxxxx", <canonical body>`` so
     #: :meth:`load` can verify them with one crc32 over the stored bytes
@@ -78,49 +53,22 @@ class ResultStore:
         )
         return format(zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF, "08x")
 
-    def _repair_torn_tail(self) -> None:
-        """Truncate a torn trailing line back to the last clean boundary.
+    def write(self, records: Iterable[Dict[str, Any]]) -> None:
+        """Replace the file with ``records``, one checksummed line each.
 
-        Only bytes after the final newline are dropped — by construction
-        they are the unparseable remains of an interrupted append.
+        The whole file is written, flushed and fsynced once.
         """
-        if not self.path.exists():
-            return
-        data = self.path.read_bytes()
-        if not data or data.endswith(b"\n"):
-            return
-        with self.path.open("r+b") as stream:
-            stream.truncate(data.rfind(b"\n") + 1)
-
-    def append(self, record: Dict[str, Any]) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not self._tail_clean:
-            self._repair_torn_tail()
-            self._tail_clean = True
-        body = json.dumps(record, sort_keys=True)
-        crc = format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
-        line = f'{self._CHECKSUM_PREFIX}{crc}", {body[1:]}' if len(body) > 2 else body
-        faults = _faults()
-        spec = faults.checkpoint("store-append", record.get("cell_id"))
-        with self.path.open("a") as stream:
-            if spec is not None and spec.kind == "partial-write":
-                # A realistic torn write is a crash mid-append: persist a
-                # prefix of the line, then die without the trailing newline.
-                stream.write(line[: max(1, len(line) // 2)])
-                stream.flush()
-                os.fsync(stream.fileno())
-                faults.crash_now()
-            stream.write(line)
-            stream.write("\n")
+        with self.path.open("w") as stream:
+            for record in records:
+                body = json.dumps(record, sort_keys=True)
+                crc = format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
+                if len(body) > 2:
+                    stream.write(f'{self._CHECKSUM_PREFIX}{crc}", {body[1:]}\n')
+                else:
+                    stream.write(body + "\n")
             stream.flush()
-            if os.environ.get("REPRO_STORE_FSYNC", "1") != "0":
-                os.fsync(stream.fileno())
-
-    def truncate(self) -> None:
-        """Start the file over (a fresh, non-resumed campaign run)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text("")
-        self._tail_clean = True
+            os.fsync(stream.fileno())
 
     def load(self) -> List[Dict[str, Any]]:
         """Every trusted record in the file (a torn final line is dropped).
@@ -181,6 +129,3 @@ class ResultStore:
                     records.append(record)
             offset += len(line.encode("utf-8")) + 1
         return records
-
-    def completed_cell_ids(self) -> Set[str]:
-        return {record["cell_id"] for record in self.load() if "cell_id" in record}

@@ -7,19 +7,20 @@ keep every record in the same canonical serialisation
 (``json.dumps(record, sort_keys=True)``): importing strips nothing but the
 line checksums (which are pure functions of the canonical bytes), and
 exporting regenerates them, so ``jsonl -> sqlite -> jsonl`` reproduces the
-original file exactly (modulo a repaired torn tail, which by definition was
-never a trusted record).
+original file exactly (modulo a torn final line, which import skips and
+counts because it was never a trusted record).
 
 Sidecars ride along: the ``.telemetry.json`` manifest lands in the store's
 ``telemetry`` table and the ``.quarantine.jsonl`` entries in its
-``quarantine`` table, and both come back out on export.
+``quarantine`` table, and both come back out on export.  This module is the
+only place that knows the sidecar file names (:func:`sidecar_paths`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.errors import ExperimentError
 from repro.store.database import CampaignStore, is_store_path
@@ -27,12 +28,18 @@ from repro.store.jsonl import ResultStore
 from repro.telemetry import merge as telemetry_merge
 
 
-def _quarantine_path_for(results_path: Path) -> Path:
-    # Same pairing rule as repro.runner.policy.quarantine_path_for,
-    # restated here so the store package does not import the runner.
-    if results_path.suffix == ".jsonl":
-        return results_path.with_name(results_path.stem + ".quarantine.jsonl")
-    return results_path.with_name(results_path.name + ".quarantine.jsonl")
+def sidecar_paths(jsonl_path: Union[str, Path]) -> Tuple[Path, Path]:
+    """The telemetry-manifest and quarantine sidecars of a JSONL results file.
+
+    ``c.jsonl`` -> ``c.telemetry.json`` and ``c.quarantine.jsonl``; any
+    other name gets the sidecar suffix appended.
+    """
+    path = Path(jsonl_path)
+    stem = path.stem if path.suffix == ".jsonl" else path.name
+    return (
+        path.with_name(stem + ".telemetry.json"),
+        path.with_name(stem + ".quarantine.jsonl"),
+    )
 
 
 def derive_campaign_id(
@@ -73,12 +80,11 @@ def import_jsonl(
     records = source.load()
 
     manifest: Optional[Dict[str, Any]] = None
-    manifest_path = telemetry_merge.manifest_path_for(jsonl_path)
+    manifest_path, quarantine_path = sidecar_paths(jsonl_path)
     if manifest_path.exists():
         manifest = telemetry_merge.load_manifest(manifest_path)
 
     quarantined: list = []
-    quarantine_path = _quarantine_path_for(jsonl_path)
     if quarantine_path.exists():
         quarantined = ResultStore(quarantine_path).load()
 
@@ -155,22 +161,15 @@ def export_jsonl(
         manifest = store.get_manifest(resolved)
         quarantined = store.load_quarantine(resolved)
 
-    target = ResultStore(jsonl_path)
-    target.truncate()
-    for record in records:
-        target.append(record)
+    ResultStore(jsonl_path).write(records)
+    manifest_path, quarantine_path = sidecar_paths(jsonl_path)
     manifest_written = None
     if manifest is not None:
-        manifest_written = telemetry_merge.write_manifest(
-            manifest, telemetry_merge.manifest_path_for(jsonl_path)
-        )
+        manifest_written = telemetry_merge.write_manifest(manifest, manifest_path)
     quarantine_written = None
     if quarantined:
-        quarantine_store = ResultStore(_quarantine_path_for(jsonl_path))
-        quarantine_store.truncate()
-        for entry in quarantined:
-            quarantine_store.append(entry)
-        quarantine_written = quarantine_store.path
+        ResultStore(quarantine_path).write(quarantined)
+        quarantine_written = quarantine_path
     return {
         "direction": "sqlite->jsonl",
         "campaign_id": resolved,

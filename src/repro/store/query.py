@@ -24,9 +24,9 @@ Fields map onto the indexed columns of the store's ``cells`` table —
 ``topology``, ``scheme``, ``discriminator``, ``family`` (alias
 ``scenario``), ``seed``, ``cell`` (the canonical cell id) — so a store
 query compiles to one indexed SQL scan.  The same :class:`Filter` also
-evaluates in memory over plain record dictionaries, which is how JSONL
-results and in-process :class:`~repro.runner.executor.CampaignResult`
-handles answer the identical expressions.
+evaluates in memory over plain record dictionaries, which is how
+in-process :class:`~repro.runner.executor.CampaignHandle` objects answer
+the identical expressions.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Shared results-path resolution for every results-consuming entry point.
 
-``sweep``/``report``/``query``/``migrate`` all take one results argument
-that may name a SQLite store (``.sqlite``/``.sqlite3``/``.db``), a
-checksummed JSONL file (``.jsonl``) or a telemetry manifest
-(``*.telemetry.json``).  :func:`resolve_results` classifies the path once
-and returns a :class:`ResolvedResults` that answers the two questions every
-consumer asks — *give me matching records* and *give me the telemetry
-manifest* — the same way regardless of backend, which is what lets the CLI
-keep exactly one resolution helper instead of a per-subcommand copy.
+``report`` and ``query`` take one results argument that names either a
+SQLite store (``.sqlite``/``.sqlite3``/``.db``) or a telemetry manifest
+(a ``.json`` file).  Anything else — checksummed JSONL in particular —
+is refused with the ``repro migrate`` command that turns it into a store.
+:func:`resolve_results` classifies the path once and returns a
+:class:`ResolvedResults` that answers the two questions every consumer
+asks — *give me matching records* and *give me the telemetry manifest* —
+which is what lets the CLI keep exactly one resolution helper instead of a
+per-subcommand copy.
 """
 
 from __future__ import annotations
@@ -17,17 +18,16 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ExperimentError
-from repro.store.database import CampaignStore, is_store_path
-from repro.store.jsonl import ResultStore
-from repro.store.query import Filter, parse_filter
+from repro.store.database import CampaignStore, require_store_path
+from repro.store.query import Filter
 from repro.telemetry import merge as telemetry_merge
 
 
 class ResolvedResults:
     """One results argument, classified and ready to answer queries.
 
-    ``kind`` is ``"store"`` (SQLite), ``"jsonl"`` (checksummed JSONL) or
-    ``"manifest"`` (a telemetry manifest file, which holds no records).
+    ``kind`` is ``"store"`` (SQLite) or ``"manifest"`` (a telemetry
+    manifest file, which holds no records).
     """
 
     def __init__(self, path: Path, kind: str) -> None:
@@ -65,38 +65,17 @@ class ResolvedResults:
         expression: Union[str, Sequence[str], Filter, None] = None,
         limit: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
-        """Records matching a filter expression (all records when ``None``).
-
-        A store answers through its indexed SQL query layer; a JSONL file
-        evaluates the same :class:`~repro.store.query.Filter` in memory.
-        """
+        """Records matching a filter expression (all records when ``None``)."""
         if self.kind == "manifest":
             raise ExperimentError(
                 f"{self.path} is a telemetry manifest and holds no records"
             )
-        if self.kind == "store":
-            return self.store.query(expression, limit=limit)
-        filt = (
-            expression
-            if isinstance(expression, Filter)
-            else parse_filter(expression)
-        )
-        records = filt.filter_records(ResultStore(self.path).load())
-        return records[:limit] if limit is not None else records
+        return self.store.query(expression, limit=limit)
 
     def campaigns(self) -> List[Dict[str, Any]]:
-        """Campaign rows (a JSONL file is one anonymous campaign)."""
+        """Campaign rows of a store (none for a manifest file)."""
         if self.kind == "store":
             return self.store.campaigns()
-        if self.kind == "jsonl":
-            records = ResultStore(self.path).load()
-            return [
-                {
-                    "campaign_id": self.path.stem,
-                    "records": len(records),
-                    "status": "jsonl",
-                }
-            ]
         return []
 
     # ------------------------------------------------------------------
@@ -106,8 +85,6 @@ class ResolvedResults:
         """The telemetry manifest this argument leads to.
 
         * manifest file — loaded directly;
-        * JSONL — the ``.telemetry.json`` sidecar when present, else
-          re-merged from the records;
         * store — the stored manifest of the most recent campaign, else
           re-merged from that campaign's records.
         """
@@ -116,14 +93,6 @@ class ResolvedResults:
                 return telemetry_merge.load_manifest(self.path)
             except (json.JSONDecodeError, OSError) as exc:
                 raise ExperimentError(f"cannot read manifest {self.path}: {exc}")
-        if self.kind == "jsonl":
-            sidecar = telemetry_merge.manifest_path_for(self.path)
-            if sidecar.exists():
-                return telemetry_merge.load_manifest(sidecar)
-            records = ResultStore(self.path).load()
-            if not records:
-                raise ExperimentError(f"{self.path} holds no complete records")
-            return telemetry_merge.build_manifest(records)
         campaigns = self.store.campaigns()
         if not campaigns:
             raise ExperimentError(f"store {self.path} holds no campaigns")
@@ -140,20 +109,28 @@ class ResolvedResults:
 
 
 def classify_results_path(path: Union[str, Path]) -> str:
-    """``"store"``, ``"jsonl"`` or ``"manifest"`` for a results path."""
+    """``"store"`` or ``"manifest"``; any other path is refused.
+
+    Raises :class:`~repro.errors.ExperimentError` naming the
+    ``repro migrate`` command for a JSONL (or unknown) results path.
+    """
     path = Path(path)
-    if is_store_path(path):
-        return "store"
-    if path.name.endswith(".telemetry.json") or path.suffix == ".json":
+    if path.suffix == ".json":
         return "manifest"
-    return "jsonl"
+    require_store_path(path)
+    return "store"
 
 
 def resolve_results(
     path_arg: Union[str, Path], must_exist: bool = True
 ) -> ResolvedResults:
-    """Classify a results argument (see module docstring)."""
+    """Classify a results argument (see module docstring).
+
+    A refused path fails before the existence check, so the error always
+    names the fix.
+    """
     path = Path(path_arg)
+    kind = classify_results_path(path)
     if must_exist and not path.exists():
         raise ExperimentError(f"no such results file: {path}")
-    return ResolvedResults(path, classify_results_path(path))
+    return ResolvedResults(path, kind)

@@ -4,9 +4,9 @@ The store keeps every table the results pipeline produces in one database
 file: campaign identity (``campaigns``), the grid coordinates of every cell
 (``cells``, with the canonical cell-id, topology, scheme, scenario-family
 and seed columns indexed for cross-campaign queries), the full result
-records (``records``, canonical JSON — the byte-stable payloads the JSONL
-store used to hold), the merged telemetry manifest (``telemetry``), the
-quarantine sidecar entries (``quarantine``) and the ``repro serve`` job
+records (``records``, canonical JSON — the same bytes a ``repro migrate``
+JSONL export holds), the merged telemetry manifest (``telemetry``), the
+quarantined-cell entries (``quarantine``) and the ``repro serve`` job
 journal (``jobs`` — one row per submitted campaign job, the crash-safe
 queue the daemon recovers on restart; see :mod:`repro.store.jobs`).
 

@@ -21,7 +21,7 @@ instead of unbounded blocking), a per-request deadline
 answered in order; malformed lines get error responses; a client vanishing
 mid-line just drops the connection — the loop never dies with it.
 
-``submit`` is **asynchronous** when the session has a job journal (a
+``submit`` is **asynchronous** and needs the session's job journal (a
 ``jobs`` table in the versioned SQLite schema, see
 :mod:`repro.store.jobs`): the request journals a job row and returns a
 ``job_id`` immediately; a supervised background worker thread executes
@@ -54,11 +54,10 @@ Operations (``op`` field):
     List the campaigns of a store.
 ``submit``
     Journal a campaign job and return its ``job_id`` (non-blocking; needs
-    a ``results`` SQLite store path and a configured journal).  Optional
-    ``workers``, ``resume`` and ``policy`` (an
+    a ``results`` SQLite store path and a configured journal — a session
+    without one answers ``ok: false`` like ``job``/``jobs``/``cancel``).
+    Optional ``workers``, ``resume`` and ``policy`` (an
     :class:`~repro.runner.policy.ExecutionPolicy` dictionary) ride along.
-    ``"sync": true`` — or a session without a journal — falls back to the
-    legacy blocking run.
 ``job``
     One job's status and progress: ``{"op": "job", "job_id": ...}``.
     ``wait_s`` blocks until the job is terminal (bounded); ``follow``
@@ -98,7 +97,7 @@ from repro.runner import faults
 from repro.runner.executor import build_scheme, load_topology
 from repro.runner.policy import ExecutionPolicy, run_with_timeout
 from repro.runner.spec import SCHEME_NAMES, CampaignSpec, EMBEDDING_SCHEMES
-from repro.store.database import CampaignStore, is_store_path
+from repro.store.database import CampaignStore, is_store_path, require_store_path
 from repro.store.jobs import ACTIVE_STATES, JobQueue, public_view
 from repro.store.query import parse_filter
 
@@ -268,8 +267,8 @@ class ServeSession:
         self.requests_served = 0
         #: ``serve/*`` telemetry counters (reported by the ``stats`` op).
         self.counters: Dict[str, int] = {}
-        #: The job journal; ``None`` keeps ``submit`` synchronous (the
-        #: in-process bench sessions and library embedders).
+        #: The job journal; ``None`` (the in-process bench sessions and
+        #: library embedders) refuses the job ops, ``submit`` included.
         self.jobs: Optional[JobQueue] = JobQueue(jobs_path) if jobs_path else None
         self.max_queued_jobs = max_queued_jobs
         self._worker: Optional[JobWorker] = None
@@ -286,12 +285,7 @@ class ServeSession:
         with self._lock:
             store = self._stores.get(key)
             if store is None:
-                if not is_store_path(key):
-                    raise ExperimentError(
-                        f"serve queries need a SQLite store, got {results}"
-                        " (migrate JSONL results first: repro migrate)"
-                    )
-                store = CampaignStore(key)
+                store = CampaignStore(require_store_path(key))
                 self._stores[key] = store
             return store
 
@@ -401,7 +395,7 @@ class ServeSession:
         if self.jobs is None:
             raise ExperimentError(
                 "this serve session has no job journal; start the daemon"
-                " with --jobs (or pass jobs_path=) to enable async submit"
+                " without --no-jobs (or pass jobs_path=) to enable submit"
             )
         return self.jobs
 
@@ -499,6 +493,7 @@ class ServeSession:
             return {"campaigns": store.campaigns()}
 
     def _op_submit(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        queue = self._require_jobs()
         if request.get("spec"):
             spec = CampaignSpec.from_dict(request["spec"])
         elif request.get("spec_path"):
@@ -506,19 +501,17 @@ class ServeSession:
         else:
             raise ExperimentError("submit needs a spec or spec_path")
         policy_dict = request.get("policy")
-        policy = ExecutionPolicy.from_dict(policy_dict)  # validated up front
+        ExecutionPolicy.from_dict(policy_dict)  # validated up front
         results = request.get("results")
-        if self.jobs is None or request.get("sync"):
-            return self._submit_sync(spec, request, policy)
         if not results or not is_store_path(str(results)):
             raise ExperimentError(
-                "async submit needs a 'results' SQLite store path"
+                "submit needs a 'results' SQLite store path"
                 " (.sqlite/.sqlite3/.db) so the job can be resumed after a"
-                " crash; pass \"sync\": true to run without one"
+                " crash"
             )
         campaign_id = spec.spec_hash()
         faults.checkpoint("job-journal", campaign_id)
-        if self.jobs.active_count() >= self.max_queued_jobs:
+        if queue.active_count() >= self.max_queued_jobs:
             return {
                 "ok": False,
                 "error": (
@@ -528,7 +521,7 @@ class ServeSession:
                 "error_type": "Overloaded",
                 "retry_after_s": OVERLOAD_RETRY_AFTER_S,
             }
-        job_id = self.jobs.submit(
+        job_id = queue.submit(
             campaign_id,
             spec.to_dict(),
             str(results),
@@ -545,30 +538,6 @@ class ServeSession:
             "state": "queued",
             "cells": spec.cell_count(),
             "results": str(results),
-        }
-
-    def _submit_sync(
-        self, spec: CampaignSpec, request: Dict[str, Any], policy: ExecutionPolicy
-    ) -> Dict[str, Any]:
-        """The legacy blocking submit (journal-less sessions, ``sync: true``)."""
-        from repro.runner.executor import run_campaign
-
-        results = request.get("results")
-        handle = run_campaign(
-            spec,
-            workers=int(request.get("workers", 1)),
-            cache_dir=self.cache_dir,
-            results=results,
-            resume=bool(request.get("resume", False)),
-            policy=policy,
-        )
-        return {
-            "campaign_id": spec.spec_hash(),
-            "executed": handle.executed,
-            "skipped": handle.skipped,
-            "records": len(handle.records),
-            "elapsed_s": handle.elapsed_s,
-            "results": str(results) if results else None,
         }
 
     def _op_job(self, request: Dict[str, Any]) -> Dict[str, Any]:

@@ -7,8 +7,8 @@ A lightweight, stdlib-only instrumentation layer with three parts:
   :func:`span` / :func:`count` / :func:`record_value` primitives, with a
   near-zero disabled fast path;
 * :mod:`repro.telemetry.merge` — the read side: deterministic merging of
-  per-cell snapshots into the campaign telemetry manifest (the JSON sidecar
-  next to a campaign's JSONL results), plus schema validation for CI;
+  per-cell snapshots into the campaign telemetry manifest (stored in the
+  campaign store's ``telemetry`` table), plus schema validation for CI;
 * :mod:`repro.telemetry.report` — plain-text rendering for ``repro report``
   and the sweep ``--slowest`` table.
 
@@ -36,7 +36,6 @@ from repro.telemetry.merge import (
     canonical_bytes,
     deterministic_view,
     load_manifest,
-    manifest_path_for,
     merge_records,
     record_snapshot,
     slowest_cells,
@@ -59,7 +58,6 @@ __all__ = [
     "deterministic_view",
     "enabled",
     "load_manifest",
-    "manifest_path_for",
     "merge_records",
     "merge_snapshots",
     "record_snapshot",

@@ -4,13 +4,14 @@ Every campaign cell record carries the telemetry snapshot of its own
 execution under ``record["meta"]["telemetry"]`` (see
 :func:`repro.runner.executor.run_cell`).  Because the snapshots ride inside
 the records, they flow through the existing chunk-result envelopes from
-worker processes to the parent, survive the JSONL store, and are reused by
-resumed campaigns exactly like the payloads they accompany.
+worker processes to the parent, persist in the campaign store, and are
+reused by resumed campaigns exactly like the payloads they accompany.
 
 This module is the read side: it merges those per-cell snapshots — counter
 addition is order-independent, span/distribution folds keep only commutative
 aggregates, and all keys are emitted sorted — into a campaign **telemetry
-manifest**, a JSON document written as a sidecar next to the JSONL results.
+manifest**, a JSON document kept in the campaign store's ``telemetry``
+table (and written as a ``.telemetry.json`` file by ``repro migrate``).
 The manifest's ``counters`` section is deterministic: serial, parallel and
 (topology-aligned) resumed runs of the same campaign merge to byte-identical
 counter totals, which is what lets the perf trajectory compare *why* numbers
@@ -172,20 +173,8 @@ def canonical_bytes(document: Dict[str, Any]) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# sidecar persistence
+# manifest files
 # ----------------------------------------------------------------------
-def manifest_path_for(results_path: Union[str, Path]) -> Path:
-    """The sidecar manifest path of a JSONL results file.
-
-    ``campaign.jsonl`` -> ``campaign.telemetry.json``; any other name gets
-    ``.telemetry.json`` appended so the pairing stays visually obvious.
-    """
-    path = Path(results_path)
-    if path.suffix == ".jsonl":
-        return path.with_name(path.stem + ".telemetry.json")
-    return path.with_name(path.name + ".telemetry.json")
-
-
 def write_manifest(manifest: Dict[str, Any], path: Union[str, Path]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -49,7 +49,7 @@ from repro.topologies.parser import load_graph
 from repro.topologies.teleglobe import teleglobe
 
 #: Parameter values are JSON scalars so that specs round-trip losslessly
-#: through campaign JSON files and JSONL result stores.
+#: through campaign JSON files and result stores.
 ParamValue = Union[int, float, str, bool]
 
 #: Directory of the committed zoo snapshots.

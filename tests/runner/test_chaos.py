@@ -13,19 +13,24 @@ cross-process contract the harness is built on.
 """
 
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.errors import InjectedFault
+from repro.errors import ExperimentError, InjectedFault
 from repro.runner import faults
-from repro.runner.executor import ResultStore, run_campaign, telemetry_manifest
+from repro.runner.executor import run_campaign, telemetry_manifest
 from repro.runner.faults import parse_plan
-from repro.runner.policy import ExecutionPolicy, quarantine_path_for
+from repro.runner.policy import ExecutionPolicy
 from repro.runner.spec import CampaignSpec, ScenarioSpec
-from repro.telemetry import merge as telemetry
+from repro.store.database import CampaignStore
+
+from tests.store.conftest import pair_spec as four_cell_spec
+from tests.store.conftest import stored_records
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -86,9 +91,9 @@ class TestRetries:
         assert result.fault_counters == {"faults/retries": 1}
 
     def test_exhausted_retries_fail_but_flush_completed_telemetry(self, tmp_path):
-        """on_error=fail still re-raises — after the manifest sidecar exists."""
+        """on_error=fail still re-raises — after the manifest is stored."""
         spec = pair_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         faults.install(
             parse_plan(f"site=cell-body,kind=exception,cells={target_of(spec)}")
         )
@@ -96,9 +101,11 @@ class TestRetries:
         with pytest.raises(InjectedFault):
             run_campaign(spec, workers=1, results=path, policy=policy)
         # The sibling cell's record reached the store...
-        assert len(ResultStore(path).load()) == 1
+        assert len(stored_records(path, spec)) == 1
         # ...and so did the telemetry manifest, retry counters included.
-        manifest = telemetry.load_manifest(telemetry.manifest_path_for(path))
+        with CampaignStore(path) as store:
+            manifest = store.get_manifest(spec.spec_hash())
+            assert store.campaign_row(spec.spec_hash())["status"] == "failed"
         assert manifest["counters"]["faults/retries"] == 1
         assert manifest["run"]["quarantined"] == 0
 
@@ -124,7 +131,7 @@ class TestTimeouts:
         )
         policy = ExecutionPolicy(cell_timeout=0.3, on_error="quarantine", **QUICK_BACKOFF)
         result = run_campaign(
-            spec, workers=1, results=tmp_path / "results.jsonl", policy=policy
+            spec, workers=1, results=tmp_path / "results.sqlite", policy=policy
         )
         [entry] = result.quarantined
         assert entry["cell_id"] == spec.cells()[0].cell_id
@@ -142,27 +149,27 @@ class TestQuarantine:
         clean = run_campaign(spec, workers=1)
         bad = spec.cells()[0].cell_id
         faults.install(parse_plan(f"site=cell-body,kind=exception,cells={bad[:12]}"))
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         policy = ExecutionPolicy(max_retries=1, on_error="quarantine", **QUICK_BACKOFF)
         result = run_campaign(spec, workers=1, results=path, policy=policy)
         expected = [r for r in clean.records if r["cell_id"] != bad]
         assert deterministic_part(result.records) == deterministic_part(expected)
-        # Quarantined cells never enter the results store...
-        assert bad not in ResultStore(path).completed_cell_ids()
-        # ...they live in the sidecar, with their full failure context.
-        sidecar = ResultStore(quarantine_path_for(path))
-        [entry] = sidecar.load()
+        with CampaignStore(path) as store:
+            # Quarantined cells never enter the records table...
+            assert bad not in store.completed_cell_ids(spec.spec_hash())
+            # ...they live in the quarantine table, with their full context.
+            [entry] = store.load_quarantine(spec.spec_hash())
         assert entry["cell_id"] == bad
         assert entry["error_type"] == "InjectedFault"
         assert entry["attempts"] == 2  # first try + one retry
-        assert result.quarantine_path == sidecar.path
+        assert result.quarantined == [entry]
 
     def test_resume_after_quarantine_completes_the_campaign(self, tmp_path):
         """Quarantine is a parking lot, not a verdict: once the fault is
         gone, a resumed run re-attempts exactly the quarantined cells."""
         spec = pair_spec()
         clean = run_campaign(spec, workers=1)
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         faults.install(
             parse_plan(f"site=cell-body,kind=exception,cells={target_of(spec)}")
         )
@@ -177,19 +184,21 @@ class TestQuarantine:
         assert resumed.executed == 1
         assert resumed.quarantined == []
         assert deterministic_part(resumed.records) == deterministic_part(clean.records)
-        # The healthy resume rewrites the sidecar empty.
-        assert ResultStore(quarantine_path_for(path)).load() == []
+        # The healthy resume rewrites the quarantine set empty.
+        with CampaignStore(path) as store:
+            assert store.load_quarantine(spec.spec_hash()) == []
 
     def test_zero_faults_means_zero_quarantine_and_no_counters(self, tmp_path):
         spec = pair_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         policy = ExecutionPolicy(
             max_retries=2, cell_timeout=60.0, on_error="quarantine", **QUICK_BACKOFF
         )
         result = run_campaign(spec, workers=1, results=path, policy=policy)
         assert result.quarantined == []
         assert result.fault_counters == {}
-        assert ResultStore(quarantine_path_for(path)).load() == []
+        with CampaignStore(path) as store:
+            assert store.load_quarantine(spec.spec_hash()) == []
         assert "faults/retries" not in telemetry_manifest(result)["counters"]
 
 
@@ -219,7 +228,7 @@ class TestWorkerCrashes:
             on_error="quarantine", max_pool_rebuilds=32, **QUICK_BACKOFF
         )
         result = run_campaign(
-            spec, workers=2, results=tmp_path / "results.jsonl", policy=policy
+            spec, workers=2, results=tmp_path / "results.sqlite", policy=policy
         )
         [entry] = result.quarantined
         assert entry["cell_id"] == bad
@@ -241,6 +250,33 @@ class TestWorkerCrashes:
         result = run_campaign(spec, workers=2, policy=policy)
         assert deterministic_part(result.records) == deterministic_part(clean.records)
         assert result.fault_counters["faults/pool_rebuilds"] >= 1
+
+    def test_exhausted_pool_rebuilds_still_finalize_the_campaign(
+        self, monkeypatch, tmp_path
+    ):
+        """Giving up on the pool is a failure like any other: completed
+        records flush and the campaign ends ``failed`` with its manifest,
+        instead of staying ``running`` with nothing flushed."""
+        spec = four_cell_spec()
+        clean = {r["cell_id"]: r for r in run_campaign(spec, workers=1).records}
+        bad = spec.cells()[1].cell_id
+        monkeypatch.setenv(faults.ENV_VAR, f"site=cell-body,kind=crash,cells={bad[:12]}")
+        faults.reload_from_env()
+        path = tmp_path / "results.sqlite"
+        policy = ExecutionPolicy(max_pool_rebuilds=0, **QUICK_BACKOFF)
+        with pytest.raises(ExperimentError, match="giving up"):
+            run_campaign(spec, workers=2, results=path, policy=policy)
+        with CampaignStore(path) as store:
+            row = store.campaign_row(spec.spec_hash())
+            manifest = store.get_manifest(spec.spec_hash())
+            records = store.load_records(spec.spec_hash())
+        assert row["status"] == "failed"
+        assert manifest["counters"]["faults/pool_rebuilds"] == 1
+        assert manifest["run"]["executed"] == row["executed"] == len(records)
+        assert bad not in {record["cell_id"] for record in records}
+        assert deterministic_part(records) == deterministic_part(
+            [clean[record["cell_id"]] for record in records]
+        )
 
 
 class TestDeterministicChaos:
@@ -272,9 +308,11 @@ def run_sweep_cli(results, cache_dir, *, workers=1, resume=False, inject_env=Non
     """Run ``python -m repro sweep`` as a real subprocess (crash tests SIGKILL
     the process, which must never happen to the pytest process itself).
 
-    Output goes to files, not pipes: when the parent is SIGKILLed its
-    orphaned pool workers keep inherited pipe ends open, and a pipe-based
-    ``communicate()`` would wait on them instead of the dead parent.
+    The sweep leads its own session, and its process group is SIGKILLed
+    once the sweep has exited: pool workers orphaned by a killed parent
+    stay in that group, so nothing outlives the call.  Output goes to
+    files, not pipes, so a worker holding an inherited pipe end cannot
+    stall the wait.
     """
     command = [
         sys.executable, "-m", "repro", "sweep",
@@ -293,52 +331,86 @@ def run_sweep_cli(results, cache_dir, *, workers=1, resume=False, inject_env=Non
         env[faults.ENV_VAR] = inject_env
     log_path = Path(str(results) + ".log")
     with log_path.open("a") as log:
-        outcome = subprocess.run(
-            command, cwd=REPO_ROOT, env=env, stdout=log, stderr=log, timeout=300
+        process = subprocess.Popen(
+            command, cwd=REPO_ROOT, env=env, stdout=log, stderr=log,
+            start_new_session=True,
         )
-    outcome.log = log_path.read_text()
-    return outcome
+        try:
+            process.wait(timeout=300)
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    process.log = log_path.read_text()
+    return process
+
+
+def group_survivors(pgid, grace_s=10.0):
+    """Pids of live (non-zombie) processes left in a process group."""
+    deadline = time.monotonic() + grace_s
+    while True:
+        alive = []
+        for stat in Path("/proc").glob("[0-9]*/stat"):
+            try:
+                state, _ppid, group = stat.read_text().rsplit(")", 1)[1].split()[:3]
+            except (OSError, IndexError, ValueError):
+                continue
+            if int(group) == pgid and state != "Z":
+                alive.append(int(stat.parent.name))
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.05)
 
 
 class TestKillResume:
-    """Satellite: SIGKILL a sweep mid-campaign, resume, demand byte-identity."""
+    """SIGKILL a sweep mid-append, resume, demand byte-identity."""
 
     TORN_WRITE = "site=store-append,kind=partial-write,skip=2"
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "parallel"])
     def test_sigkill_mid_store_append_then_resume(self, tmp_path, workers):
+        """The kill lands with the insert transaction open: WAL rollback
+        makes the third record never-happened, nothing of the sweep
+        survives it, and resume completes the campaign byte-identically."""
         cache_dir = tmp_path / "cache"
-        clean_path = tmp_path / "clean.jsonl"
+        clean_path = tmp_path / "clean.sqlite"
         clean = run_sweep_cli(clean_path, cache_dir, workers=workers)
         assert clean.returncode == 0, clean.log
 
-        killed_path = tmp_path / "killed.jsonl"
+        killed_path = tmp_path / "killed.sqlite"
         killed = run_sweep_cli(
             killed_path, cache_dir, workers=workers, inject_env=self.TORN_WRITE
         )
         assert killed.returncode == -9, (killed.returncode, killed.log)
-        # The kill happened mid-append: two whole records plus a torn tail.
-        survivors = ResultStore(killed_path)
-        assert len(survivors.load()) == 2
-        assert survivors.torn_records_skipped == 1
+        assert group_survivors(killed.pid) == []
+        with CampaignStore(killed_path) as store:
+            [campaign] = store.campaigns()
+            assert campaign["records"] == 2
+            assert campaign["status"] == "running"
 
         resumed = run_sweep_cli(killed_path, cache_dir, workers=workers, resume=True)
         assert resumed.returncode == 0, resumed.log
-        assert deterministic_part(ResultStore(killed_path).load()) == deterministic_part(
-            ResultStore(clean_path).load()
-        )
-        # The resumed manifest covers the whole campaign, not just the tail.
-        manifest = telemetry.load_manifest(telemetry.manifest_path_for(killed_path))
-        assert manifest["campaign"]["cells"] == 4
+        with CampaignStore(killed_path) as store:
+            [campaign] = store.campaigns()
+            assert campaign["status"] == "done"
+            campaign_id = campaign["campaign_id"]
+            survivors = store.load_records(campaign_id)
+            # The resumed manifest covers the whole campaign, not the tail.
+            assert store.get_manifest(campaign_id)["campaign"]["cells"] == 4
+        with CampaignStore(clean_path) as store:
+            expected = store.load_records(campaign_id)
+        assert deterministic_part(survivors) == deterministic_part(expected)
 
     def test_sigkill_mid_sqlite_append_then_resume(self, tmp_path):
-        """The SQLite backend honours the same store-append fault site: the
-        kill lands with the insert transaction open, WAL rollback makes the
-        third record never-happened, and resume completes the campaign."""
-        from repro.store.database import CampaignStore
+        """A SQLite store killed mid-append and resumed exports (via
+        ``repro migrate``) to the same checksummed JSONL as a clean run:
+        the rolled-back third record leaves no trace in the export."""
+        from repro.store.jsonl import ResultStore
+        from repro.store.migrate import migrate
 
         cache_dir = tmp_path / "cache"
-        clean_path = tmp_path / "clean.jsonl"
+        clean_path = tmp_path / "clean.sqlite"
         clean = run_sweep_cli(clean_path, cache_dir)
         assert clean.returncode == 0, clean.log
 
@@ -351,10 +423,12 @@ class TestKillResume:
 
         resumed = run_sweep_cli(killed_path, cache_dir, resume=True)
         assert resumed.returncode == 0, resumed.log
-        with CampaignStore(killed_path) as store:
-            [campaign] = store.campaigns()
-            assert campaign["status"] == "done"
-            survivors = store.load_records(campaign["campaign_id"])
-        assert deterministic_part(survivors) == deterministic_part(
-            ResultStore(clean_path).load()
+        exported = migrate(killed_path, tmp_path / "killed.jsonl")
+        reference = migrate(clean_path, tmp_path / "clean.jsonl")
+        assert exported["campaign_id"] == reference["campaign_id"]
+        assert exported["records"] == 4
+        survivors = ResultStore(tmp_path / "killed.jsonl")
+        assert survivors.torn_records_skipped == 0
+        assert deterministic_part(survivors.load()) == deterministic_part(
+            ResultStore(tmp_path / "clean.jsonl").load()
         )

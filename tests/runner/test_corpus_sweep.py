@@ -13,6 +13,7 @@ from repro.runner import (
     run_campaign,
     topology_summary_rows,
 )
+from repro.store import CampaignStore, migrate
 from repro.topologies.corpus import topology_set
 
 
@@ -69,11 +70,14 @@ class TestCorpusSharding:
         assert payloads(serial) == payloads(parallel)
 
     def test_jsonl_rerun_payloads_identical(self, tmp_path):
+        """Serial and parallel store runs export to the same JSONL lines."""
         spec = small_corpus_spec()
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"
-        run_campaign(spec, workers=1, results=first)
-        run_campaign(spec, workers=2, results=second)
+        for path, workers in ((first, 1), (second, 2)):
+            store = path.with_suffix(".sqlite")
+            run_campaign(spec, workers=workers, results=store)
+            migrate(store, path)
 
         def lines(path):
             rows = []
@@ -99,9 +103,10 @@ class TestCorpusSharding:
 
     def test_topology_summary_rows_from_reloaded_store(self, tmp_path):
         spec = small_corpus_spec()
-        path = tmp_path / "corpus.jsonl"
+        path = tmp_path / "corpus.sqlite"
         result = run_campaign(spec, workers=1, results=path)
-        reloaded = [json.loads(line) for line in path.read_text().splitlines()]
+        with CampaignStore(path) as store:
+            reloaded = store.load_records(spec.spec_hash())
         assert topology_summary_rows(reloaded) == result.topology_summary()
 
 

@@ -1,4 +1,4 @@
-"""Executor: determinism, parallel/serial parity, JSONL store, resume."""
+"""Executor: determinism, parallel/serial parity, the store, resume."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ExperimentError, FailureScenarioError
 from repro.graph.spcache import _ENGINES, engine_for
 from repro.runner.executor import (
-    ResultStore,
     _TOPOLOGY_CACHE,
     _run_cell_chunk,
     _worker_init,
@@ -18,7 +17,16 @@ from repro.runner.executor import (
     run_cell,
 )
 from repro.runner.spec import CampaignSpec, ScenarioSpec
+from repro.store.database import CampaignStore
+from repro.store.jsonl import ResultStore
+from repro.store.migrate import migrate
 from repro.topologies.example import example_fig1
+
+from tests.store.conftest import keep_only, stored_records
+
+
+def completed_ids(path, spec):
+    return {record["cell_id"] for record in stored_records(path, spec)}
 
 
 def tiny_spec(**overrides):
@@ -138,22 +146,21 @@ class TestModelScenarioCells:
     def test_model_sweep_parallel_equals_serial(self, tmp_path):
         spec = model_spec()
         serial = run_campaign(
-            spec, workers=1, results=tmp_path / "serial.jsonl"
+            spec, workers=1, results=tmp_path / "serial.sqlite"
         )
         parallel = run_campaign(
-            spec, workers=2, results=tmp_path / "parallel.jsonl"
+            spec, workers=2, results=tmp_path / "parallel.sqlite"
         )
         assert deterministic_part(serial.records) == deterministic_part(parallel.records)
-        serial_lines = ResultStore(tmp_path / "serial.jsonl").load()
-        parallel_lines = ResultStore(tmp_path / "parallel.jsonl").load()
-        assert deterministic_part(serial_lines) == deterministic_part(parallel_lines)
+        serial_rows = stored_records(tmp_path / "serial.sqlite", spec)
+        parallel_rows = stored_records(tmp_path / "parallel.sqlite", spec)
+        assert deterministic_part(serial_rows) == deterministic_part(parallel_rows)
 
     def test_model_sweep_resumes_from_partial_store(self, tmp_path):
         spec = model_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         full = run_campaign(spec, workers=1, results=path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:5]) + "\n")
+        keep_only(path, spec, full.records[:5])
         resumed = run_campaign(spec, workers=2, results=path, resume=True)
         assert resumed.skipped == 5
         assert resumed.executed == spec.cell_count() - 5
@@ -185,20 +192,23 @@ class TestDeterminism:
             spec,
             workers=1,
             cache_dir=tmp_path / "cache-serial",
-            results=tmp_path / "serial.jsonl",
+            results=tmp_path / "serial.sqlite",
         )
         parallel = run_campaign(
             spec,
             workers=2,
             cache_dir=tmp_path / "cache-parallel",
-            results=tmp_path / "parallel.jsonl",
+            results=tmp_path / "parallel.sqlite",
         )
         assert deterministic_part(serial.records) == deterministic_part(parallel.records)
-        # The JSONL files are line-for-line comparable (records are flushed
-        # in cell order even when they complete out of order).
-        serial_lines = ResultStore(tmp_path / "serial.jsonl").load()
-        parallel_lines = ResultStore(tmp_path / "parallel.jsonl").load()
-        assert deterministic_part(serial_lines) == deterministic_part(parallel_lines)
+        # The stores are record-for-record comparable (records are flushed
+        # in cell order even when they complete out of order), and so are
+        # their JSONL exports, line for line.
+        exports = []
+        for name in ("serial", "parallel"):
+            migrate(tmp_path / f"{name}.sqlite", tmp_path / f"{name}.jsonl")
+            exports.append(ResultStore(tmp_path / f"{name}.jsonl").load())
+        assert deterministic_part(exports[0]) == deterministic_part(exports[1])
 
     def test_cold_equals_cached(self, tmp_path):
         spec = tiny_spec()
@@ -237,10 +247,10 @@ class TestChunkedDispatch:
                 ScenarioSpec("multi-link", failures=40, samples=2),
             ),
         )
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         with pytest.raises(FailureScenarioError):
             run_campaign(spec, workers=2, results=path)
-        completed = ResultStore(path).completed_cell_ids()
+        completed = completed_ids(path, spec)
         single_link_ids = {
             cell.cell_id
             for cell in spec.cells()
@@ -265,10 +275,10 @@ class TestChunkedDispatch:
                 ScenarioSpec("single-link"),
             ),
         )
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         with pytest.raises(FailureScenarioError):
             run_campaign(spec, workers=2, results=path)
-        completed = ResultStore(path).completed_cell_ids()
+        completed = completed_ids(path, spec)
         single_link_ids = {
             cell.cell_id
             for cell in spec.cells()
@@ -278,7 +288,7 @@ class TestChunkedDispatch:
         # And the resumed run only redoes the failed cells.
         with pytest.raises(FailureScenarioError):
             run_campaign(spec, workers=2, results=path, resume=True)
-        assert ResultStore(path).completed_cell_ids() == single_link_ids
+        assert completed_ids(path, spec) == single_link_ids
 
     def test_serial_failure_semantics_match_parallel(self, tmp_path):
         """Serial and parallel runs must leave identical resume state."""
@@ -290,18 +300,15 @@ class TestChunkedDispatch:
                 ScenarioSpec("single-link"),
             ),
         )
-        serial = tmp_path / "serial.jsonl"
+        serial = tmp_path / "serial.sqlite"
         with pytest.raises(FailureScenarioError):
             run_campaign(spec, workers=1, results=serial)
-        parallel = tmp_path / "parallel.jsonl"
+        parallel = tmp_path / "parallel.sqlite"
         with pytest.raises(FailureScenarioError):
             run_campaign(spec, workers=2, results=parallel)
-        assert (
-            ResultStore(serial).completed_cell_ids()
-            == ResultStore(parallel).completed_cell_ids()
-        )
-        assert deterministic_part(ResultStore(serial).load()) == deterministic_part(
-            ResultStore(parallel).load()
+        assert completed_ids(serial, spec) == completed_ids(parallel, spec)
+        assert deterministic_part(stored_records(serial, spec)) == deterministic_part(
+            stored_records(parallel, spec)
         )
 
     def test_worker_init_drops_stale_engines_keeps_active(self):
@@ -331,35 +338,35 @@ class TestChunkedDispatch:
 class TestResultStore:
     def test_streams_one_json_line_per_cell(self, tmp_path):
         spec = tiny_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         result = run_campaign(spec, workers=1, results=path)
-        lines = [line for line in path.read_text().splitlines() if line.strip()]
-        assert len(lines) == result.executed == spec.cell_count()
-        for line in lines:
-            json.loads(line)
+        with CampaignStore(path) as store:
+            assert store.record_count(spec.spec_hash()) == spec.cell_count()
+        assert result.executed == spec.cell_count()
+        assert stored_records(path, spec) == result.records
 
     def test_rerun_without_resume_truncates_the_store(self, tmp_path):
-        """Without resume the JSONL represents this run only; appending to
-        the previous run's lines would double-count every cell."""
+        """Without resume the campaign represents this run only; keeping
+        the previous run's records would double-count every cell."""
         spec = tiny_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         run_campaign(spec, workers=1, results=path)
         run_campaign(spec, workers=1, results=path)
-        lines = [line for line in path.read_text().splitlines() if line.strip()]
-        assert len(lines) == spec.cell_count()
+        with CampaignStore(path) as store:
+            assert store.record_count() == spec.cell_count()
 
     def test_torn_final_line_is_dropped(self, tmp_path):
         path = tmp_path / "results.jsonl"
         store = ResultStore(path)
-        store.append({"cell_id": "aaaa", "payload": {}})
+        store.write([{"cell_id": "aaaa", "payload": {}}])
         with path.open("a") as stream:
             stream.write('{"cell_id": "bbbb", "payl')  # killed mid-write
-        assert store.completed_cell_ids() == {"aaaa"}
+        assert store.load() == [{"cell_id": "aaaa", "payload": {}}]
         assert store.torn_records_skipped == 1
 
     def test_appended_lines_carry_a_checksum_load_strips_it(self, tmp_path):
         store = ResultStore(tmp_path / "results.jsonl")
-        store.append({"cell_id": "aaaa", "payload": {"x": 1}})
+        store.write([{"cell_id": "aaaa", "payload": {"x": 1}}])
         raw = store.path.read_text()
         assert "_checksum" in raw
         assert store.load() == [{"cell_id": "aaaa", "payload": {"x": 1}}]
@@ -367,20 +374,23 @@ class TestResultStore:
     def test_checksum_mismatch_on_final_line_is_dropped(self, tmp_path):
         """Bit rot in the tail is indistinguishable from a torn write."""
         store = ResultStore(tmp_path / "results.jsonl")
-        store.append({"cell_id": "aaaa", "payload": {}})
-        store.append({"cell_id": "bbbb", "payload": {"v": 1}})
+        store.write([
+            {"cell_id": "aaaa", "payload": {}},
+            {"cell_id": "bbbb", "payload": {"v": 1}},
+        ])
         lines = store.path.read_text().splitlines()
         lines[-1] = lines[-1].replace('"v": 1', '"v": 2')  # checksum now stale
         store.path.write_text("\n".join(lines) + "\n")
-        assert store.completed_cell_ids() == {"aaaa"}
+        assert store.load() == [{"cell_id": "aaaa", "payload": {}}]
         assert store.torn_records_skipped == 1
 
     def test_mid_file_corruption_reports_line_offset_and_cell(self, tmp_path):
         """Corruption before the tail is data loss, not a crash artefact —
         load() must refuse, and say exactly where and which cell."""
         store = ResultStore(tmp_path / "results.jsonl")
-        for cell_id in ("aaaa", "bbbb", "cccc"):
-            store.append({"cell_id": cell_id, "payload": {"v": 1}})
+        store.write(
+            {"cell_id": cell_id, "payload": {"v": 1}} for cell_id in ("aaaa", "bbbb", "cccc")
+        )
         lines = store.path.read_text().splitlines()
         lines[1] = lines[1].replace('"v": 1', '"v": 2')  # checksum now stale
         store.path.write_text("\n".join(lines) + "\n")
@@ -402,7 +412,7 @@ class TestResultStore:
 class TestResume:
     def test_completed_campaign_resumes_to_no_work(self, tmp_path):
         spec = tiny_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         first = run_campaign(spec, workers=1, results=path)
         assert first.executed == spec.cell_count()
         resumed = run_campaign(spec, workers=1, results=path, resume=True)
@@ -412,36 +422,39 @@ class TestResume:
 
     def test_partial_campaign_resumes_remaining_cells(self, tmp_path):
         spec = tiny_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         full = run_campaign(spec, workers=1, results=path)
         # Keep only the first three records, as if the run had been killed.
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:3]) + "\n")
+        keep_only(path, spec, full.records[:3])
         resumed = run_campaign(spec, workers=1, results=path, resume=True)
         assert resumed.skipped == 3
         assert resumed.executed == spec.cell_count() - 3
         assert deterministic_part(resumed.records) == deterministic_part(full.records)
 
     def test_resume_over_torn_tail_reruns_that_cell_and_counts_it(self, tmp_path):
-        """A record lost to a torn write is re-executed, not silently missing."""
+        """A legacy JSONL campaign torn by a crash imports (the torn record
+        counted) and resumes from the store, re-executing only that cell."""
         spec = tiny_spec()
-        path = tmp_path / "results.jsonl"
-        full = run_campaign(spec, workers=1, results=path)
-        lines = path.read_text().splitlines()
+        full = run_campaign(spec, workers=1)
+        legacy = tmp_path / "legacy.jsonl"
+        ResultStore(legacy).write(full.records)
+        lines = legacy.read_text().splitlines()
         torn = "\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2]
-        path.write_text(torn)
+        legacy.write_text(torn)
+        path = tmp_path / "results.sqlite"
+        summary = migrate(legacy, path, campaign_id=spec.spec_hash())
+        assert summary["torn_records_skipped"] == 1
+        assert summary["records"] == spec.cell_count() - 1
         resumed = run_campaign(spec, workers=1, results=path, resume=True)
         assert resumed.skipped == spec.cell_count() - 1
         assert resumed.executed == 1
-        assert resumed.fault_counters["faults/torn_records_skipped"] == 1
+        assert resumed.executed_cell_ids == {spec.cells()[-1].cell_id}
         assert deterministic_part(resumed.records) == deterministic_part(full.records)
         # The store is whole again: a second resume finds nothing to do.
-        assert ResultStore(path).completed_cell_ids() == {
-            cell.cell_id for cell in spec.cells()
-        }
+        assert completed_ids(path, spec) == {cell.cell_id for cell in spec.cells()}
 
     def test_spec_change_invalidates_previous_records(self, tmp_path):
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         run_campaign(tiny_spec(), workers=1, results=path)
         changed = tiny_spec(seed=99)
         resumed = run_campaign(changed, workers=1, results=path, resume=True)
@@ -456,7 +469,7 @@ class TestResume:
         """cache_stats/offline_seconds cover this invocation's cells only,
         not the work recorded by the run being resumed."""
         spec = tiny_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         first = run_campaign(
             spec, workers=1, cache_dir=tmp_path / "cache", results=path
         )

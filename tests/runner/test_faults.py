@@ -16,7 +16,6 @@ from repro.runner.faults import (
 )
 from repro.runner.policy import (
     ExecutionPolicy,
-    quarantine_path_for,
     run_with_timeout,
 )
 
@@ -203,12 +202,13 @@ class TestExecutionPolicy:
         assert first != policy.backoff_seconds("cell-b", 1)
 
     def test_quarantine_path_naming(self):
+        """An exported quarantine set pairs visibly with its JSONL file."""
         from pathlib import Path
 
-        assert quarantine_path_for("out/run.jsonl") == Path("out/run.quarantine.jsonl")
-        assert quarantine_path_for("run.results") == Path(
-            "run.results.quarantine.jsonl"
-        )
+        from repro.store.migrate import sidecar_paths
+
+        assert sidecar_paths("out/run.jsonl")[1] == Path("out/run.quarantine.jsonl")
+        assert sidecar_paths("run.results")[1] == Path("run.results.quarantine.jsonl")
 
 
 class TestRunWithTimeout:

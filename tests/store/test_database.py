@@ -6,8 +6,7 @@ import pytest
 
 from repro.errors import ExperimentError, ResultStoreError
 from repro.runner.executor import run_campaign
-from repro.store.database import BoundCampaign, CampaignStore, is_store_path
-from repro.store.jsonl import ResultStore
+from repro.store.database import CampaignStore, is_store_path
 from repro.store.schema import SCHEMA_VERSION, applied_version
 
 from tests.store.conftest import deterministic_part, pair_spec
@@ -124,29 +123,16 @@ class TestCampaignLifecycle:
             assert store.load_records("c1") == []
 
 
-class TestBoundCampaign:
-    def test_duck_types_the_result_store_surface(self, store_path):
-        bound = BoundCampaign(CampaignStore(store_path), "c1")
-        assert not bound.exists()
-        bound.begin(spec_dict={}, cells=4, workers=1, resume=False)
-        assert bound.exists()
-        assert bound.torn_records_skipped == 0
-        assert bound.completed_cell_ids() == set()
-        bound.append(TestCampaignLifecycle.RECORD)
-        assert bound.load() == [TestCampaignLifecycle.RECORD]
-        bound.truncate()
-        assert bound.load() == []
-
-
 class TestBackendParity:
-    """The same campaign must compute identical payloads on either backend."""
+    """The same campaign must compute identical payloads in memory and in
+    the store."""
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "parallel"])
     def test_payloads_identical_across_backends(self, tmp_path, workers):
         spec = pair_spec()
-        jsonl = run_campaign(spec, workers=workers, results=tmp_path / "c.jsonl")
+        memory = run_campaign(spec, workers=workers)
         sqlite_run = run_campaign(spec, workers=workers, results=tmp_path / "c.sqlite")
-        assert deterministic_part(jsonl.records) == deterministic_part(
+        assert deterministic_part(memory.records) == deterministic_part(
             sqlite_run.records
         )
         # and what the store persisted is what the handle returned
@@ -198,7 +184,7 @@ class TestBackendParity:
 
     def test_telemetry_lands_in_store_not_sidecar(self, tmp_path):
         result = run_campaign(pair_spec(), workers=1, results=tmp_path / "c.sqlite")
-        assert result.telemetry_path is None
+        assert [path.name for path in tmp_path.iterdir() if "telemetry" in path.name] == []
         with CampaignStore(tmp_path / "c.sqlite") as store:
             manifest = store.get_manifest(result.campaign_id)
         assert manifest["schema"] == "repro-telemetry/v1"

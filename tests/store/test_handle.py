@@ -1,22 +1,15 @@
-"""CampaignHandle: the redesigned run_campaign return surface + shims."""
+"""CampaignHandle: the run_campaign return surface."""
 
 import pytest
 
-from repro.runner.executor import (
-    CampaignHandle,
-    CampaignResult,
-    run_campaign,
-)
+from repro.errors import ExperimentError
+from repro.runner.executor import run_campaign
 from repro.store.database import CampaignStore
 
 from tests.store.conftest import pair_spec
 
 
 class TestHandleSurface:
-    def test_handle_is_the_result_type(self):
-        """Alias, not subclass: existing isinstance checks keep working."""
-        assert CampaignHandle is CampaignResult
-
     def test_memory_backend(self):
         handle = run_campaign(pair_spec(), workers=1)
         assert handle.store is None
@@ -24,10 +17,23 @@ class TestHandleSurface:
         assert summary["backend"] == "memory"
         assert summary["results"] is None
 
-    def test_jsonl_backend(self, tmp_path):
-        handle = run_campaign(pair_spec(), workers=1, results=tmp_path / "c.jsonl")
-        assert handle.store is None
-        assert handle.summary()["backend"] == "jsonl"
+    def test_jsonl_backend(self, tmp_path, monkeypatch):
+        """JSONL is migrate-only: refused before any cell runs or any file
+        is created, with the commands that fix it."""
+        import repro.runner.executor as executor
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a cell ran for a refused results path")
+
+        monkeypatch.setattr(executor, "run_cell", must_not_run)
+        spec = pair_spec()
+        with pytest.raises(ExperimentError) as excinfo:
+            run_campaign(spec, workers=1, results=tmp_path / "c.jsonl",
+                         cache_dir=tmp_path / "cache")
+        message = str(excinfo.value)
+        assert "repro migrate" in message
+        assert f"--campaign {spec.spec_hash()}" in message
+        assert list(tmp_path.iterdir()) == []
 
     def test_sqlite_backend_exposes_the_store(self, tmp_path):
         handle = run_campaign(pair_spec(), workers=1, results=tmp_path / "c.sqlite")
@@ -41,8 +47,8 @@ class TestHandleSurface:
 
     def test_query_filters_in_memory_on_any_backend(self, tmp_path):
         memory = run_campaign(pair_spec(), workers=1)
-        jsonl = run_campaign(pair_spec(), workers=1, results=tmp_path / "c.jsonl")
-        for handle in (memory, jsonl):
+        stored = run_campaign(pair_spec(), workers=1, results=tmp_path / "c.sqlite")
+        for handle in (memory, stored):
             assert len(handle.query("scheme=fcp")) == 2
             assert len(handle.query("topology=abilene scheme=reconvergence")) == 1
             assert handle.query("topology~zoo") == []
@@ -64,18 +70,3 @@ class TestHandleSurface:
         assert manifest["campaign"]["spec_hash"] == handle.campaign_id
         assert manifest["campaign"]["cells"] == 4
 
-
-class TestResultsPathShim:
-    def test_results_path_warns_and_maps(self, tmp_path):
-        results = tmp_path / "c.jsonl"
-        with pytest.warns(DeprecationWarning, match="results="):
-            handle = run_campaign(pair_spec(), workers=1, results_path=results)
-        assert results.exists()
-        assert handle.results_path == results
-
-    def test_results_wins_silently(self, tmp_path):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_campaign(pair_spec(), workers=1, results=tmp_path / "c.jsonl")

@@ -8,10 +8,9 @@ from repro.errors import ExperimentError
 from repro.runner import faults
 from repro.runner.executor import run_campaign
 from repro.runner.faults import parse_plan
-from repro.runner.policy import ExecutionPolicy, quarantine_path_for
+from repro.runner.policy import ExecutionPolicy
 from repro.store.database import CampaignStore
-from repro.store.migrate import export_jsonl, import_jsonl, migrate
-from repro.telemetry import merge as telemetry
+from repro.store.migrate import export_jsonl, import_jsonl, migrate, sidecar_paths
 
 from tests.store.conftest import pair_spec
 
@@ -22,6 +21,19 @@ def clean_faults(monkeypatch):
     faults.reload_from_env()
     yield
     faults.reload_from_env()
+
+
+def exported(tmp_path, store_path=None, **run_kwargs):
+    """A JSONL campaign file (plus sidecars): a store run, exported.
+
+    With ``store_path`` the campaign already ran into that store.
+    """
+    if store_path is None:
+        store_path = tmp_path / "origin.sqlite"
+        run_campaign(pair_spec(), results=store_path, **run_kwargs)
+    results = tmp_path / "c.jsonl"
+    export_jsonl(store_path, results)
+    return results
 
 
 def round_trip(tmp_path, jsonl_path):
@@ -36,33 +48,31 @@ def round_trip(tmp_path, jsonl_path):
 class TestRoundTrips:
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "parallel"])
     def test_fresh_campaign_round_trips_byte_identical(self, tmp_path, workers):
-        results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=workers, results=results)
+        results = exported(tmp_path, workers=workers)
         back = round_trip(tmp_path, results)
         assert filecmp.cmp(results, back, shallow=False)
         # the telemetry sidecar rides along, also byte-identical
         assert filecmp.cmp(
-            telemetry.manifest_path_for(results),
-            telemetry.manifest_path_for(back),
-            shallow=False,
+            sidecar_paths(results)[0], sidecar_paths(back)[0], shallow=False
         )
 
     def test_resumed_campaign_round_trips_byte_identical(self, tmp_path):
-        results = tmp_path / "c.jsonl"
+        store_path = tmp_path / "origin.sqlite"
         spec = pair_spec()
         # interrupt after two cells, then resume to completion
         faults.install(parse_plan("site=cell-body,kind=exception,skip=2"))
         policy = ExecutionPolicy(on_error="fail")
         with pytest.raises(Exception):
-            run_campaign(spec, workers=1, results=results, policy=policy)
+            run_campaign(spec, workers=1, results=store_path, policy=policy)
         faults.reload_from_env()
-        resumed = run_campaign(spec, workers=1, results=results, resume=True)
+        resumed = run_campaign(spec, workers=1, results=store_path, resume=True)
         assert resumed.skipped == 2
+        results = exported(tmp_path, store_path)
         back = round_trip(tmp_path, results)
         assert filecmp.cmp(results, back, shallow=False)
 
     def test_quarantined_campaign_round_trips_byte_identical(self, tmp_path):
-        results = tmp_path / "c.jsonl"
+        store_path = tmp_path / "origin.sqlite"
         spec = pair_spec()
         target = spec.cells()[0].cell_id[:12]
         faults.install(
@@ -71,12 +81,13 @@ class TestRoundTrips:
         policy = ExecutionPolicy(
             on_error="quarantine", backoff_base_s=0.001, backoff_cap_s=0.01
         )
-        result = run_campaign(spec, workers=1, results=results, policy=policy)
+        result = run_campaign(spec, workers=1, results=store_path, policy=policy)
         assert len(result.quarantined) == 1
+        results = exported(tmp_path, store_path)
         back = round_trip(tmp_path, results)
         assert filecmp.cmp(results, back, shallow=False)
         assert filecmp.cmp(
-            quarantine_path_for(results), quarantine_path_for(back), shallow=False
+            sidecar_paths(results)[1], sidecar_paths(back)[1], shallow=False
         )
 
     def test_sqlite_origin_round_trips_byte_identical(self, tmp_path):
@@ -94,8 +105,7 @@ class TestRoundTrips:
 
 class TestImportExport:
     def test_import_summary(self, tmp_path):
-        results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=1, results=results)
+        results = exported(tmp_path)
         summary = import_jsonl(results, tmp_path / "c.sqlite")
         assert summary["direction"] == "jsonl->sqlite"
         assert summary["records"] == 4
@@ -106,9 +116,8 @@ class TestImportExport:
             assert row["campaign_id"] == summary["campaign_id"]
 
     def test_import_without_sidecars_derives_an_id(self, tmp_path):
-        results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=1, results=results)
-        telemetry.manifest_path_for(results).unlink()
+        results = exported(tmp_path)
+        sidecar_paths(results)[0].unlink()
         summary = import_jsonl(results, tmp_path / "c.sqlite")
         assert summary["campaign_id"].startswith("import-")
         assert summary["manifest"] is False
@@ -140,8 +149,7 @@ class TestImportExport:
 
 class TestDirectionDetection:
     def test_migrate_dispatches_on_suffix(self, tmp_path):
-        results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=1, results=results)
+        results = exported(tmp_path)
         forward = migrate(results, tmp_path / "c.sqlite")
         assert forward["direction"] == "jsonl->sqlite"
         backward = migrate(tmp_path / "c.sqlite", tmp_path / "out.jsonl")

@@ -146,10 +146,10 @@ class TestSessionOps:
 
     def test_query_refuses_jsonl(self, session, tmp_path):
         results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=1, results=results)
         response = session.handle({"op": "query", "results": str(results)})
         assert response["ok"] is False
-        assert "migrate" in response["error"]
+        assert "repro migrate" in response["error"]
+        assert not results.exists()
 
     def test_campaigns_listing(self, session, tmp_path):
         store_path = tmp_path / "c.sqlite"
@@ -491,12 +491,23 @@ class TestAsyncSubmit:
         assert response["ok"] is False
         assert "SQLite store path" in response["error"]
 
-    def test_sync_flag_falls_back_to_blocking_run(self, job_session):
-        response = job_session.handle({
-            "op": "submit", "spec": pair_spec().to_dict(), "sync": True,
-        })
-        assert response["ok"] is True
-        assert response["executed"] == pair_spec().cell_count()
+    def test_journal_less_submit_is_refused(self, tmp_path):
+        """Without a journal, submit answers like job/jobs/cancel do — it
+        never runs a campaign on the request thread."""
+        session = ServeSession()
+        try:
+            store_path = tmp_path / "r.sqlite"
+            response = session.handle({
+                "op": "submit", "spec": pair_spec().to_dict(),
+                "results": str(store_path),
+            })
+            assert response["ok"] is False
+            assert response["error"] == session.handle({"op": "jobs"})["error"]
+            assert "no job journal" in response["error"]
+            assert not store_path.exists()
+            assert session.counters.get("serve/jobs_submitted") is None
+        finally:
+            session.close()
 
     def test_bad_policy_is_rejected_before_journaling(self, tmp_path, job_session):
         response = job_session.handle({

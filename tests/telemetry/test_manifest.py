@@ -9,6 +9,8 @@ from repro.graph.spcache import clear_engines
 from repro.runner.executor import _TOPOLOGY_CACHE, run_campaign, telemetry_manifest
 from repro.runner.spec import CampaignSpec, ScenarioSpec
 
+from tests.store.conftest import keep_only
+
 
 @pytest.fixture(autouse=True)
 def enabled_telemetry():
@@ -42,16 +44,20 @@ def run_fresh(tmp_path, name, workers, **kwargs):
         small_spec(),
         workers=workers,
         cache_dir=tmp_path / f"cache-{name}",
-        results=tmp_path / f"{name}.jsonl",
+        results=tmp_path / f"{name}.sqlite",
         **kwargs,
     )
+
+
+def stored_manifest(result):
+    """The manifest a campaign left in its store's telemetry table."""
+    return result.store.get_manifest(result.campaign_id)
 
 
 class TestManifestSidecar:
     def test_sidecar_written_next_to_results(self, tmp_path):
         result = run_fresh(tmp_path, "serial", workers=1)
-        assert result.telemetry_path == tmp_path / "serial.telemetry.json"
-        manifest = telemetry.load_manifest(result.telemetry_path)
+        manifest = stored_manifest(result)
         assert manifest["schema"] == telemetry.MANIFEST_SCHEMA
         assert telemetry.validate_manifest(manifest) == []
         assert manifest["records"]["total"] == len(result.records)
@@ -59,18 +65,17 @@ class TestManifestSidecar:
         assert manifest["campaign"]["spec_hash"] == small_spec().spec_hash()
 
     def test_manifest_path_for(self):
+        """The exported manifest file pairs visibly with its JSONL file."""
         from pathlib import Path
 
-        assert telemetry.manifest_path_for("out/run.jsonl") == Path(
-            "out/run.telemetry.json"
-        )
-        assert telemetry.manifest_path_for("run.results") == Path(
-            "run.results.telemetry.json"
-        )
+        from repro.store.migrate import sidecar_paths
+
+        assert sidecar_paths("out/run.jsonl")[0] == Path("out/run.telemetry.json")
+        assert sidecar_paths("run.results")[0] == Path("run.results.telemetry.json")
 
     def test_expected_counters_present(self, tmp_path):
         result = run_fresh(tmp_path, "serial", workers=1)
-        counters = telemetry.load_manifest(result.telemetry_path)["counters"]
+        counters = stored_manifest(result)["counters"]
         assert counters["cells/executed"] == len(result.records)
         assert counters["engine/builds"] > 0
         assert counters["engine/hits"] > 0
@@ -85,19 +90,15 @@ class TestDeterminism:
         serial = run_fresh(tmp_path, "serial", workers=1)
         parallel = run_fresh(tmp_path, "parallel", workers=2)
 
-        # Resumed: truncate the serial JSONL at the topology boundary (the
+        # Resumed: cut the serial campaign at the topology boundary (the
         # per-topology caches make within-topology hit/miss attribution
         # depend on which sibling cells already ran) and re-run the rest
         # from cold caches.
-        resumed_path = tmp_path / "resumed.jsonl"
+        resumed_path = tmp_path / "resumed.sqlite"
         first_topology = small_spec().topologies[0]
-        kept = [
-            line
-            for line in (tmp_path / "serial.jsonl").read_text().splitlines()
-            if json.loads(line)["topology"] == first_topology
-        ]
+        kept = [r for r in serial.records if r["topology"] == first_topology]
         assert 0 < len(kept) < len(serial.records)
-        resumed_path.write_text("".join(line + "\n" for line in kept))
+        keep_only(resumed_path, small_spec(), kept)
         reset_process_caches()
         resumed = run_campaign(
             small_spec(),
@@ -111,7 +112,7 @@ class TestDeterminism:
 
         views = [
             telemetry.canonical_bytes(
-                telemetry.deterministic_view(telemetry.load_manifest(r.telemetry_path))
+                telemetry.deterministic_view(stored_manifest(r))
             )
             for r in (serial, parallel, resumed)
         ]
@@ -126,7 +127,7 @@ class TestDeterminism:
         assert payload_lines(on.records) == payload_lines(off.records)
         assert all("telemetry" in r["meta"] for r in on.records)
         assert all("telemetry" not in r["meta"] for r in off.records)
-        manifest = telemetry.load_manifest(off.telemetry_path)
+        manifest = stored_manifest(off)
         assert manifest["records"]["with_telemetry"] == 0
         assert manifest["counters"] == {}
 
@@ -159,7 +160,7 @@ class TestCampaignResultViews:
     def test_result_telemetry_matches_sidecar_counters(self, tmp_path):
         result = run_fresh(tmp_path, "serial", workers=1)
         in_memory = result.telemetry()
-        on_disk = telemetry.load_manifest(result.telemetry_path)
+        on_disk = stored_manifest(result)
         assert telemetry.deterministic_view(in_memory) == telemetry.deterministic_view(
             on_disk
         )

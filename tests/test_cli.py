@@ -242,7 +242,7 @@ class TestSweepTopologySet:
 
 class TestReportCommand:
     def _swept(self, tmp_path, *extra):
-        results = tmp_path / "run.jsonl"
+        results = tmp_path / "run.sqlite"
         assert main([
             "sweep", "--topologies", "fig1-example",
             "--schemes", "reconvergence", "pr",
@@ -254,7 +254,7 @@ class TestReportCommand:
     def test_sweep_prints_manifest_and_merged_counters(self, capsys, tmp_path):
         self._swept(tmp_path)
         output = capsys.readouterr().out
-        assert "telemetry manifest:" in output
+        assert "telemetry manifest recorded in" in output
         assert "engine counters (all workers):" in output
 
     def test_sweep_slowest_table(self, capsys, tmp_path):
@@ -264,19 +264,27 @@ class TestReportCommand:
         assert "dominant phase" in output
 
     def test_report_from_results_jsonl(self, capsys, tmp_path):
+        """JSONL results are refused with the migrate command; the store
+        that command produces reports."""
         results = self._swept(tmp_path)
+        exported = tmp_path / "run.jsonl"
+        assert main(["migrate", str(results), str(exported)]) == 0
+        with pytest.raises(SystemExit, match="repro migrate"):
+            main(["report", str(exported)])
+        imported = tmp_path / "imported.sqlite"
+        assert main(["migrate", str(exported), str(imported)]) == 0
         capsys.readouterr()
-        assert main(["report", str(results)]) == 0
+        assert main(["report", str(imported)]) == 0
         output = capsys.readouterr().out
         assert "phase-time breakdown" in output
         assert "cache efficiency" in output
 
     def test_report_from_manifest_file(self, capsys, tmp_path):
         results = self._swept(tmp_path)
+        exported = tmp_path / "run.jsonl"
+        assert main(["migrate", str(results), str(exported)]) == 0
         capsys.readouterr()
-        from repro import telemetry
-
-        assert main(["report", str(telemetry.manifest_path_for(results))]) == 0
+        assert main(["report", str(tmp_path / "run.telemetry.json")]) == 0
         assert "campaign telemetry:" in capsys.readouterr().out
 
     def test_report_validate_gate(self, capsys, tmp_path):
@@ -290,13 +298,12 @@ class TestReportCommand:
         assert "INVALID" in capsys.readouterr().out
 
     def test_report_missing_file_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["report", str(tmp_path / "nope.jsonl")])
+        with pytest.raises(SystemExit, match="no such"):
+            main(["report", str(tmp_path / "nope.sqlite")])
 
     def test_sweep_no_telemetry_still_writes_manifest(self, capsys, tmp_path):
-        import json
-
         from repro import telemetry
+        from repro.store import CampaignStore
 
         try:
             results = self._swept(tmp_path, "--no-telemetry")
@@ -304,7 +311,9 @@ class TestReportCommand:
             telemetry.set_enabled(True)
         output = capsys.readouterr().out
         assert "engine counters (all workers):" not in output
-        manifest = json.loads(telemetry.manifest_path_for(results).read_text())
+        with CampaignStore(results) as store:
+            [campaign] = store.campaigns()
+            manifest = store.get_manifest(campaign["campaign_id"])
         assert manifest["records"]["with_telemetry"] == 0
 
 
@@ -359,15 +368,38 @@ class TestStoreCommands:
             main(["query", str(store), "flavor=mint"])
 
     def test_query_works_on_jsonl_too(self, capsys, tmp_path):
-        results = self._swept(tmp_path, name="run.jsonl")
+        """Querying JSONL names the migrate command; after it, the query
+        answers from the imported store."""
+        exported = tmp_path / "run.jsonl"
+        assert main(["migrate", str(self._swept(tmp_path)), str(exported)]) == 0
+        with pytest.raises(SystemExit, match="repro migrate"):
+            main(["query", str(exported), "scheme=fcp"])
+        imported = tmp_path / "imported.sqlite"
+        assert main(["migrate", str(exported), str(imported)]) == 0
         capsys.readouterr()
-        assert main(["query", str(results), "scheme=fcp"]) == 0
+        assert main(["query", str(imported), "scheme=fcp"]) == 0
         assert "1 record" in capsys.readouterr().out
+
+    def test_sweep_refuses_jsonl_results(self, capsys, tmp_path):
+        """JSONL is not a live backend: the sweep stops before running a
+        cell or creating a file, and names the migrate command."""
+        with pytest.raises(SystemExit, match="repro migrate"):
+            main([
+                "sweep", "--topologies", "fig1-example",
+                "--schemes", "reconvergence", "pr",
+                "--quiet", "--cache-dir", str(tmp_path / "cache"),
+                "--save-spec", str(tmp_path / "spec.json"),
+                "--results", str(tmp_path / "run.jsonl"),
+            ])
+        assert list(tmp_path.iterdir()) == []
+        assert "[1/" not in capsys.readouterr().out
 
     def test_migrate_round_trip_and_report(self, capsys, tmp_path):
         import filecmp
 
-        results = self._swept(tmp_path, name="run.jsonl")
+        origin = self._swept(tmp_path, name="origin.sqlite")
+        results = tmp_path / "run.jsonl"
+        assert main(["migrate", str(origin), str(results)]) == 0
         store = tmp_path / "run.sqlite"
         assert main(["migrate", str(results), str(store)]) == 0
         back = tmp_path / "back.jsonl"
