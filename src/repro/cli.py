@@ -69,7 +69,7 @@ from repro.embedding.genus import self_paired_edge_count
 from repro.embedding.serialization import save_embedding
 from repro.experiments.asciiplot import ccdf_rows, render_ccdf_plot, render_table
 from repro.experiments.overhead import overhead_experiment
-from repro.experiments.stretch import figure2_panel
+from repro.experiments.stretch import default_schemes, figure2_panel
 from repro.failures.sampling import sample_multi_link_failures
 from repro.failures.scenarios import single_link_failures
 from repro.graph.connectivity import is_two_edge_connected
@@ -91,6 +91,10 @@ from repro.errors import ReproError
 from repro.scenarios import available_scenario_models, get_scenario_model, registered_models
 from repro.topologies import corpus as topology_corpus
 from repro import telemetry
+
+# Embedding seed of every command that builds Packet Re-cycling, the same as
+# ``repro serve`` and campaign specs use, so one request gets one answer.
+_EMBEDDING_SEED = 0
 
 
 def _parse_failed_links(graph: Graph, specs: Sequence[str]) -> List[int]:
@@ -133,7 +137,9 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     graph = _load_topology(args.topology)
-    scheme = build_packet_recycling(graph, embedding_method=args.method)
+    scheme = build_packet_recycling(
+        graph, embedding_method=args.method, embedding_seed=_EMBEDDING_SEED
+    )
     embedding = scheme.embedding
     print(f"faces: {embedding.number_of_faces}")
     print(f"genus: {embedding.genus}")
@@ -147,7 +153,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     graph = _load_topology(args.topology)
-    scheme = build_packet_recycling(graph)
+    scheme = build_packet_recycling(graph, embedding_seed=_EMBEDDING_SEED)
     print(scheme.cycle_tables.table_at(args.router).render())
     return 0
 
@@ -156,10 +162,12 @@ def _cmd_deliver(args: argparse.Namespace) -> int:
     graph = _load_topology(args.topology)
     failed = _parse_failed_links(graph, args.fail or [])
     if args.compare:
-        outcomes = compare_schemes(graph, args.source, args.destination, failed)
+        schemes = default_schemes(graph, embedding_seed=_EMBEDDING_SEED)
+        outcomes = compare_schemes(graph, args.source, args.destination, failed, schemes)
     else:
+        scheme = build_packet_recycling(graph, embedding_seed=_EMBEDDING_SEED)
         outcomes = {
-            "Packet Re-cycling": build_packet_recycling(graph).deliver(
+            "Packet Re-cycling": scheme.deliver(
                 args.source, args.destination, failed_links=failed
             )
         }
@@ -196,8 +204,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     graph = _load_topology(args.topology)
     embedding = None
     if args.cache_dir:
-        embedding = ArtifactCache(args.cache_dir).get_or_build(graph, seed=0)
-    scheme = PacketRecycling(graph, embedding=embedding, embedding_seed=0)
+        embedding = ArtifactCache(args.cache_dir).get_or_build(graph, seed=_EMBEDDING_SEED)
+    scheme = PacketRecycling(graph, embedding=embedding, embedding_seed=_EMBEDDING_SEED)
     if args.failures <= 1:
         scenarios = [s.failed_links for s in single_link_failures(graph)]
     else:

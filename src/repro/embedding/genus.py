@@ -13,14 +13,23 @@ below therefore maximise the number of faces:
 * :func:`local_search_rotation` — hill climbing (optionally with simulated
   annealing style restarts) over single-dart relocation moves.
 * :func:`minimise_genus` — the public entry point combining both.
+
+All three score thousands of candidate rotations, so they share one integer
+encoding of the darts, :class:`_IntRotation`: rotations are lists of ints, the
+face permutation is one flat array, and a score is one O(darts) orbit trace
+over plain lists.  A candidate is tried by editing one or two nodes' int lists
+in place, never by copying a :class:`RotationSystem`; the result is converted
+back once.  Candidate order, tie-breaks and random draws are those of the
+object-level formulation, so the heuristics return exactly the same rotations.
 """
 
 from __future__ import annotations
 
+import operator
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.errors import NotPlanar
+from repro.graph.connectivity import bridges
 from repro.graph.darts import Dart
 from repro.graph.multigraph import Graph
 from repro.embedding.faces import trace_faces
@@ -28,46 +37,155 @@ from repro.embedding.planarity import is_planar, planar_embedding
 from repro.embedding.rotation import RotationSystem
 
 
-def _orbit_stats(rotation: RotationSystem) -> Tuple[int, int]:
-    """``(self_paired_edges, face_count)`` of a rotation system, traced leanly.
+class _IntRotation:
+    """Integer-encoded rotation system: the genus heuristics' scratch space.
 
-    Scoring a candidate rotation is the inner loop of every genus heuristic:
-    this helper computes exactly what :func:`embedding_score` needs — how many
-    orbits the face permutation has and how many edges have both darts on one
-    orbit — without materialising :class:`~repro.embedding.faces.Face`
-    objects.  Orbit membership is identical to :func:`trace_faces` (the same
-    permutation is followed from the same deterministically sorted starts).
+    Edge ``k`` of ``graph.edges()`` owns dart ``2k`` (leaving ``edge.u``) and
+    dart ``2k + 1`` (leaving ``edge.v``), so ``dart ^ 1`` is the reverse dart.
+    ``rot`` holds each node's cyclic order as a list of dart ints, mirroring
+    the :class:`Dart` lists position for position.  ``next_in_face[d]`` is the
+    dart after ``d`` along its face (the successor of ``d ^ 1`` at its tail),
+    or ``-1`` while the edge of ``d`` is not in the rotation; such absent
+    edges neither form faces nor count as self-paired, which is how a partial
+    rotation is scored during greedy construction.
     """
-    successor = {}
-    graph = rotation.graph
-    for node in graph.nodes():
-        cycle = rotation.rotation_at(node)
-        length = len(cycle)
-        for index, dart in enumerate(cycle):
-            successor[dart] = cycle[(index + 1) % length]
-    face_of: dict = {}
-    faces = 0
-    for start in sorted(successor):
-        if start in face_of:
-            continue
-        dart = start
-        while dart not in face_of:
-            face_of[dart] = faces
-            dart = successor[dart.reversed()]
-        faces += 1
-    self_paired = 0
-    for edge in graph.edges():
-        forward, backward = edge.darts()
-        # During greedy construction some edges of the graph may not be part
-        # of the rotation yet; they simply do not contribute to the score.
-        forward_face = face_of.get(forward)
-        if forward_face is not None and forward_face == face_of.get(backward):
-            self_paired += 1
-    return self_paired, faces
 
+    __slots__ = ("graph", "darts", "first_dart", "rot", "next_in_face")
 
-def _face_count(rotation: RotationSystem) -> int:
-    return _orbit_stats(rotation)[1]
+    def __init__(self, graph: Graph, rotations: Mapping[str, Sequence[Dart]]) -> None:
+        self.graph = graph
+        self.darts: List[Dart] = [dart for edge in graph.edges() for dart in edge.darts()]
+        self.first_dart: Dict[int, int] = {
+            edge.edge_id: 2 * k for k, edge in enumerate(graph.edges())
+        }
+        index_of = {dart: index for index, dart in enumerate(self.darts)}
+        self.rot: Dict[str, List[int]] = {
+            node: [index_of[dart] for dart in rotations.get(node, ())] for node in graph.nodes()
+        }
+        self.next_in_face = [-1] * len(self.darts)
+        for node in self.rot:
+            self.sync(node)
+
+    def sync(self, node: str) -> None:
+        """Rewrite the face-permutation entries that ``node``'s rotation defines."""
+        cycle = self.rot[node]
+        if not cycle:
+            return
+        next_in_face = self.next_in_face
+        previous = cycle[-1]
+        for dart in cycle:
+            next_in_face[previous ^ 1] = dart
+            previous = dart
+
+    def face_labels(self) -> Tuple[List[int], int]:
+        """Face number of every dart (``-1`` for absent darts) and the face count."""
+        next_in_face = self.next_in_face
+        face_of = [-1] * len(next_in_face)
+        faces = 0
+        for start, dart in enumerate(next_in_face):
+            if dart < 0 or face_of[start] >= 0:
+                continue
+            face_of[start] = faces
+            while dart != start:
+                face_of[dart] = faces
+                dart = next_in_face[dart]
+            faces += 1
+        return face_of, faces
+
+    def score(self) -> Tuple[int, int]:
+        """``(-self_paired_edges, faces)``, as :func:`embedding_score`."""
+        face_of, faces = self.face_labels()
+        forward, backward = face_of[0::2], face_of[1::2]
+        # Absent edges have both darts labelled -1: equal, but not self-paired.
+        self_paired = sum(map(operator.eq, forward, backward)) - forward.count(-1)
+        return (-self_paired, faces)
+
+    def insert_best(self, edge_id: int) -> None:
+        """Insert both darts of ``edge_id`` at the best-scoring position pair.
+
+        Candidates run over the index at ``edge.u`` (outer) and at ``edge.v``
+        (inner); the first strictly best pair wins.
+        """
+        forward = self.first_dart[edge_id]
+        backward = forward + 1
+        u, v = self.darts[forward].tail, self.darts[backward].tail
+        cycle_u, cycle_v = self.rot[u], self.rot[v]
+        best_score: Optional[Tuple[int, int]] = None
+        best_u = best_v = 0
+        for index_u in range(len(cycle_u) + 1):
+            cycle_u.insert(index_u, forward)
+            self.sync(u)
+            for index_v in range(len(cycle_v) + 1):
+                cycle_v.insert(index_v, backward)
+                self.sync(v)
+                score = self.score()
+                if best_score is None or score > best_score:
+                    best_score, best_u, best_v = score, index_u, index_v
+                del cycle_v[index_v]
+            del cycle_u[index_u]
+        cycle_u.insert(best_u, forward)
+        cycle_v.insert(best_v, backward)
+        self.sync(u)
+        self.sync(v)
+
+    def remove_edge(self, edge_id: int) -> None:
+        """Take both darts of ``edge_id`` out of the rotation."""
+        forward = self.first_dart[edge_id]
+        for dart in (forward, forward + 1):
+            node = self.darts[dart].tail
+            self.rot[node].remove(dart)
+            self.next_in_face[dart] = -1
+            self.sync(node)
+
+    def climb(self, iterations: int, rng: random.Random) -> None:
+        """Hill climb over single-dart relocations at nodes of degree >= 3."""
+        movable = [node for node in self.graph.nodes() if self.graph.degree(node) >= 3]
+        if not movable:
+            return
+        current_score = self.score()
+        for _round in range(iterations):
+            node = rng.choice(movable)
+            cycle = self.rot[node]
+            dart = rng.choice(cycle)
+            new_index = rng.randrange(len(cycle))
+            old_index = cycle.index(dart)
+            del cycle[old_index]
+            cycle.insert(new_index, dart)
+            if abs(new_index - old_index) in (0, len(cycle) - 1):
+                # Unchanged or turned list: same cyclic order, so the same
+                # score, and a tie keeps the move.
+                continue
+            self.sync(node)
+            candidate_score = self.score()
+            if candidate_score >= current_score:
+                current_score = candidate_score
+            else:
+                del cycle[new_index]
+                cycle.insert(old_index, dart)
+                self.sync(node)
+
+    def repair(self, unavoidable: Set[int], rounds: int) -> Tuple[int, int]:
+        """Re-insert self-paired edges (bar ``unavoidable``); returns the score."""
+        for _round in range(rounds):
+            face_of, _faces = self.face_labels()
+            pairs = zip(self.graph.edges(), face_of[0::2], face_of[1::2])
+            offenders = [
+                edge.edge_id
+                for edge, forward, backward in pairs
+                if forward == backward and edge.edge_id not in unavoidable
+            ]
+            if not offenders:
+                break
+            for edge_id in offenders:
+                self.remove_edge(edge_id)
+                self.insert_best(edge_id)
+        return self.score()
+
+    def to_rotation_system(self) -> RotationSystem:
+        """The :class:`RotationSystem` with the same dart lists."""
+        darts = self.darts
+        rotations = {node: [darts[index] for index in cycle] for node, cycle in self.rot.items()}
+        return RotationSystem(self.graph, rotations)
 
 
 def self_paired_edge_count(rotation: RotationSystem) -> int:
@@ -93,27 +211,29 @@ def embedding_score(rotation: RotationSystem) -> Tuple[int, int]:
     """Quality of a rotation system, higher is better.
 
     Lexicographic: first minimise the number of self-paired (unprotectable)
-    edges, then maximise the number of faces (i.e. minimise genus).
+    edges, then maximise the number of faces (i.e. minimise genus).  Edges
+    not (yet) in the rotation do not contribute.
     """
-    self_paired, faces = _orbit_stats(rotation)
-    return (-self_paired, faces)
+    return _IntRotation(rotation.graph, rotation.as_mapping()).score()
 
 
 def greedy_insertion_rotation(graph: Graph, seed: Optional[int] = None) -> RotationSystem:
     """Embed a maximal planar subgraph exactly, then insert leftover edges greedily.
 
     Every leftover edge is inserted at the pair of rotation positions (one
-    per endpoint) that maximises the number of faces of the resulting
+    per endpoint) that maximises :func:`embedding_score` of the resulting
     embedding; ties are broken deterministically.
     """
+    return _greedy_insertion(graph, seed).to_rotation_system()
+
+
+def _greedy_insertion(graph: Graph, seed: Optional[int]) -> _IntRotation:
     rng = random.Random(seed)
     planar_core, deferred = _maximal_planar_core(graph, rng if seed is not None else None)
-
-    base = planar_embedding(planar_core)
-    rotation = RotationSystem(graph, base.as_mapping())
+    state = _IntRotation(graph, planar_embedding(planar_core).as_mapping())
     for edge_id in deferred:
-        _insert_edge_best(rotation, graph, edge_id)
-    return rotation
+        state.insert_best(edge_id)
+    return state
 
 
 def _maximal_planar_core(
@@ -143,34 +263,6 @@ def _maximal_planar_core(
     return core, deferred
 
 
-def _insert_edge_best(rotation: RotationSystem, graph: Graph, edge_id: int) -> None:
-    """Insert both darts of ``edge_id`` at the face-count-maximising positions."""
-    edge = graph.edge(edge_id)
-    dart_uv = edge.dart_from(edge.u)
-    dart_vu = edge.dart_from(edge.v)
-
-    best_score: Optional[Tuple[int, int]] = None
-    best_positions: Tuple[int, int] = (0, 0)
-    rotation_u = rotation.rotation_at(edge.u)
-    rotation_v = rotation.rotation_at(edge.v)
-    positions_u = range(len(rotation_u) + 1) if rotation_u else range(1)
-    positions_v = range(len(rotation_v) + 1) if rotation_v else range(1)
-    for index_u in positions_u:
-        for index_v in positions_v:
-            candidate = rotation.copy()
-            new_u = rotation_u[:index_u] + [dart_uv] + rotation_u[index_u:]
-            new_v = rotation_v[:index_v] + [dart_vu] + rotation_v[index_v:]
-            candidate.set_rotation(edge.u, new_u)
-            candidate.set_rotation(edge.v, new_v)
-            score = embedding_score(candidate)
-            if best_score is None or score > best_score:
-                best_score = score
-                best_positions = (index_u, index_v)
-    index_u, index_v = best_positions
-    rotation.set_rotation(edge.u, rotation_u[:index_u] + [dart_uv] + rotation_u[index_u:])
-    rotation.set_rotation(edge.v, rotation_v[:index_v] + [dart_vu] + rotation_v[index_v:])
-
-
 def repair_self_paired_edges(
     rotation: RotationSystem,
     graph: Graph,
@@ -184,29 +276,9 @@ def repair_self_paired_edges(
     self-paired edges on ISP-scale graphs (when the graph structure allows
     it at all — a cut edge is self-paired in every embedding).
     """
-    from repro.graph.connectivity import bridges
-
-    unavoidable = set(bridges(graph))
-    current = rotation.copy()
-    for _round in range(rounds):
-        faces = trace_faces(current)
-        face_of = {dart: face for face in faces for dart in face.darts}
-        offenders = []
-        for edge in graph.edges():
-            if edge.edge_id in unavoidable:
-                continue
-            forward, backward = edge.darts()
-            if face_of.get(forward) is face_of.get(backward):
-                offenders.append(edge.edge_id)
-        if not offenders:
-            break
-        for edge_id in offenders:
-            edge = graph.edge(edge_id)
-            forward, backward = edge.darts()
-            current.remove_dart(forward)
-            current.remove_dart(backward)
-            _insert_edge_best(current, graph, edge_id)
-    return current
+    state = _IntRotation(graph, rotation.as_mapping())
+    state.repair(set(bridges(graph)), rounds)
+    return state.to_rotation_system()
 
 
 def local_search_rotation(
@@ -215,90 +287,18 @@ def local_search_rotation(
     iterations: int = 200,
     seed: Optional[int] = None,
 ) -> RotationSystem:
-    """Hill-climbing over single-dart relocation moves, maximising face count.
+    """Hill-climbing over single-dart relocation moves, maximising the score.
 
     Starting from ``initial`` (or the adjacency-order rotation), repeatedly
     pick a dart and a new position within its node's rotation at random and
-    keep the move if the number of faces does not decrease.  The search stops
-    after ``iterations`` candidate moves.
+    keep the move if the lexicographic :func:`embedding_score` — fewer
+    self-paired edges first, then more faces — does not decrease.  The
+    search stops after ``iterations`` candidate moves.
     """
-    rng = random.Random(seed)
-    current = (initial or RotationSystem.from_adjacency_order(graph)).copy()
-    movable = [node for node in graph.nodes() if graph.degree(node) >= 3]
-    if not movable:
-        return current
-
-    # The hill climb scores thousands of candidate rotations, so the loop
-    # runs on an integer encoding of the darts: rotations become lists of
-    # ints, the face permutation becomes one flat successor array, and a
-    # score is one O(darts) orbit trace over plain lists.  The random draws
-    # (``choice`` indexes by position, the int lists mirror the dart lists)
-    # and the score values are identical to the object-level implementation,
-    # so the search visits and returns exactly the same rotation system.
-    rotations = current.as_mapping()
-    darts: List[Dart] = [dart for node in graph.nodes() for dart in rotations[node]]
-    index_of = {dart: position for position, dart in enumerate(darts)}
-    total = len(darts)
-    reverse = [index_of[dart.reversed()] for dart in darts]
-    rot = {
-        node: [index_of[dart] for dart in rotations[node]] for node in graph.nodes()
-    }
-    edge_pairs: List[Tuple[int, int]] = []
-    for edge in graph.edges():
-        forward, backward = edge.darts()
-        forward_index = index_of.get(forward)
-        backward_index = index_of.get(backward)
-        if forward_index is not None and backward_index is not None:
-            edge_pairs.append((forward_index, backward_index))
-
-    successor = [0] * total
-
-    def sync(node: str) -> None:
-        cycle = rot[node]
-        length = len(cycle)
-        for position in range(length):
-            successor[cycle[position]] = cycle[(position + 1) % length]
-
-    for node in rot:
-        sync(node)
-
-    def score() -> Tuple[int, int]:
-        face_of = [-1] * total
-        faces = 0
-        for start in range(total):
-            if face_of[start] >= 0:
-                continue
-            dart = start
-            while face_of[dart] < 0:
-                face_of[dart] = faces
-                dart = successor[reverse[dart]]
-            faces += 1
-        self_paired = 0
-        for forward_index, backward_index in edge_pairs:
-            if face_of[forward_index] == face_of[backward_index]:
-                self_paired += 1
-        return (-self_paired, faces)
-
-    current_score = score()
-    for _round in range(iterations):
-        node = rng.choice(movable)
-        cycle = rot[node]
-        dart = rng.choice(cycle)
-        new_index = rng.randrange(len(cycle))
-        old_index = cycle.index(dart)
-        del cycle[old_index]
-        cycle.insert(new_index, dart)
-        sync(node)
-        candidate_score = score()
-        if candidate_score >= current_score:
-            current_score = candidate_score
-        else:
-            del cycle[cycle.index(dart)]
-            cycle.insert(old_index, dart)
-            sync(node)
-    return RotationSystem(
-        graph, {node: [darts[i] for i in cycle] for node, cycle in rot.items()}
-    )
+    start = initial or RotationSystem.from_adjacency_order(graph)
+    state = _IntRotation(graph, start.as_mapping())
+    state.climb(iterations, random.Random(seed))
+    return state.to_rotation_system()
 
 
 def minimise_genus(
@@ -339,17 +339,23 @@ def minimise_genus(
         return planar_embedding(graph)
 
     base_seed = 0 if seed is None else seed
-    best: Optional[RotationSystem] = None
+    unavoidable = set(bridges(graph))
+    adjacency = {node: graph.darts_out(node) for node in graph.nodes()}
+    best: Optional[_IntRotation] = None
     best_score: Optional[Tuple[int, int]] = None
 
-    def consider(candidate: RotationSystem) -> None:
+    def consider(state: _IntRotation, budget: int, attempt_seed: int) -> bool:
+        """Climb and repair ``state``; True once the best has no self-paired edge."""
         nonlocal best, best_score
-        repaired = repair_self_paired_edges(candidate, graph)
-        if embedding_score(repaired) >= embedding_score(candidate):
-            candidate = repaired
-        score = embedding_score(candidate)
+        # Neither the climb nor a repair ever lowers the score (a repair may
+        # always re-insert an edge where it was), so the repaired climb result
+        # is the best candidate of the pass.
+        state.climb(budget, random.Random(attempt_seed))
+        score = state.repair(unavoidable, rounds=4)
         if best_score is None or score > best_score:
-            best, best_score = candidate, score
+            best, best_score = state, score
+        # No self-paired edges: every link has a usable backup cycle.
+        return best_score[0] == 0
 
     # A longer budget for the plain local search pass: it starts from a much
     # worse point (adjacency order) than the greedy-insertion pass does.
@@ -357,18 +363,11 @@ def minimise_genus(
 
     for attempt in range(max(1, restarts)):
         attempt_seed = base_seed + attempt
-        greedy = greedy_insertion_rotation(graph, seed=attempt_seed)
-        improved = local_search_rotation(
-            graph, initial=greedy, iterations=iterations, seed=attempt_seed
-        )
-        consider(improved if embedding_score(improved) >= embedding_score(greedy) else greedy)
-        if best_score is not None and best_score[0] == 0:
-            # No self-paired edges: every link has a usable backup cycle.
+        if consider(_greedy_insertion(graph, attempt_seed), iterations, attempt_seed):
             break
         # Second try within the same attempt: local search from scratch, which
         # escapes starting points where greedy insertion trapped itself.
-        consider(local_search_rotation(graph, iterations=plain_iterations, seed=attempt_seed))
-        if best_score is not None and best_score[0] == 0:
+        if consider(_IntRotation(graph, adjacency), plain_iterations, attempt_seed):
             break
     assert best is not None  # restarts >= 1 guarantees at least one candidate
-    return best
+    return best.to_rotation_system()

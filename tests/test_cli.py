@@ -62,6 +62,30 @@ class TestDeliverCommand:
         output = capsys.readouterr().out
         assert "Failure-Carrying Packets" in output and "Re-convergence" in output
 
+    @pytest.mark.parametrize("extra", [[], ["--compare"]])
+    def test_answer_matches_the_serve_daemon(self, capsys, extra):
+        """CLI and ``repro serve`` embed non-planar Teleglobe with one seed."""
+        from repro.store.serve import ServeSession
+
+        assert main(["deliver", "teleglobe", "Dallas", "HongKong", "--fail", "33"] + extra) == 0
+        lines = capsys.readouterr().out.splitlines()
+        block = lines.index("Packet Re-cycling: delivered")
+        path = lines[block + 1].split("path: ", 1)[1].split(" -> ")
+        hops, cost = lines[block + 2].split()[1::2]
+
+        session = ServeSession()
+        try:
+            served = session.handle({"op": "deliver", "topology": "teleglobe", "scheme": "pr",
+                                     "source": "Dallas", "destination": "HongKong",
+                                     "failed": [33]})
+            scheme = session.scheme_for("teleglobe", "pr")
+            outcome = scheme.deliver("Dallas", "HongKong", failed_links=[33])
+        finally:
+            session.close()
+        assert served["ok"] is True
+        assert (int(hops), float(cost)) == (served["hops"], served["cost"])
+        assert path == outcome.path
+
     def test_unknown_failure_spec_rejected(self):
         with pytest.raises(SystemExit):
             main(["deliver", "abilene", "Seattle", "Atlanta", "--fail", "Mars-Venus"])
