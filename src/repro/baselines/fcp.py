@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Optional
 
-from repro import telemetry
-from repro.baselines._outcome_memo import lookup_outcome, remember_outcome
 from repro.errors import ProtocolError
 from repro.forwarding.engine import DeliveryStatus, ForwardingOutcome
 from repro.forwarding.headers import link_identifier_bits
@@ -49,8 +47,8 @@ class FcpLogic(RouterLogic):
         routing: RoutingTables,
         state: NetworkState,
         spf_cache: Optional[
-            # (node, carried failure set) -> (parent tree, lazily filled
-            # destination -> first-hop dart table); see _next_hop_given_failures.
+            # (node, carried failure set) -> [parent tree or None, lazily
+            # filled destination -> first-hop dart table]; see _next_hop_indexed.
             "_LruDict"
         ] = None,
     ) -> None:
@@ -84,25 +82,39 @@ class FcpLogic(RouterLogic):
     ) -> Optional[Dart]:
         """Same as :meth:`_next_hop_given_failures`, destination pre-indexed.
 
-        The SPF tables are kept in node-index space: the engine's repaired
-        index tree is used as-is, skipping the name-keyed dict conversion a
-        ``sssp()`` call would build for every distinct carried set.
+        The SPF tables are kept in node-index space.  A ``(router, carried
+        set)`` entry is ``[tree or None, first_hops]``: the tree under the
+        carried set is built only when a destination needs it.  On a
+        ``repair_safe`` graph a destination whose failure-free path from the
+        router avoids every carried link keeps its distance and tie-broken
+        parent chain under the carried set (the property incremental repair
+        relies on), so its first hop is read off the failure-free tree.
         """
+        engine = self._engine
+        compiled = engine.compiled
         cache_key = (node, failures)
         table = self._spf_cache.get_or_none(cache_key)
         if table is None:
-            # One SPF per distinct (router, carried set); destinations are
-            # resolved lazily below, so a carried set that only ever routes
-            # towards one destination never pays for the full table.
-            table = (self._engine.sssp_tree(node, failures)[1], {})
+            table = [None, {}]
             self._spf_cache.put(cache_key, table)
-        parent, first_hops = table
+        first_hops = table[1]
         try:
             return first_hops[dest_idx]
         except KeyError:
             pass
-        node_idx = self._engine.compiled.index[node]
+        _dist, parent, path_masks = engine._repair_base_for(node)
+        node_idx = compiled.index[node]
+        path_mask = path_masks.get(dest_idx)
+        if dest_idx != node_idx and path_mask is not None and (
+            not compiled.repair_safe or path_mask & compiled.exclusion_mask(failures)
+        ):
+            # The carried links may reroute this destination.
+            if table[0] is None:
+                table[0] = engine.sssp_tree(node, failures)[1]
+            parent = table[0]
         if dest_idx == node_idx or dest_idx not in parent:
+            # The router itself, or unreachable (a destination unreachable
+            # without failures stays so with them).
             egress: Optional[Dart] = None
         else:
             # Walk the parent chain up to the root's direct child; memoize
@@ -178,17 +190,6 @@ class FailureCarryingPackets(ForwardingScheme):
         if self._spf_cache is None:
             self._spf_cache = _LruDict(_SPF_TABLE_CACHE)
             engine.consumer_cache.put(("fcp-spf",), self._spf_cache)
-        # Cross-scenario outcome memo: pair -> [(touched_mask, pattern,
-        # outcome)].  An FCP walk consults the failure set only through
-        # "is edge e failed?" tests (the carried set, and therefore every SPF
-        # recomputation, is derived from those tests), so an outcome is valid
-        # for any scenario agreeing with ``pattern`` on the touched edges.
-        # FCP's offline state is a pure function of the topology, so the memo
-        # is shared engine-wide as well.
-        self._outcome_memo = engine.consumer_cache.get_or_none(("fcp-outcomes",))
-        if self._outcome_memo is None:
-            self._outcome_memo = {}
-            engine.consumer_cache.put(("fcp-outcomes",), self._outcome_memo)
 
     def build_logic(self, state: NetworkState) -> RouterLogic:
         return FcpLogic(self.graph, self.routing, state, spf_cache=self._spf_cache)
@@ -218,17 +219,9 @@ class FailureCarryingPackets(ForwardingScheme):
         weight_of = self._engine.compiled.edge_weight
         ttl_budget = self.default_ttl()
         attempts_bound = self.graph.number_of_edges() + 1
-        memo = self._outcome_memo
-        memo_hits = 0
         outcomes: Dict[tuple, ForwardingOutcome] = {}
         for pair in pairs:
             source, destination = pair
-            entries_for_pair = memo.get(pair)
-            hit = lookup_outcome(entries_for_pair, failed_mask)
-            if hit is not None:
-                memo_hits += 1
-                outcomes[pair] = hit
-                continue
             node = source
             # -1 for an unknown destination: it matches no parent entry, so
             # the walk drops exactly where the name-keyed lookup used to.
@@ -243,48 +236,20 @@ class FailureCarryingPackets(ForwardingScheme):
             # — so the keys appear exactly when at least one hop was decided).
             spf_total = 0.0
             failures_total = 0.0
-            decided = False
-            outcome = None
-            touched = 0
-            while outcome is None:
+            status = None
+            drop_reason = None
+            while True:
                 if node == destination:
-                    outcome = ForwardingOutcome(
-                        source=source,
-                        destination=destination,
-                        status=DeliveryStatus.DELIVERED,
-                        path=path,
-                        cost=cost,
-                        hops=len(path) - 1,
-                        counters={
-                            "spf_computations": spf_total,
-                            "failures_recorded": failures_total,
-                        }
-                        if decided
-                        else {},
-                    )
+                    status = DeliveryStatus.DELIVERED
                     break
                 if ttl <= 0:
-                    outcome = ForwardingOutcome(
-                        source=source,
-                        destination=destination,
-                        status=DeliveryStatus.TTL_EXCEEDED,
-                        path=path,
-                        cost=cost,
-                        hops=len(path) - 1,
-                        drop_reason="ttl expired",
-                        counters={
-                            "spf_computations": spf_total,
-                            "failures_recorded": failures_total,
-                        }
-                        if decided
-                        else {},
-                    )
+                    status = DeliveryStatus.TTL_EXCEEDED
+                    drop_reason = "ttl expired"
                     break
                 # --- FcpLogic.decide, inlined ---
                 spf_runs = 0
                 failures_added = 0
                 egress = None
-                forwarded = False
                 for _attempt in range(attempts_bound):
                     if carried:
                         # Inlined hot path of _next_hop_indexed: both the SPF
@@ -304,12 +269,7 @@ class FailureCarryingPackets(ForwardingScheme):
                             node_entries.get(destination) if node_entries else None
                         )
                         egress = entry.egress if entry is not None else None
-                    if egress is None:
-                        break
-                    edge_bit = 1 << egress.edge_id
-                    touched |= edge_bit
-                    if not failed_mask & edge_bit:
-                        forwarded = True
+                    if egress is None or not failed_mask & (1 << egress.edge_id):
                         break
                     # The carried set only grows on recorded failures, so the
                     # frozenset is rebuilt here rather than per SPF lookup.
@@ -319,33 +279,33 @@ class FailureCarryingPackets(ForwardingScheme):
                     raise ProtocolError(
                         "FCP failed to converge on a next hop; graph state inconsistent"
                     )
-                decided = True
                 spf_total += spf_runs
                 failures_total += failures_added
-                if not forwarded:
-                    outcome = ForwardingOutcome(
-                        source=source,
-                        destination=destination,
-                        status=DeliveryStatus.DROPPED,
-                        path=path,
-                        cost=cost,
-                        hops=len(path) - 1,
-                        drop_reason="destination unreachable given carried failures",
-                        counters={
-                            "spf_computations": spf_total,
-                            "failures_recorded": failures_total,
-                        },
-                    )
+                if egress is None:
+                    status = DeliveryStatus.DROPPED
+                    drop_reason = "destination unreachable given carried failures"
                     break
                 cost += weight_of[egress.edge_id]
                 ttl -= 1
                 node = egress.head
                 path.append(node)
-            outcomes[pair] = outcome
-            remember_outcome(memo, pair, entries_for_pair, touched, failed_mask, outcome)
-        if outcomes:
-            telemetry.count("outcome_memo/hits", memo_hits)
-            telemetry.count("outcome_memo/misses", len(outcomes) - memo_hits)
+            outcomes[pair] = ForwardingOutcome(
+                source=source,
+                destination=destination,
+                status=status,
+                path=path,
+                cost=cost,
+                hops=len(path) - 1,
+                drop_reason=drop_reason,
+                # Every walk with source != destination decides at least
+                # once (the TTL budget is positive).
+                counters={
+                    "spf_computations": spf_total,
+                    "failures_recorded": failures_total,
+                }
+                if source != destination
+                else {},
+            )
         return outcomes
 
     def header_overhead_bits(self, carried_failures: int = 1) -> int:

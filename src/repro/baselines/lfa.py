@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro import telemetry
-from repro.baselines._outcome_memo import lookup_outcome, remember_outcome
 from repro.errors import ProtocolError
 from repro.forwarding.engine import DeliveryStatus, ForwardingOutcome
 from repro.forwarding.network_state import NetworkState
@@ -78,16 +76,6 @@ class LoopFreeAlternates(ForwardingScheme):
         self._engine = engine
         self._costs = engine.all_pairs_shortest_costs()
         self.alternates = self._compute_alternates()
-        # Cross-scenario outcome memo, same shape as FCP's: pair ->
-        # [(touched_mask, pattern, outcome)].  An LFA walk consults the
-        # failure set only through "is this dart's edge failed?" tests on the
-        # primary and tried alternates, so an outcome is valid for any
-        # scenario agreeing with ``pattern`` on the touched edges.  Routes
-        # and alternates are failure-free precomputations shared engine-wide.
-        self._outcome_memo = engine.consumer_cache.get_or_none(("lfa-outcomes",))
-        if self._outcome_memo is None:
-            self._outcome_memo = {}
-            engine.consumer_cache.put(("lfa-outcomes",), self._outcome_memo)
 
     def _compute_alternates(self) -> Dict[Tuple[str, str], List[Dart]]:
         """Per (router, destination): loop-free alternate egresses, best first."""
@@ -126,9 +114,7 @@ class LoopFreeAlternates(ForwardingScheme):
 
         Replicates :meth:`LfaLogic.decide` plus the hop-by-hop engine
         bookkeeping in one flat loop — identical paths, costs, counters and
-        drop reasons (asserted by the fast-path equivalence tests) — with
-        outcomes served from the touched-edge-pattern memo when a previous
-        scenario already exercised the same failure pattern on this pair.
+        drop reasons (asserted by the fast-path equivalence tests).
         :meth:`ForwardingScheme.deliver` still runs the real engine.
         """
         state = NetworkState(self.graph, failed_links)  # validates the ids
@@ -139,23 +125,14 @@ class LoopFreeAlternates(ForwardingScheme):
         alternates = self.alternates
         weight_of = self._engine.compiled.edge_weight
         ttl_budget = self.default_ttl()
-        memo = self._outcome_memo
-        memo_hits = 0
         outcomes: Dict[tuple, ForwardingOutcome] = {}
         for pair in pairs:
-            entries_for_pair = memo.get(pair)
-            hit = lookup_outcome(entries_for_pair, failed_mask)
-            if hit is not None:
-                memo_hits += 1
-                outcomes[pair] = hit
-                continue
             source, destination = pair
             node = source
             path = [node]
             cost = 0.0
             ttl = ttl_budget
             counters: Dict[str, float] = {}
-            touched = 0
             outcome = None
             while outcome is None:
                 if node == destination:
@@ -197,14 +174,10 @@ class LoopFreeAlternates(ForwardingScheme):
                     )
                     break
                 egress = entry.egress
-                edge_bit = 1 << egress.edge_id
-                touched |= edge_bit
-                if failed_mask & edge_bit:
+                if failed_mask & (1 << egress.edge_id):
                     egress = None
                     for alternate in alternates.get((node, destination), ()):
-                        alt_bit = 1 << alternate.edge_id
-                        touched |= alt_bit
-                        if not failed_mask & alt_bit:
+                        if not failed_mask & (1 << alternate.edge_id):
                             egress = alternate
                             counters["lfa_activations"] = (
                                 counters.get("lfa_activations", 0.0) + 1
@@ -230,10 +203,6 @@ class LoopFreeAlternates(ForwardingScheme):
                 node = egress.head
                 path.append(node)
             outcomes[pair] = outcome
-            remember_outcome(memo, pair, entries_for_pair, touched, failed_mask, outcome)
-        if outcomes:
-            telemetry.count("outcome_memo/hits", memo_hits)
-            telemetry.count("outcome_memo/misses", len(outcomes) - memo_hits)
         return outcomes
 
     def header_overhead_bits(self) -> int:

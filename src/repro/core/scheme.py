@@ -7,9 +7,8 @@ logic, and expose the overhead accounting used by the evaluation section.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
-from repro import telemetry
 from repro.core.protocol import PacketRecyclingLogic, SimplePacketRecyclingLogic
 from repro.core.tables import CycleFollowingTables
 from repro.embedding.builder import CellularEmbedding, embed
@@ -19,7 +18,6 @@ from repro.forwarding.network_state import NetworkState
 from repro.forwarding.router import RouterLogic
 from repro.forwarding.scheme import ForwardingScheme
 from repro.graph.multigraph import Graph
-from repro.graph.spcache import engine_for
 from repro.routing.discriminator import DiscriminatorKind, discriminator_bits_required
 from repro.routing.tables import cached_routing_tables
 
@@ -62,19 +60,7 @@ class PacketRecycling(ForwardingScheme):
         # Flattened lookup tables for the deliver_many fast path, built
         # lazily because ``deliver`` (the engine reference path) never needs
         # them.
-        self._flat_cycle_next: Optional[Dict] = None
-        self._flat_avoid_next: Optional[Dict] = None
-        self._flat_degree_of: Optional[Dict] = None
-        self._flat_weight_of: Optional[Dict] = None
-        # Cross-scenario outcome memo: pair -> [(touched_mask, pattern,
-        # outcome)].  A walk's decisions depend on the failure set only
-        # through "is edge e failed?" tests; ``touched_mask`` records exactly
-        # which edges were tested, so the outcome is valid for *any* scenario
-        # that agrees with ``pattern`` on those edges.  Shared engine-wide
-        # between instances with identical offline state (embedding rotation,
-        # discriminator, protocol variant), so repeated campaign cells and
-        # re-runs on one topology reuse each other's walks.
-        self._outcome_memo: Optional[Dict] = None
+        self._flat: Optional[tuple] = None
 
     #: Set by the 1-bit subclass: selects the Section 4.2 termination rule
     #: in the deliver_many fast path.
@@ -84,41 +70,32 @@ class PacketRecycling(ForwardingScheme):
         return PacketRecyclingLogic(self.routing, self.cycle_tables, state)
 
     def _flat_tables(self) -> tuple:
-        """Per-dart cycle-following and failure-avoidance successor maps.
+        """Int-coded cycle-following and failure-avoidance successor tables.
 
         Ingress darts are globally unique, so both three-column tables of
-        every router flatten into two dicts keyed by dart.
+        every router flatten into two lists indexed by dart code (the dart's
+        position in ``darts``).  An entry is the successor's ``(code, edge
+        bitmask, weight, head)``, so one index answers both "where next" and
+        "what does that hop cost"; ``cycle_next`` holds ``None`` for a dart
+        without a cycle-following row.
         """
-        if self._flat_cycle_next is None:
-            # Values carry the successor dart together with its step info
-            # (edge bitmask, weight, head), so one dict lookup answers both
-            # "where next" and "what does that hop cost".
-            def step(dart) -> tuple:
-                return (dart, 1 << dart.edge_id, self.graph.weight(dart.edge_id), dart.head)
+        if self._flat is None:
+            darts = self.graph.darts()
+            code_of = {dart: code for code, dart in enumerate(darts)}
+            weight_of = {edge.edge_id: edge.weight for edge in self.graph.edges()}
 
-            cycle_next: Dict = {}
+            def step(dart) -> tuple:
+                return (code_of[dart], 1 << dart.edge_id, weight_of[dart.edge_id], dart.head)
+
+            cycle_next: List[Optional[tuple]] = [None] * len(darts)
             for node in self.graph.nodes():
-                table = self.cycle_tables.table_at(node)
-                for ingress, row in table._rows.items():
-                    cycle_next[ingress] = step(row.cycle_following)
-            avoid_next: Dict = {
-                dart: step(self.cycle_tables.embedding.complementary_next(dart))
-                for dart in self.graph.darts()
-            }
-            self._flat_cycle_next = cycle_next
-            self._flat_avoid_next = avoid_next
-            self._flat_degree_of = {
-                node: self.graph.degree(node) for node in self.graph.nodes()
-            }
-            self._flat_weight_of = {
-                edge.edge_id: edge.weight for edge in self.graph.edges()
-            }
-        return (
-            self._flat_cycle_next,
-            self._flat_avoid_next,
-            self._flat_degree_of,
-            self._flat_weight_of,
-        )
+                for ingress, row in self.cycle_tables.table_at(node)._rows.items():
+                    cycle_next[code_of[ingress]] = step(row.cycle_following)
+            complementary_next = self.cycle_tables.embedding.complementary_next
+            avoid_next = [step(complementary_next(dart)) for dart in darts]
+            degree_of = {node: self.graph.degree(node) for node in self.graph.nodes()}
+            self._flat = (darts, code_of, cycle_next, avoid_next, degree_of, weight_of)
+        return self._flat
 
     def deliver_many(
         self,
@@ -129,57 +106,54 @@ class PacketRecycling(ForwardingScheme):
 
         Replicates :class:`~repro.core.protocol.PacketRecyclingLogic` (or the
         1-bit variant) plus the hop-by-hop engine bookkeeping in one flat
-        loop over dict lookups — identical paths, costs, counters, drop
+        loop over table lookups — identical paths, costs, counters, drop
         reasons and header evolution (asserted by the fast-path equivalence
         tests).  :meth:`ForwardingScheme.deliver` still runs the real engine
         and remains the reference implementation.
+
+        Two exact shortcuts skip walking what is already determined:
+
+        * **Shared continuations.**  A normal-mode decision (PR bit clear at
+          the top of a hop) reads only the routing entry of ``(node,
+          destination)`` and the failure set, never the ingress or the
+          header, so within one call the rest of the walk from there is the
+          same for every packet.  Walks that end delivered or dropped donate
+          their suffix from each such state; a later walk reaching one takes
+          it when its hops so far plus the suffix fit the TTL, replaying the
+          suffix weights hop by hop so the float cost is unchanged.
+        * **Loop fast-forward.**  The walk is a deterministic automaton over
+          (egress, DD value) right after each failure-detecting decision, and
+          every forwarding loop passes through one.  When such a state
+          recurs, whole rounds of the cycle are appended at once (counters
+          scaled by the round count) and the loop walks the last partial
+          round to TTL expiry as usual.
         """
         state = NetworkState(self.graph, failed_links)  # validates the ids
         failed_mask = 0
         for edge_id in state.failed_edges:
             failed_mask |= 1 << edge_id
         routing_entries = self.routing._entries
-        cycle_next, avoid_next, degree_of, weight_of = self._flat_tables()
+        darts, code_of, cycle_next, avoid_next, degree_of, weight_of = self._flat_tables()
         ttl_budget = self.default_ttl()
         simple = self._walk_simple
-        memo = self._outcome_memo
-        if memo is None:
-            engine = engine_for(self.graph)
-            rotation = self.embedding.rotation
-            token = (
-                "pr-outcomes",
-                self._walk_simple,
-                self.discriminator_kind,
-                tuple(
-                    (node, tuple(darts))
-                    for node, darts in sorted(rotation.as_mapping().items())
-                ),
-            )
-            memo = engine.consumer_cache.get_or_none(token)
-            if memo is None:
-                memo = {}
-                engine.consumer_cache.put(token, memo)
-            self._outcome_memo = memo
-        memo_hits = 0
+        delivered_status = DeliveryStatus.DELIVERED
+        # destination -> {node: (path, weights, index, status, drop_reason,
+        # detected, recycled, cycle_hops)}: the donor walk's path from
+        # ``path[index] == node`` on, its hop weights ``weights[index:]``,
+        # its end and the counter deltas of that suffix.
+        continuations: Dict[str, Dict[str, tuple]] = {}
         outcomes: Dict[tuple, ForwardingOutcome] = {}
         for pair in pairs:
             source, destination = pair
-            entries_for_pair = memo.get(pair)
-            if entries_for_pair is not None:
-                hit = None
-                for touched_mask, pattern, cached in entries_for_pair:
-                    if failed_mask & touched_mask == pattern:
-                        hit = cached
-                        break
-                if hit is not None:
-                    memo_hits += 1
-                    outcomes[pair] = hit
-                    continue
+            shared = continuations.get(destination)
+            if shared is None:
+                shared = continuations[destination] = {}
             node = source
             ingress = None
             pr_bit = False
             dd_value: Optional[float] = None
             path = [node]
+            weights: list = []
             cost = 0.0
             ttl = ttl_budget
             n_detected = 0
@@ -188,16 +162,43 @@ class PacketRecycling(ForwardingScheme):
             status = None
             drop_reason = None
             egress = None
-            touched = 0
+            # (path index, counters) at every normal-mode hop top: the
+            # states this walk donates if it ends delivered or dropped.
+            marks: list = []
+            # (egress, dd_value) -> (path length, counters) right after each
+            # failure-detecting decision; None once fast-forwarded.
+            detections: Optional[Dict[tuple, tuple]] = {}
             while True:
                 if node == destination:
-                    status = DeliveryStatus.DELIVERED
+                    status = delivered_status
                     break
                 if ttl <= 0:
                     status = DeliveryStatus.TTL_EXCEEDED
                     drop_reason = "ttl expired"
                     break
+                if not pr_bit:
+                    donor = shared.get(node)
+                    if donor is not None:
+                        (d_path, d_weights, at, d_status, d_reason,
+                         d_detected, d_recycled, d_cycle_hops) = donor
+                        suffix_hops = len(d_path) - 1 - at
+                        if suffix_hops < ttl or (
+                            suffix_hops == ttl and d_status is delivered_status
+                        ):
+                            path += d_path[at + 1:]
+                            suffix_weights = d_weights[at:]
+                            for hop_weight in suffix_weights:
+                                cost += hop_weight
+                            weights += suffix_weights
+                            n_detected += d_detected
+                            n_recycled += d_recycled
+                            n_cycle_hops += d_cycle_hops
+                            status = d_status
+                            drop_reason = d_reason
+                            break
+                    marks.append((len(path) - 1, n_detected, n_recycled, n_cycle_hops))
                 # --- the router's decision (protocol.py, inlined) ---
+                detected = False
                 while True:
                     if not pr_bit:
                         # _route_normally (``get`` on the outer dict so an
@@ -208,22 +209,20 @@ class PacketRecycling(ForwardingScheme):
                             status = DeliveryStatus.DROPPED
                             drop_reason = "no route to destination in routing table"
                             break
-                        egress = entry.egress
-                        edge_bit = 1 << egress.edge_id
-                        touched |= edge_bit
-                        if not failed_mask & edge_bit:
-                            hop_weight = weight_of[egress.edge_id]
-                            hop_head = egress.head
+                        routed = entry.egress
+                        if not failed_mask & (1 << routed.edge_id):
+                            hop_weight = weight_of[routed.edge_id]
+                            hop_head = routed.head
+                            egress = None  # never read: the next hop is normal
                             break  # plain shortest-path forward, no counters
                         # _start_recycling: mark the header, then failure
                         # avoidance from the failed egress.
                         pr_bit = True
                         dd_value = None if simple else entry.discriminator
-                        candidate = egress
+                        candidate = code_of[routed]
                         backup = None
                         for _attempt in range(degree_of[node]):
                             candidate, edge_bit, hop_weight, hop_head = avoid_next[candidate]
-                            touched |= edge_bit
                             if not failed_mask & edge_bit:
                                 backup = candidate
                                 break
@@ -234,16 +233,16 @@ class PacketRecycling(ForwardingScheme):
                             break
                         n_recycled += 1
                         egress = backup
+                        detected = True
                         break
                     # _cycle_follow
-                    cycle_step = cycle_next.get(ingress)
+                    cycle_step = cycle_next[ingress]
                     if cycle_step is None:  # pragma: no cover - mirrors row_for_ingress
                         raise ProtocolError(
                             f"router {node!r} has no cycle-following row for "
-                            f"ingress {ingress!r}"
+                            f"ingress {darts[ingress]!r}"
                         )
                     outgoing, edge_bit, hop_weight, hop_head = cycle_step
-                    touched |= edge_bit
                     if not failed_mask & edge_bit:
                         n_cycle_hops += 1
                         egress = outgoing
@@ -266,7 +265,6 @@ class PacketRecycling(ForwardingScheme):
                     backup = None
                     for _attempt in range(degree_of[node]):
                         candidate, edge_bit, hop_weight, hop_head = avoid_next[candidate]
-                        touched |= edge_bit
                         if not failed_mask & edge_bit:
                             backup = candidate
                             break
@@ -277,15 +275,52 @@ class PacketRecycling(ForwardingScheme):
                         break
                     n_cycle_hops += 1
                     egress = backup
+                    detected = True
                     break
                 if status is not None:
                     break
+                if detected and detections is not None:
+                    state_key = (egress, dd_value)
+                    seen = detections.get(state_key)
+                    if seen is None:
+                        detections[state_key] = (
+                            len(path), n_detected, n_recycled, n_cycle_hops
+                        )
+                    else:
+                        # The walk is back in a state it left ``period`` hops
+                        # ago: it repeats that cycle until the TTL runs out.
+                        # Append every whole round that still leaves the
+                        # pending hop within budget, then walk on.
+                        start, det0, rec0, cyc0 = seen
+                        period = len(path) - start
+                        rounds = (ttl - 1) // period
+                        cycle_nodes = path[start:]
+                        cycle_weights = weights[start - 1:]
+                        for _round in range(rounds):
+                            path += cycle_nodes
+                            weights += cycle_weights
+                            for cycle_weight in cycle_weights:
+                                cost += cycle_weight
+                        ttl -= rounds * period
+                        n_detected += rounds * (n_detected - det0)
+                        n_recycled += rounds * (n_recycled - rec0)
+                        n_cycle_hops += rounds * (n_cycle_hops - cyc0)
+                        detections = None
                 # --- hop bookkeeping (engine, inlined) ---
                 cost += hop_weight
+                weights.append(hop_weight)
                 ttl -= 1
                 ingress = egress
                 node = hop_head
                 path.append(hop_head)
+            if status is not DeliveryStatus.TTL_EXCEEDED:
+                for at, det0, rec0, cyc0 in marks:
+                    marked = path[at]
+                    if marked not in shared:
+                        shared[marked] = (
+                            path, weights, at, status, drop_reason,
+                            n_detected - det0, n_recycled - rec0, n_cycle_hops - cyc0,
+                        )
             # Engine equivalence: a counter key exists exactly when at least
             # one decision carried it (PR decisions never carry zeros).
             counters: Dict[str, float] = {}
@@ -295,7 +330,7 @@ class PacketRecycling(ForwardingScheme):
                 counters["recycling_started"] = float(n_recycled)
             if n_cycle_hops:
                 counters["cycle_following_hops"] = float(n_cycle_hops)
-            outcome = ForwardingOutcome(
+            outcomes[pair] = ForwardingOutcome(
                 source=source,
                 destination=destination,
                 status=status,
@@ -305,14 +340,6 @@ class PacketRecycling(ForwardingScheme):
                 drop_reason=drop_reason,
                 counters=counters,
             )
-            outcomes[pair] = outcome
-            if entries_for_pair is None:
-                memo[pair] = [(touched, failed_mask & touched, outcome)]
-            elif len(entries_for_pair) < 64:
-                entries_for_pair.append((touched, failed_mask & touched, outcome))
-        if outcomes:
-            telemetry.count("outcome_memo/hits", memo_hits)
-            telemetry.count("outcome_memo/misses", len(outcomes) - memo_hits)
         return outcomes
 
     # ------------------------------------------------------------------

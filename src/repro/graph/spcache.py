@@ -104,10 +104,10 @@ class ShortestPathEngine:
         self._components: _LruDict = _LruDict(1024)
         self._pair_mask_rows: Optional[List[Tuple[Tuple[str, str], int]]] = None
         #: Free-form per-engine memo for consumers that live in modules the
-        #: engine cannot import (FCP SPF/outcome memos, PR outcome memos,
-        #: executor scenario contexts).  Entries here are few and long-lived
-        #: singletons; high-churn per-failure-set consumers get their own
-        #: bounded cache below so scenario churn cannot evict these.
+        #: engine cannot import (FCP SPF tables, executor scenario contexts,
+        #: the hop engine, cached diameters).  Entries here are few and
+        #: long-lived singletons; high-churn per-failure-set consumers get
+        #: their own bounded cache below so scenario churn cannot evict these.
         self.consumer_cache: _LruDict = _LruDict(256)
         #: Per-failure-set routing tables (see
         #: :func:`repro.routing.tables.cached_routing_tables`): one entry per

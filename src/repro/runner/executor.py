@@ -240,8 +240,8 @@ def run_cell(
 
     When telemetry is enabled the cell body runs under a *fresh*
     :class:`~repro.telemetry.TelemetryCollector`, and the record's ``meta``
-    gains a ``telemetry`` snapshot: phase spans, outcome-memo and artifact
-    cache counters, plus the cell's *delta* of the per-process engine
+    gains a ``telemetry`` snapshot: phase spans and artifact cache
+    counters, plus the cell's *delta* of the per-process engine
     counters (hits/misses/repair/evictions/builds accumulate on the engines
     across a whole worker; diffing around the cell attributes them to it).
     Snapshots ride inside the records, so they cross the chunk-result

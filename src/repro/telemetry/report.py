@@ -6,8 +6,7 @@ output:
 * **phase-time breakdown** — one row per span, with total/mean/max seconds
   and each span's share of the summed span time;
 * **cache efficiency** — hit/miss/rate rows for every cache layer that
-  reports counters (engine memo, incremental repair, scheme outcome memos,
-  artifact cache);
+  reports counters (engine memo, incremental repair, artifact cache);
 * **slowest cells** — the manifest's top-N cells with their dominant phase.
 """
 
@@ -20,7 +19,6 @@ from typing import Any, Dict, List, Optional
 _CACHE_LAYERS = (
     ("engine memo", "engine/hits", "engine/misses"),
     ("incremental repair", "engine/repair_hits", "engine/repair_fallbacks"),
-    ("outcome memo", "outcome_memo/hits", "outcome_memo/misses"),
     ("artifact cache", "artifact_cache/hits", "artifact_cache/misses"),
 )
 
