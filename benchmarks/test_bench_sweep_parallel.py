@@ -8,6 +8,7 @@ faster; a resumed run skips every completed cell outright; and a parallel
 run produces byte-identical payloads to the serial one.
 """
 
+import gc
 import tempfile
 import time
 from pathlib import Path
@@ -55,20 +56,27 @@ def test_bench_sweep_cold_vs_cached_vs_parallel(benchmark, monkeypatch):
             results = Path(tmp) / "results.sqlite"
             spec = _spec()
 
+            # Each leg starts with a collection: a generation-2 pass over the
+            # heap earlier tests left behind (0.1-0.2 s in a full run) must not
+            # land inside one of these sub-second timings.
+            gc.collect()
             started = time.perf_counter()
             cold = run_campaign(spec, workers=1, cache_dir=cache, results=results)
             timings["cold"] = (time.perf_counter() - started, cold)
             embeds["cold"] = len(embed_calls)
 
+            gc.collect()
             started = time.perf_counter()
             warm = run_campaign(spec, workers=1, cache_dir=cache)
             timings["cached"] = (time.perf_counter() - started, warm)
             embeds["cached"] = len(embed_calls) - embeds["cold"]
 
+            gc.collect()
             started = time.perf_counter()
             parallel = run_campaign(spec, workers=2, cache_dir=cache)
             timings["parallel (2 workers, warm)"] = (time.perf_counter() - started, parallel)
 
+            gc.collect()
             started = time.perf_counter()
             resumed = run_campaign(
                 spec, workers=1, cache_dir=cache, results=results, resume=True

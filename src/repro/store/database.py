@@ -384,7 +384,9 @@ class CampaignStore:
         self,
         expression: Union[str, Sequence[str], Filter, None] = None,
         limit: Optional[int] = None,
-    ) -> List[Dict[str, Any]]:
+        *,
+        count: bool = False,
+    ) -> Union[List[Dict[str, Any]], int]:
         """Records matching a filter expression, across campaigns.
 
         ``expression`` is the grammar of :mod:`repro.store.query`
@@ -392,6 +394,10 @@ class CampaignStore:
         :class:`Filter`.  Results come back oldest-campaign-first, in cell
         order within each campaign — exactly the shape the aggregation
         functions in :mod:`repro.runner.aggregate` consume.
+
+        ``count=True`` returns only how many records the same statement
+        (filter, campaign selection and ``limit``) matches, counted in SQL
+        without loading or decoding a record.
         """
         filt = (
             expression
@@ -405,10 +411,10 @@ class CampaignStore:
                     f"no campaign in {self.path} matches"
                     f" 'campaign:{filt.campaign[1]}'"
                 )
-            return []
+            return 0 if count else []
         where, params = filt.sql_where()
         sql = (
-            "SELECT records.record_json FROM records"
+            f"SELECT {'1' if count else 'records.record_json'} FROM records"
             " JOIN cells ON cells.campaign_id = records.campaign_id"
             "          AND cells.cell_id = records.cell_id"
             " JOIN campaigns ON campaigns.campaign_id = records.campaign_id"
@@ -419,14 +425,19 @@ class CampaignStore:
             marks = ", ".join("?" for _ in selected)
             sql += f" AND records.campaign_id IN ({marks})"
             bound.extend(selected)
-        sql += " ORDER BY campaigns.seq, cells.cell_index"
+        if not count:
+            # A LIMIT keeps as many rows in any order, so a count skips the sort.
+            sql += " ORDER BY campaigns.seq, cells.cell_index"
         if limit is not None:
             sql += " LIMIT ?"
             bound.append(int(limit))
+        if count:
+            sql = f"SELECT COUNT(*) FROM ({sql})"
+            return int(self.conn.execute(sql, tuple(bound)).fetchone()[0])
         rows = self.conn.execute(sql, tuple(bound)).fetchall()
         return [json.loads(row["record_json"]) for row in rows]
 
     def query_count(
         self, expression: Union[str, Sequence[str], Filter, None] = None
     ) -> int:
-        return len(self.query(expression))
+        return self.query(expression, count=True)

@@ -17,9 +17,16 @@ connection, a bounded in-flight request budget with explicit load-shedding
 (``{"ok": false, "error_type": "Overloaded", "retry_after_s": ...}``
 instead of unbounded blocking), a per-request deadline
 (``error_type: "DeadlineExceeded"``), and a line-size cap
-(``error_type: "LineTooLong"``).  Pipelined requests on one connection are
-answered in order; malformed lines get error responses; a client vanishing
-mid-line just drops the connection — the loop never dies with it.
+(``error_type: "LineTooLong"``).  Requests execute on one pool of
+persistent worker threads, one per in-flight slot, while the connection
+thread waits up to the deadline; a handler abandoned at its deadline keeps
+its slot until it returns (``serve/abandoned`` counts them).  Pipelined
+requests on one connection are answered in order; malformed lines get
+error responses; a client vanishing mid-line just drops the connection —
+the loop never dies with it.  Shutdown closes every open connection.
+
+The client (:func:`request`) keeps one connection alive per thread, socket
+path and process, so a closed loop of requests pays for one connect.
 
 ``submit`` is **asynchronous** and needs the session's job journal (a
 ``jobs`` table in the versioned SQLite schema, see
@@ -49,7 +56,10 @@ Operations (``op`` field):
 ``query``
     Filter records out of a results store (kept open across requests):
     ``{"op": "query", "results": "corpus.sqlite", "filter":
-    "scheme=pr topology~zoo campaign:last10", "limit": 100}``.
+    "scheme=pr topology~zoo campaign:last10", "limit": 100}``.  Answers
+    the match count; ``include_records`` adds the records and
+    ``"aggregate": "summary"`` per-topology summary rows.  Without either,
+    the store counts matches in SQL and decodes no record.
 ``campaigns``
     List the campaigns of a store.
 ``submit``
@@ -79,23 +89,19 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import socket
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.errors import (
-    CellTimeoutError,
-    ExperimentError,
-    JobCancelled,
-    ReproError,
-)
+from repro.errors import ExperimentError, JobCancelled, ReproError
 from repro.graph.multigraph import Graph
 from repro.graph.spcache import engine_counter_totals, engine_for
 from repro.runner import faults
 from repro.runner.executor import build_scheme, load_topology
-from repro.runner.policy import ExecutionPolicy, run_with_timeout
+from repro.runner.policy import ExecutionPolicy
 from repro.runner.spec import SCHEME_NAMES, CampaignSpec, EMBEDDING_SCHEMES
 from repro.store.database import CampaignStore, is_store_path, require_store_path
 from repro.store.jobs import ACTIVE_STATES, JobQueue, public_view
@@ -467,21 +473,28 @@ class ServeSession:
             raise ExperimentError("query needs a results store path")
         store = self.store_for(results)
         filt = parse_filter(request.get("filter"))
+        summary = request.get("aggregate") == "summary"
+        include = bool(request.get("include_records"))
         # The store connection is shared across request threads; the lock
         # serialises statement execution (sqlite3's shared-connection
-        # contract), while other ops proceed between queries.
+        # contract), while other ops proceed between queries.  Without
+        # records to return or aggregate, the store only counts matches.
         with self._lock:
-            records = store.query(filt, limit=request.get("limit"))
+            found = store.query(
+                filt, limit=request.get("limit"), count=not (summary or include)
+            )
+        if isinstance(found, int):
+            return {"records": found, "filter": filt.describe()}
         response: Dict[str, Any] = {
-            "records": len(records),
+            "records": len(found),
             "filter": filt.describe(),
         }
-        if request.get("aggregate") == "summary":
+        if summary:
             from repro.runner import aggregate
 
-            response["summary_rows"] = aggregate.topology_summary_rows(records)
-        if request.get("include_records"):
-            response["matched"] = records
+            response["summary_rows"] = aggregate.topology_summary_rows(found)
+        if include:
+            response["matched"] = found
         return response
 
     def _op_campaigns(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -643,59 +656,237 @@ def _send(conn: socket.socket, response: Dict[str, Any]) -> bool:
     return True
 
 
-def _respond(
-    line: bytes,
-    session: ServeSession,
-    inflight: threading.BoundedSemaphore,
-    deadline_s: Optional[float],
-) -> Tuple[Optional[Dict[str, Any]], Dict[str, Any]]:
-    """One request line -> (parsed request or None, response)."""
-    try:
-        request_obj = json.loads(line)
-    except ValueError as exc:  # malformed JSON or invalid UTF-8
-        return None, {
-            "ok": False,
-            "error": f"bad JSON request: {exc}",
-            "error_type": "BadRequest",
-        }
-    if not isinstance(request_obj, dict):
-        return None, {
-            "ok": False,
-            "error": "request must be a JSON object",
-            "error_type": "BadRequest",
-        }
-    op = request_obj.get("op")
-    if not inflight.acquire(blocking=False):
-        session.count("serve/overloaded")
+def _line_too_long() -> Dict[str, Any]:
+    return {
+        "ok": False,
+        "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+        "error_type": "LineTooLong",
+    }
+
+
+class _Call:
+    """One request handed to the pool; ``done`` is released once it returned."""
+
+    __slots__ = ("fn", "done", "result", "error")
+
+    def __init__(self, fn: Callable[[], Any]) -> None:
+        self.fn = fn
+        # A pre-acquired lock is the cheapest one-shot completion signal.
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.result: Any = None
+        self.error: Optional[BaseException] = None
+
+
+class _PoolWorker:
+    """One pool thread's mailbox: ``wake`` is released to hand it ``call``."""
+
+    __slots__ = ("wake", "call")
+
+    def __init__(self) -> None:
+        self.wake = threading.Lock()
+        self.wake.acquire()
+        self.call: Optional[_Call] = None
+
+
+class _RequestPool:
+    """``size`` persistent daemon threads that run request handlers.
+
+    Deliberately not :class:`concurrent.futures.ThreadPoolExecutor`: its
+    workers are non-daemon threads, so one handler stuck past its deadline
+    would block interpreter exit.  The most recently idle worker takes the
+    next request, so a steady stream of requests keeps landing on one warm
+    thread.  A worker frees its request's ``inflight`` slot only once it is
+    idle again, so a request admitted to a slot always finds an idle worker.
+    """
+
+    def __init__(self, size: int, inflight: threading.BoundedSemaphore) -> None:
+        self._inflight = inflight
+        self._idle: List[_PoolWorker] = []
+        self._lock = threading.Lock()
+        self._closed = False
+        for _ in range(size):
+            worker = _PoolWorker()
+            self._idle.append(worker)
+            threading.Thread(
+                target=self._work, args=(worker,), daemon=True,
+                name="repro-serve-request",
+            ).start()
+
+    def submit(self, fn: Callable[[], Any]) -> _Call:
+        """Run ``fn`` on an idle worker; the caller holds an ``inflight`` slot."""
+        call = _Call(fn)
+        with self._lock:
+            worker = self._idle.pop()
+        worker.call = call
+        worker.wake.release()
+        return call
+
+    def _work(self, worker: _PoolWorker) -> None:
+        while True:
+            worker.wake.acquire()
+            call, worker.call = worker.call, None
+            if call is None:
+                return
+            try:
+                call.result = call.fn()
+            except BaseException as exc:  # re-raised in the waiting thread
+                call.error = exc
+            with self._lock:
+                closed = self._closed
+                if not closed:
+                    self._idle.append(worker)
+            self._inflight.release()
+            call.done.release()
+            if closed:
+                return
+
+    def close(self) -> None:
+        """Stop the idle workers; a busy one exits when its handler returns."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.wake.release()  # with no call: exit
+
+
+class _Transport:
+    """What one :func:`serve_forever` loop shares across its connections."""
+
+    def __init__(
+        self, session: ServeSession, max_inflight: int, deadline_s: Optional[float]
+    ) -> None:
+        self.session = session
+        self.deadline_s = deadline_s
+        self.stop = threading.Event()
+        #: One slot per executing request.  A handler abandoned at its
+        #: deadline keeps its slot until it returns, so stuck requests are
+        #: bounded by ``max_inflight`` instead of piling up threads.
+        self.inflight = threading.BoundedSemaphore(max_inflight)
+        self.pool = _RequestPool(max_inflight, self.inflight) if deadline_s else None
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def track(self, conn: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.add(conn)
+
+    def close_connections(self) -> None:
+        """Wake every handler blocked in ``recv`` on an idle connection."""
+        # Under the lock: a handler closes its socket only after leaving the
+        # set, so no socket here is closed (and its fd reused) meanwhile.
+        with self._connections_lock:
+            for conn in self._connections:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+
+    def respond(self, line: bytes) -> Tuple[Optional[Dict[str, Any]], Dict[str, Any]]:
+        """One request line -> (parsed request or None, response)."""
+        session = self.session
+        try:
+            request_obj = json.loads(line)
+        except ValueError as exc:  # malformed JSON or invalid UTF-8
+            return None, {
+                "ok": False,
+                "error": f"bad JSON request: {exc}",
+                "error_type": "BadRequest",
+            }
+        if not isinstance(request_obj, dict):
+            return None, {
+                "ok": False,
+                "error": "request must be a JSON object",
+                "error_type": "BadRequest",
+            }
+        op = request_obj.get("op")
+        if op == "shutdown":
+            # Always admitted: a daemon whose every slot is held by stuck
+            # handlers must still stop when asked.
+            return request_obj, session.handle(request_obj)
+        if not self.inflight.acquire(blocking=False):
+            session.count("serve/overloaded")
+            return request_obj, {
+                "ok": False,
+                "error": "server at capacity; retry shortly",
+                "error_type": "Overloaded",
+                "retry_after_s": OVERLOAD_RETRY_AFTER_S,
+            }
+        exempt = op in DEADLINE_EXEMPT_OPS or (
+            op == "job" and (request_obj.get("wait_s") or request_obj.get("follow"))
+        )
+        if self.pool is None or exempt:
+            try:
+                return request_obj, session.handle(request_obj)
+            finally:
+                self.inflight.release()
+        # The pool worker frees the slot when the handler returns.
+        call = self.pool.submit(lambda: session.handle(request_obj))
+        if call.done.acquire(timeout=self.deadline_s):
+            if call.error is not None:
+                raise call.error
+            return request_obj, call.result
+        session.count("serve/deadline_exceeded")
+        session.count("serve/abandoned")
         return request_obj, {
             "ok": False,
-            "error": "server at capacity; retry shortly",
-            "error_type": "Overloaded",
-            "retry_after_s": OVERLOAD_RETRY_AFTER_S,
+            "error": (
+                f"request op={op!r} exceeded {self.deadline_s:g}s"
+                " wall-clock timeout"
+            ),
+            "error_type": "DeadlineExceeded",
+            "deadline_s": self.deadline_s,
         }
-    try:
-        exempt = op in DEADLINE_EXEMPT_OPS or (
-            op == "job"
-            and (request_obj.get("wait_s") or request_obj.get("follow"))
-        )
-        if deadline_s and not exempt:
+
+    def serve_connection(self, conn: socket.socket) -> None:
+        """One client connection: pipelined request lines, answered in order."""
+        try:
+            self._serve_lines(conn)
+        finally:
+            with self._connections_lock:
+                self._connections.discard(conn)
+            conn.close()
+
+    def _serve_lines(self, conn: socket.socket) -> None:
+        session = self.session
+        conn.settimeout(None)  # sockets from a timed accept inherit its timeout
+        buffer = b""
+        while not self.stop.is_set():
             try:
-                return request_obj, run_with_timeout(
-                    lambda: session.handle(request_obj),
-                    deadline_s,
-                    label=f"request op={op!r}",
-                )
-            except CellTimeoutError as exc:
-                session.count("serve/deadline_exceeded")
-                return request_obj, {
-                    "ok": False,
-                    "error": str(exc),
-                    "error_type": "DeadlineExceeded",
-                    "deadline_s": deadline_s,
-                }
-        return request_obj, session.handle(request_obj)
-    finally:
-        inflight.release()
+                chunk = conn.recv(65536)
+            except OSError:
+                return
+            if not chunk:
+                return  # client left (possibly mid-line), or shutdown
+            buffer += chunk
+            if b"\n" not in buffer and len(buffer) > MAX_LINE_BYTES:
+                session.count("serve/rejected_lines")
+                _send(conn, _line_too_long())
+                return
+            while b"\n" in buffer:
+                if self.stop.is_set():
+                    return  # shutting down: start no more requests
+                line, buffer = buffer.split(b"\n", 1)
+                if not line.strip():
+                    continue
+                if len(line) > MAX_LINE_BYTES:
+                    session.count("serve/rejected_lines")
+                    _send(conn, _line_too_long())
+                    return
+                request_obj, response = self.respond(line)
+                if not _send(conn, response):
+                    return
+                if response.get("shutdown"):
+                    self.stop.set()  # the accept loop polls this between accepts
+                    return
+                if (
+                    isinstance(request_obj, dict)
+                    and request_obj.get("op") == "job"
+                    and request_obj.get("follow")
+                    and response.get("ok")
+                ):
+                    _follow_job(conn, session, request_obj, response, self.stop)
+                    return  # the stream consumes the connection
 
 
 def _follow_job(
@@ -721,62 +912,6 @@ def _follow_job(
             return
 
 
-def _serve_connection(
-    conn: socket.socket,
-    session: ServeSession,
-    stop: threading.Event,
-    server: socket.socket,
-    inflight: threading.BoundedSemaphore,
-    deadline_s: Optional[float],
-) -> None:
-    """One client connection: pipelined request lines, answered in order."""
-    with conn:
-        conn.settimeout(None)  # sockets from a timed accept inherit its timeout
-        buffer = b""
-        while not stop.is_set():
-            try:
-                chunk = conn.recv(65536)
-            except OSError:
-                return
-            if not chunk:
-                return  # client left (possibly mid-line); drop quietly
-            buffer += chunk
-            if b"\n" not in buffer and len(buffer) > MAX_LINE_BYTES:
-                session.count("serve/rejected_lines")
-                _send(conn, {
-                    "ok": False,
-                    "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
-                    "error_type": "LineTooLong",
-                })
-                return
-            while b"\n" in buffer:
-                line, buffer = buffer.split(b"\n", 1)
-                if not line.strip():
-                    continue
-                if len(line) > MAX_LINE_BYTES:
-                    session.count("serve/rejected_lines")
-                    _send(conn, {
-                        "ok": False,
-                        "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
-                        "error_type": "LineTooLong",
-                    })
-                    return
-                request_obj, response = _respond(line, session, inflight, deadline_s)
-                if not _send(conn, response):
-                    return
-                if response.get("shutdown"):
-                    stop.set()  # the accept loop polls this between accepts
-                    return
-                if (
-                    isinstance(request_obj, dict)
-                    and request_obj.get("op") == "job"
-                    and request_obj.get("follow")
-                    and response.get("ok")
-                ):
-                    _follow_job(conn, session, request_obj, response, stop)
-                    return  # the stream consumes the connection
-
-
 def serve_forever(
     socket_path: Union[str, Path],
     session: Optional[ServeSession] = None,
@@ -790,13 +925,18 @@ def serve_forever(
 
     Concurrent: one handler thread per connection, at most ``max_inflight``
     requests executing at once (excess requests are shed with an
-    ``Overloaded`` response instead of queueing unboundedly), each request
-    bounded by ``deadline_s`` (``None`` disables the deadline).  A live
-    daemon already bound to ``socket_path`` is detected by pinging it and
-    refused — only a genuinely stale socket file is unlinked.
+    ``Overloaded`` response instead of queueing unboundedly).  Each request
+    runs on a pool of ``max_inflight`` persistent worker threads while its
+    connection thread waits at most ``deadline_s`` for the answer (``None``
+    disables the deadline and runs requests on the connection thread).  A
+    handler still running at its deadline is answered ``DeadlineExceeded``,
+    counted ``serve/abandoned``, and keeps its in-flight slot until it
+    returns.  A live daemon already bound to ``socket_path`` is detected by
+    pinging it and refused — only a genuinely stale socket file is unlinked.
 
     When the session has a job journal, startup recovers it (orphaned
     ``running`` jobs are re-queued) and starts the supervised job worker.
+    On shutdown every open connection is closed, idle ones included.
 
     ``ready`` (when given) is an object with a ``set()`` method — e.g. a
     :class:`threading.Event` — signalled once the socket is listening.
@@ -815,8 +955,7 @@ def serve_forever(
             )
         socket_path.unlink()
     server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    stop = threading.Event()
-    inflight = threading.BoundedSemaphore(max_inflight)
+    transport = _Transport(session, max_inflight, deadline_s)
     handlers: List[threading.Thread] = []
     try:
         server.bind(str(socket_path))
@@ -829,16 +968,18 @@ def serve_forever(
         session.ensure_worker()
         if ready is not None:
             ready.set()
-        while not stop.is_set():
+        while not transport.stop.is_set():
             try:
                 conn, _ = server.accept()
             except socket.timeout:
                 continue
             except OSError:
                 break  # server socket closed under us (teardown)
+            session.count("serve/connections")
+            transport.track(conn)
             thread = threading.Thread(
-                target=_serve_connection,
-                args=(conn, session, stop, server, inflight, deadline_s),
+                target=transport.serve_connection,
+                args=(conn,),
                 daemon=True,
                 name="repro-serve-conn",
             )
@@ -846,13 +987,16 @@ def serve_forever(
             handlers.append(thread)
             handlers = [t for t in handlers if t.is_alive()]
     finally:
-        stop.set()
+        transport.stop.set()
         try:
             server.close()
         except OSError:
             pass
+        transport.close_connections()
         for thread in handlers:
             thread.join(timeout=1.0)
+        if transport.pool is not None:
+            transport.pool.close()
         if socket_path.exists():
             socket_path.unlink()
         session.close()
@@ -862,32 +1006,106 @@ def serve_forever(
 # ----------------------------------------------------------------------
 # client helpers
 # ----------------------------------------------------------------------
+class _KeptConnection:
+    """A thread's kept-alive client socket and the path and process it serves.
+
+    Closed when dropped, or else when its thread exits and the thread-local
+    state holding it goes away.  ``close()``, never ``shutdown()``: a forked
+    child holds a copy of its parent's socket, and shutting that copy down
+    would cut the parent off.
+    """
+
+    __slots__ = ("sock", "path", "pid")
+
+    def __init__(self, sock: socket.socket, path: str) -> None:
+        self.sock = sock
+        self.path = path
+        self.pid = os.getpid()
+
+    def __del__(self) -> None:
+        self.sock.close()
+
+
+#: Per thread, the ``kept`` :class:`_KeptConnection` of :func:`request`.
+_client = threading.local()
+
+
+def _client_connection(path: str, timeout: float) -> Tuple[socket.socket, bool]:
+    """This thread's connection to ``path``, and whether it was reused."""
+    kept = getattr(_client, "kept", None)
+    if kept is not None and kept.path == path and kept.pid == os.getpid():
+        if kept.sock.gettimeout() != timeout:
+            kept.sock.settimeout(timeout)
+        return kept.sock, True
+    _drop_client_connection()  # one to another path, or the parent's
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(timeout)
+    try:
+        sock.connect(path)
+    except BaseException:
+        sock.close()
+        raise
+    _client.kept = _KeptConnection(sock, path)
+    return sock, False
+
+
+def _drop_client_connection() -> None:
+    kept = getattr(_client, "kept", None)
+    _client.kept = None
+    if kept is not None:
+        kept.sock.close()
+
+
 def _request_once(
     socket_path: Union[str, Path], payload: Dict[str, Any], timeout: float
 ) -> Dict[str, Any]:
-    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    client.settimeout(timeout)
+    path = str(socket_path)
+    line = (json.dumps(payload) + "\n").encode("utf-8")
+    conn, reused = _client_connection(path, timeout)
     try:
-        client.connect(str(socket_path))
-        client.sendall((json.dumps(payload) + "\n").encode("utf-8"))
+        try:
+            conn.sendall(line)
+        except OSError:
+            if not reused:
+                raise
+            # The server closed the kept-alive connection (a restarted
+            # daemon, say).  The newline is the last byte sent, so a failed
+            # sendall means the server never parsed this request: sending it
+            # again on a fresh connection cannot run it twice.
+            _drop_client_connection()
+            conn, _ = _client_connection(path, timeout)
+            conn.sendall(line)
         # The response may arrive in arbitrarily small recv chunks; keep
         # reading until the terminating newline, however it is framed.
         buffer = b""
         while b"\n" not in buffer:
-            chunk = client.recv(65536)
+            chunk = conn.recv(65536)
             if not chunk:
                 raise ReproError(
                     f"serve loop at {socket_path} closed the connection"
                     " before a full response"
                 )
             buffer += chunk
-        return json.loads(buffer.split(b"\n", 1)[0])
+        head, rest = buffer.split(b"\n", 1)
+        response = json.loads(head)
     except socket.timeout as exc:
+        # The late answer would otherwise be read as the next response.
+        _drop_client_connection()
         raise ReproError(
             f"serve request timed out after {timeout:g}s at {socket_path}"
         ) from exc
-    finally:
-        client.close()
+    except BaseException:
+        _drop_client_connection()
+        raise
+    if (
+        rest
+        or payload.get("follow")
+        or response.get("shutdown")
+        or response.get("error_type") == "LineTooLong"
+    ):
+        # The server closes this connection or has more lines to send on it.
+        _drop_client_connection()
+    return response
 
 
 def request(
@@ -898,6 +1116,13 @@ def request(
     retry_delay_s: float = 0.05,
 ) -> Dict[str, Any]:
     """Send one request to a running serve loop and return its response.
+
+    Each thread keeps its connection alive and reuses it while it talks to
+    the same socket path, so a run of requests costs one connect.  The connection is dropped on a timeout, on any error, after
+    ``shutdown``, and when the thread turns to another socket path; a
+    forked child never reuses its parent's.  A request whose ``sendall``
+    fails on a reused connection (its daemon restarted, say) is sent again
+    on a fresh one; a fully sent request is never re-sent.
 
     Socket timeouts surface as :class:`~repro.errors.ReproError` naming the
     socket path.  ``retries`` bounds reconnect attempts when the daemon is

@@ -24,7 +24,7 @@ from repro.store.serve import (
 )
 from repro.topologies.registry import by_name
 
-from tests.store.conftest import deterministic_part, pair_spec
+from tests.store.conftest import SlowSession, deterministic_part, pair_spec, serving
 
 
 @pytest.fixture
@@ -193,44 +193,6 @@ class TestSocketTransport:
         # the unknown op is not counted as served — ping + shutdown only
         assert served["count"] == 2
         assert not socket_path.exists(), "socket must be unlinked on exit"
-
-
-class SlowSession(ServeSession):
-    """A session with a deliberately slow op, for deadline/backpressure tests."""
-
-    def _op_slow(self, request):
-        time.sleep(float(request.get("seconds", 0.5)))
-        return {"slept": True}
-
-
-class serving:
-    """Context manager running ``serve_forever`` on a background thread."""
-
-    def __init__(self, socket_path, session=None, **kwargs):
-        self.socket_path = socket_path
-        self.session = session
-        self.kwargs = kwargs
-        self.thread = None
-
-    def __enter__(self):
-        ready = threading.Event()
-        self.thread = threading.Thread(
-            target=serve_forever,
-            args=(self.socket_path, self.session, ready),
-            kwargs=self.kwargs,
-            daemon=True,
-        )
-        self.thread.start()
-        assert ready.wait(timeout=10), "serve loop never came up"
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            request(self.socket_path, {"op": "shutdown"}, timeout=10)
-        except ReproError:
-            pass  # already down
-        self.thread.join(timeout=10)
-        assert not self.thread.is_alive(), "serve loop failed to stop"
 
 
 def raw_exchange(socket_path, to_send, settle_s=0.0, timeout=10.0):
