@@ -13,8 +13,9 @@ The subpackage provides:
 * :class:`~repro.embedding.rotation.RotationSystem` — the combinatorial
   embedding itself.
 * :mod:`~repro.embedding.faces` — face tracing, Euler genus, face lookup.
-* :mod:`~repro.embedding.planarity` — planarity testing and planar (genus 0)
-  embedding via the Demoucron–Malgrange–Pertuiset path-addition algorithm.
+* :mod:`~repro.embedding.planarity` — planarity testing (Brandes' left-right
+  test) and planar (genus 0) embedding via the Demoucron–Malgrange–Pertuiset
+  path-addition algorithm.
 * :mod:`~repro.embedding.genus` — heuristics that search for low-genus
   (many-face) rotation systems of non-planar graphs.
 * :class:`~repro.embedding.builder.CellularEmbedding` and

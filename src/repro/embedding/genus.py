@@ -33,7 +33,7 @@ from repro.graph.connectivity import bridges
 from repro.graph.darts import Dart
 from repro.graph.multigraph import Graph
 from repro.embedding.faces import trace_faces
-from repro.embedding.planarity import is_planar, planar_embedding
+from repro.embedding.planarity import is_planar, is_planar_indexed, planar_embedding
 from repro.embedding.rotation import RotationSystem
 
 
@@ -244,22 +244,37 @@ def _maximal_planar_core(
     A spanning tree is added first so that the core stays connected (the
     planar embedder requires connectivity); the remaining edges are then
     added greedily in (optionally shuffled) id order as long as planarity is
-    preserved.  Returns the core and the list of deferred edge ids.
+    preserved.  Each candidate is tested on the growing integer edge list,
+    and the core :class:`Graph` is built once, in the same edge order.
+    Returns the core and the list of deferred edge ids.
     """
     from repro.graph.traversal import spanning_tree_edges
 
-    tree = set(spanning_tree_edges(graph))
-    core = graph.edge_subgraph(tree, name=f"{graph.name}-planar-core")
-    remaining = [edge_id for edge_id in graph.edge_ids() if edge_id not in tree]
+    tree = spanning_tree_edges(graph)
+    index = {node: position for position, node in enumerate(graph.nodes())}
+
+    def ends(edge_id: int) -> Tuple[int, int]:
+        edge = graph.edge(edge_id)
+        return index[edge.u], index[edge.v]
+
+    core_edges = [ends(edge_id) for edge_id in tree]
+    in_tree = set(tree)
+    remaining = [edge_id for edge_id in graph.edge_ids() if edge_id not in in_tree]
     if rng is not None:
         rng.shuffle(remaining)
+    accepted: List[int] = []
     deferred: List[int] = []
     for edge_id in remaining:
+        core_edges.append(ends(edge_id))
+        if is_planar_indexed(len(index), core_edges):
+            accepted.append(edge_id)
+        else:
+            core_edges.pop()
+            deferred.append(edge_id)
+    core = graph.edge_subgraph(tree, name=f"{graph.name}-planar-core")
+    for edge_id in accepted:
         edge = graph.edge(edge_id)
         core.add_edge_with_id(edge_id, edge.u, edge.v, edge.weight)
-        if not is_planar(core):
-            core.remove_edge(edge_id)
-            deferred.append(edge_id)
     return core, deferred
 
 

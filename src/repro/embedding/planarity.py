@@ -1,12 +1,26 @@
-"""Planarity testing and planar (genus 0) cellular embedding.
+"""Planarity testing (left-right) and planar (genus 0) cellular embedding (DMP).
 
 The paper notes that for planar networks "very efficient O(n) algorithms are
-available" for computing the embedding.  We implement the classic
-Demoucron–Malgrange–Pertuiset (DMP) *path addition* algorithm instead: it is
-quadratic rather than linear, but it is simple, easy to verify, and more than
-fast enough for ISP-scale topologies (tens to hundreds of nodes).
+available".  The two jobs of this module use two different algorithms.
 
-The algorithm embeds one biconnected component at a time:
+**Testing** -- :func:`is_planar` and :func:`is_planar_indexed` -- is the
+left-right planarity test of Brandes ("The Left-Right Planarity Test",
+2009), a simplification of de Fraysseix and Rosenstiehl's LR criterion.
+A depth-first search orients the graph into tree edges and back edges and
+computes each edge's lowpoints.  A second search walks the children of
+every node in nesting order and keeps a stack of *conflict pairs*: two
+intervals of back edges that must end up on opposite sides of the tree.
+The graph is planar exactly when every back edge can be given a side that
+meets all of these constraints.  Both searches are iterative and linear in
+the size of the graph (bar the per-node sort by nesting depth), and the
+test never builds an embedding, so the genus heuristics can ask "still
+planar?" once per candidate edge.
+
+**Embedding** -- :func:`planar_embedding` -- is the classic
+Demoucron–Malgrange–Pertuiset (DMP) *path addition* algorithm: quadratic
+rather than linear, but simple, easy to verify, and more than fast enough
+for ISP-scale topologies.  Its rotations feed every payload, so it is the
+only embedder.  It embeds one biconnected component at a time:
 
 1. Start from an arbitrary cycle, which splits the sphere into two faces.
 2. Repeatedly consider the *bridges* (fragments) of the not-yet-embedded
@@ -27,7 +41,7 @@ vertices by concatenation, which preserves genus 0.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DisconnectedGraph, EmbeddingError, NotPlanar
 from repro.graph.connectivity import biconnected_edge_components, is_connected
@@ -289,26 +303,228 @@ def planar_embedding(graph: Graph) -> RotationSystem:
 
 
 def is_planar(graph: Graph) -> bool:
-    """Whether the graph admits a planar embedding.
+    """Whether the graph admits a planar embedding (left-right test).
 
-    Uses the edge-count bound ``E <= 3V - 6`` on the simplified graph as a
-    quick rejection test and falls back to actually running the embedder.
+    Any graph is accepted, parallel edges, isolated nodes and several
+    components included; it is planar when each of its components is.
     """
-    simple_edges = {
-        tuple(sorted((edge.u, edge.v))) for edge in graph.edges()
-    }
-    vertices = graph.number_of_nodes()
-    if vertices >= 3 and len(simple_edges) > 3 * vertices - 6:
-        return False
-    if not is_connected(graph):
-        # Planarity is a per-component property; check each component.
-        from repro.graph.connectivity import connected_components
+    index = {node: position for position, node in enumerate(graph.nodes())}
+    return is_planar_indexed(
+        len(index), [(index[edge.u], index[edge.v]) for edge in graph.edges()]
+    )
 
-        return all(
-            is_planar(graph.subgraph(component)) for component in connected_components(graph)
-        )
-    try:
-        planar_embedding(graph)
-    except NotPlanar:
+
+def is_planar_indexed(node_count: int, edges: Iterable[Tuple[int, int]]) -> bool:
+    """Whether nodes ``0 .. node_count - 1`` with ``edges`` form a planar graph.
+
+    Self-loops and parallel edges are dropped: neither affects planarity.
+    A simple graph with ``V >= 3`` nodes and more than ``3V - 6`` edges is
+    rejected without a search; otherwise the left-right test decides.
+    """
+    simple = {(u, v) if u < v else (v, u) for u, v in edges if u != v}
+    if node_count >= 3 and len(simple) > 3 * node_count - 6:
         return False
+    return _left_right_planar(node_count, list(simple))
+
+
+def _left_right_planar(node_count: int, edges: List[Tuple[int, int]]) -> bool:
+    """Brandes' left-right planarity test on a simple graph, test only.
+
+    Edge ``k`` of ``edges`` is oriented by the first search, from the node
+    that reaches it first to ``head[k]``.  A conflict pair is a list
+    ``[left_low, left_high, right_low, right_high]`` of back edges (``None``
+    for an empty end); the back edges of one interval are chained from
+    ``high`` down to ``low`` through ``ref``.  The side and embedding
+    bookkeeping of the full algorithm is left out.
+    """
+    adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(node_count)]
+    for edge, (u, v) in enumerate(edges):
+        adjacency[u].append((v, edge))
+        adjacency[v].append((u, edge))
+    edge_count = len(edges)
+    height = [-1] * node_count
+    parent_edge = [-1] * node_count
+    head = [0] * edge_count
+    oriented = [False] * edge_count
+    lowpt = [0] * edge_count
+    lowpt2 = [0] * edge_count
+    nesting_depth = [0] * edge_count
+    out: List[List[int]] = [[] for _ in range(node_count)]
+
+    def finish_orientation(edge: int, tail_height: int, parent: int) -> None:
+        """Nesting depth of ``edge``, then fold its lowpoints into ``parent``'s."""
+        low, low2 = lowpt[edge], lowpt2[edge]
+        nesting_depth[edge] = 2 * low + (low2 < tail_height)
+        if parent < 0:
+            return
+        if low < lowpt[parent]:
+            lowpt2[parent] = min(lowpt[parent], low2)
+            lowpt[parent] = low
+        elif low > lowpt[parent]:
+            lowpt2[parent] = min(lowpt2[parent], low)
+        else:
+            lowpt2[parent] = min(lowpt2[parent], low2)
+
+    # Phase 1: orient the graph by depth-first search, one root per component.
+    roots: List[int] = []
+    position = [0] * node_count
+    for root in range(node_count):
+        if height[root] >= 0:
+            continue
+        roots.append(root)
+        height[root] = 0
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            v_height = height[v]
+            incident = adjacency[v]
+            index = position[v]
+            descend = -1
+            while index < len(incident):
+                w, edge = incident[index]
+                index += 1
+                if oriented[edge]:
+                    continue
+                oriented[edge] = True
+                head[edge] = w
+                out[v].append(edge)
+                lowpt[edge] = lowpt2[edge] = v_height
+                if height[w] < 0:
+                    # Tree edge: finished once the search returns from w.
+                    parent_edge[w] = edge
+                    height[w] = v_height + 1
+                    descend = w
+                    break
+                lowpt[edge] = height[w]
+                finish_orientation(edge, v_height, parent_edge[v])
+            position[v] = index
+            if descend >= 0:
+                stack.append(descend)
+                continue
+            stack.pop()
+            if stack:
+                finish_orientation(parent_edge[v], v_height - 1, parent_edge[stack[-1]])
+
+    # Phase 2: test for an LR partition, children in nesting order.
+    for edges_out in out:
+        edges_out.sort(key=nesting_depth.__getitem__)
+    conflicts: List[list] = []
+    stack_bottom: List[Optional[list]] = [None] * edge_count
+    lowpt_edge = [0] * edge_count
+    ref: List[Optional[int]] = [None] * edge_count
+
+    def conflicting(low_end: Optional[int], high_end: Optional[int], edge: int) -> bool:
+        """Whether the interval ``(low_end, high_end)`` conflicts with ``edge``."""
+        if low_end is None and high_end is None:
+            return False
+        return lowpt[high_end] > lowpt[edge]
+
+    def lowest(pair: list) -> int:
+        """The lowest return point of a conflict pair."""
+        left_low, left_high, right_low, right_high = pair
+        if left_low is None and left_high is None:
+            return lowpt[right_low]
+        if right_low is None and right_high is None:
+            return lowpt[left_low]
+        return min(lowpt[left_low], lowpt[right_low])
+
+    def add_constraints(edge: int, parent: int) -> bool:
+        """Merge the return edges of ``edge`` with its older siblings'; False if impossible."""
+        pair: list = [None, None, None, None]
+        # The return edges of ``edge`` itself all go right.
+        while True:
+            q = conflicts.pop()
+            if q[0] is not None or q[1] is not None:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                if q[0] is not None or q[1] is not None:
+                    return False
+            if lowpt[q[2]] > lowpt[parent]:
+                if pair[2] is None and pair[3] is None:
+                    pair[3] = q[3]
+                else:
+                    ref[pair[2]] = q[3]
+                pair[2] = q[2]
+            else:
+                # Returns exactly at the parent's lowpoint: align with it.
+                ref[q[2]] = lowpt_edge[parent]
+            if (conflicts[-1] if conflicts else None) is stack_bottom[edge]:
+                break
+        # Older return edges that conflict with ``edge`` all go left.
+        while conflicts:
+            q = conflicts[-1]
+            if not (conflicting(q[0], q[1], edge) or conflicting(q[2], q[3], edge)):
+                break
+            conflicts.pop()
+            if conflicting(q[2], q[3], edge):
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                if conflicting(q[2], q[3], edge):
+                    return False
+            if pair[2] is not None:
+                ref[pair[2]] = q[3]
+            if q[2] is not None:
+                pair[2] = q[2]
+            if pair[0] is None and pair[1] is None:
+                pair[1] = q[1]
+            else:
+                ref[pair[0]] = q[1]
+            pair[0] = q[0]
+        if pair != [None, None, None, None]:
+            conflicts.append(pair)
+        return True
+
+    def remove_back_edges(tail: int) -> None:
+        """Trim the back edges that end at ``tail`` off the conflict stack."""
+        tail_height = height[tail]
+        while conflicts and lowest(conflicts[-1]) == tail_height:
+            conflicts.pop()
+        if not conflicts:
+            return
+        pair = conflicts[-1]
+        while pair[1] is not None and head[pair[1]] == tail:
+            pair[1] = ref[pair[1]]
+        if pair[1] is None and pair[0] is not None:
+            pair[0] = None
+        while pair[3] is not None and head[pair[3]] == tail:
+            pair[3] = ref[pair[3]]
+        if pair[3] is None and pair[2] is not None:
+            pair[2] = None
+
+    def integrate(v: int, index: int, edge: int) -> bool:
+        """Account for the return edges of ``edge``, the ``index``-th child edge of ``v``."""
+        if lowpt[edge] >= height[v]:
+            return True
+        if index == 0:
+            lowpt_edge[parent_edge[v]] = lowpt_edge[edge]
+            return True
+        return add_constraints(edge, parent_edge[v])
+
+    position = [0] * node_count
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            edges_out = out[v]
+            index = position[v]
+            while index < len(edges_out):
+                edge = edges_out[index]
+                stack_bottom[edge] = conflicts[-1] if conflicts else None
+                if parent_edge[head[edge]] == edge:
+                    break
+                lowpt_edge[edge] = edge
+                conflicts.append([None, None, edge, edge])
+                if not integrate(v, index, edge):
+                    return False
+                index += 1
+            position[v] = index
+            if index < len(edges_out):
+                # Descend the tree edge; it is integrated once w is done.
+                stack.append(head[edges_out[index]])
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1]
+                remove_back_edges(u)
+                if not integrate(u, position[u], parent_edge[v]):
+                    return False
+                position[u] += 1
     return True

@@ -7,6 +7,7 @@ from repro.core.coverage import coverage_report, reachable_pairs
 from repro.core.scheme import PacketRecycling, SimplePacketRecycling
 from repro.failures.sampling import all_multi_link_failures, sample_multi_link_failures
 from repro.failures.scenarios import single_link_failures
+from repro.topologies.corpus import parse_topology_spec, topology_set
 from repro.topologies.generators import grid_graph, random_planar_graph, ring_graph
 
 
@@ -47,6 +48,22 @@ class TestSingleFailureCoverage:
         assert not report.full_coverage
         assert report.dropped > 0
         assert "next-hop link failed" in report.drop_reasons
+
+
+@pytest.mark.parametrize("topology", topology_set("all"))
+def test_pr_full_single_failure_coverage_on_every_corpus_member(topology):
+    """Section 4: every single link failure that leaves the network connected
+    is repaired -- no packet is dropped or loops -- on each corpus member,
+    with the seed-0 embedding that campaigns and ``repro serve`` use."""
+    graph = parse_topology_spec(topology).build()
+    scheme = PacketRecycling(graph, embedding_seed=0)
+    scenarios = [
+        s.failed_links for s in single_link_failures(graph, only_non_disconnecting=True)
+    ]
+    report = coverage_report(scheme, scenarios)
+    assert report.full_coverage, report.summary()
+    assert report.looped == 0
+    assert report.dropped == 0
 
 
 class TestMultiFailureCoverage:

@@ -1,7 +1,11 @@
 """Unit tests for distance discriminators."""
 
+import math
+from collections import deque
+
 import pytest
 
+from repro.core.scheme import PacketRecycling
 from repro.errors import RoutingError
 from repro.routing.discriminator import (
     DiscriminatorKind,
@@ -9,6 +13,7 @@ from repro.routing.discriminator import (
     discriminator_bits_required,
     discriminator_value,
 )
+from repro.topologies.corpus import parse_topology_spec, topology_set
 from repro.topologies.generators import ring_graph
 
 
@@ -45,6 +50,35 @@ class TestBitsRequired:
         weighted = discriminator_bits_required(abilene_graph, DiscriminatorKind.WEIGHTED_COST)
         hops = discriminator_bits_required(abilene_graph, DiscriminatorKind.HOP_COUNT)
         assert weighted >= hops
+
+
+def hop_diameter(graph):
+    """Largest BFS hop distance between two nodes of a connected graph."""
+    largest = 0
+    for source in graph.nodes():
+        hops = {source: 0}
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            for neighbor in graph.neighbors(node):
+                if neighbor not in hops:
+                    hops[neighbor] = hops[node] + 1
+                    queue.append(neighbor)
+        largest = max(largest, max(hops.values()))
+    return largest
+
+
+@pytest.mark.parametrize("topology", topology_set("all"))
+def test_header_bound_is_log_of_hop_diameter_on_every_corpus_member(topology):
+    """Section 6: the DD field takes ``ceil(log2(d + 1))`` bits for hop
+    diameter ``d``, and the PR header adds the PR bit to it."""
+    graph = parse_topology_spec(topology).build()
+    bits = max(1, math.ceil(math.log2(hop_diameter(graph) + 1)))
+    assert discriminator_bits_required(graph, DiscriminatorKind.HOP_COUNT) == bits
+    scheme = PacketRecycling(
+        graph, discriminator_kind=DiscriminatorKind.HOP_COUNT, embedding_seed=0
+    )
+    assert scheme.header_overhead_bits() == 1 + bits
 
 
 class TestComparison:
