@@ -347,64 +347,6 @@ def _cmd_topologies(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.runner.bench import (
-        check_ft_overhead,
-        check_regression,
-        check_throughput,
-        load_bench,
-        run_bench,
-        write_bench,
-    )
-
-    document = run_bench(quick=args.quick, workers=args.workers)
-    rows = [
-        [name, f"{value:.3f}s"] for name, value in sorted(document["timings"].items())
-    ]
-    rows += [
-        [name, f"{value:.0f}/s"]
-        for name, value in sorted(document.get("throughput", {}).items())
-    ]
-    print(render_table(["benchmark", "wall"], rows))
-    meta = document["meta"]
-    print(f"cells={meta['cells']} offline(cold)={meta['offline_cold_s']:.3f}s "
-          f"quick={meta['quick']} workers={meta['workers']}")
-    print(f"incremental repair: {meta['repair_hits']} trees repaired, "
-          f"{meta['repair_fallbacks']} fallbacks to full recompute")
-    path = write_bench(document, args.output)
-    print(f"timings written to {path}")
-
-    if args.check:
-        baseline = load_bench(args.check)
-        violations = check_regression(document, baseline, tolerance=args.tolerance)
-        if violations:
-            print()
-            print(f"PERFORMANCE REGRESSION vs {args.check} (tolerance {args.tolerance:.0%}):")
-            for violation in violations:
-                print(f"  {violation}")
-            return 1
-        print(f"regression check vs {args.check} passed (tolerance {args.tolerance:.0%})")
-        qps_violations = check_throughput(document, baseline, tolerance=args.tolerance)
-        if qps_violations:
-            print()
-            print(f"THROUGHPUT REGRESSION vs {args.check} (tolerance {args.tolerance:.0%}):")
-            for violation in qps_violations:
-                print(f"  {violation}")
-            return 1
-        print(f"throughput check vs {args.check} passed (tolerance {args.tolerance:.0%})")
-        # Idle fault-layer overhead is gated against this run's own
-        # fault-free twins (same machine, same thermal state).
-        ft_violations = check_ft_overhead(document)
-        if ft_violations:
-            print()
-            print("FAULT-LAYER OVERHEAD over budget:")
-            for violation in ft_violations:
-                print(f"  {violation}")
-            return 1
-        print("idle fault-layer overhead within budget (<3% vs fault-free)")
-    return 0
-
-
 def _resolve_results(path_arg: str):
     """The one results-argument resolver every subcommand shares.
 
@@ -861,22 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="keep scenarios that disconnect the "
                                         "surviving network")
     scenarios_preview.set_defaults(handler=_cmd_scenarios)
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark the sweep hot path and write BENCH_*.json timings",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller workloads (the CI regression step uses this)")
-    bench.add_argument("--workers", type=int, default=2,
-                       help="worker processes for the parallel sweep phase")
-    bench.add_argument("--output", default="BENCH_sweep.json",
-                       help="JSON file the timings are written to")
-    bench.add_argument("--check", metavar="BASELINE",
-                       help="compare against a baseline JSON and fail on regression")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="allowed fractional slowdown vs the baseline (default 0.25)")
-    bench.set_defaults(handler=_cmd_bench)
 
     sweep = sub.add_parser(
         "sweep",

@@ -314,7 +314,7 @@ class ShortestPathEngine:
         return [pair for pair, mask in rows if mask & failed_mask]
 
     def cache_info(self) -> Dict[str, int]:
-        """Hit/miss counters plus current memo sizes (for ``repro bench``).
+        """Hit/miss counters plus current memo sizes (perfbench reads them).
 
         Every memo lookup counts exactly one hit or one miss.
         ``repair_hits`` counts SSSP misses answered by incrementally
@@ -516,9 +516,10 @@ def engine_counter_totals() -> Dict[str, int]:
 def aggregate_cache_info() -> Dict[str, int]:
     """Summed :meth:`ShortestPathEngine.cache_info` over this process's engines.
 
-    ``repro bench`` reports these totals so the incremental-repair hit rate
-    of a workload is visible next to its wall-clock timing.  Hop engines
-    nested in consumer caches are included.
+    ``perfbench`` reports these totals (``graph.repair_hit_ratio`` and
+    ``graph.engine_hit_ratio``) so the incremental-repair hit rate of a
+    workload is visible next to its wall-clock timing.  Hop engines nested
+    in consumer caches are included.
 
     **Scope caveat:** this sees only the *calling process*.  Cells executed
     by worker processes accumulate their counters in those workers, so a

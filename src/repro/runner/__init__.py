@@ -69,12 +69,6 @@ from repro.runner.executor import (
     telemetry_manifest,
 )
 from repro.store.database import CampaignStore
-from repro.runner.bench import (
-    check_ft_overhead,
-    check_regression,
-    check_throughput,
-    run_bench,
-)
 
 __all__ = [
     "ArtifactCache",
@@ -89,9 +83,6 @@ __all__ = [
     "available_schemes",
     "build_scheme",
     "cached_embedding",
-    "check_ft_overhead",
-    "check_regression",
-    "check_throughput",
     "corpus_campaign_spec",
     "coverage_reports",
     "families_in",
@@ -103,7 +94,6 @@ __all__ = [
     "node_failure_campaign_spec",
     "overhead_rows",
     "parse_plan",
-    "run_bench",
     "run_campaign",
     "run_cell",
     "run_with_timeout",

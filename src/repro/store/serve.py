@@ -8,9 +8,8 @@ requests over a Unix-domain socket with a line-delimited JSON protocol
 
 :class:`ServeSession` is the transport-free core: a request dictionary in,
 a response dictionary out, safe to drive from many threads at once.  The
-socket loop (:func:`serve_forever`) and the warm-query benchmark legs both
-drive the same session object, so the QPS the bench reports is the QPS the
-daemon serves.
+socket loop (:func:`serve_forever`) drives it, and library embedders and
+tests may drive it directly.
 
 The transport is **concurrent and bounded**: one handler thread per
 connection, a bounded in-flight request budget with explicit load-shedding
@@ -273,8 +272,8 @@ class ServeSession:
         self.requests_served = 0
         #: ``serve/*`` telemetry counters (reported by the ``stats`` op).
         self.counters: Dict[str, int] = {}
-        #: The job journal; ``None`` (the in-process bench sessions and
-        #: library embedders) refuses the job ops, ``submit`` included.
+        #: The job journal; ``None`` (library embedders and tests without
+        #: a journal) refuses the job ops, ``submit`` included.
         self.jobs: Optional[JobQueue] = JobQueue(jobs_path) if jobs_path else None
         self.max_queued_jobs = max_queued_jobs
         self._worker: Optional[JobWorker] = None

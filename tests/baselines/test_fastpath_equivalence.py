@@ -8,9 +8,10 @@ route the carried links can change.  ``ForwardingScheme.deliver_many`` —
 the generic implementation driving the real :class:`HopByHopEngine` —
 remains the reference; every override must produce outcomes that are
 field-for-field identical: status, path, hop-order cost summation, hop
-count, drop reason and accounting counters.  Randomized over topologies,
-failure sets and pair subsets, with repeated rounds per scheme instance so
-warm per-instance caches are exercised as hard as cold ones.  The seeded
+count, drop reason and accounting counters.  Randomized over the whole
+topology corpus plus the three ISP maps, failure sets and pair subsets,
+with repeated rounds per scheme instance so warm per-instance caches are
+exercised as hard as cold ones.  The seeded
 deep-failure fuzzer behind the slice test below lives in
 ``fastpath_fuzz.py``.
 """
@@ -26,6 +27,7 @@ from repro.core.scheme import PacketRecycling, SimplePacketRecycling
 from repro.forwarding.network_state import NetworkState
 from repro.forwarding.scheme import ForwardingScheme
 from repro.graph.spcache import engine_for
+from repro.topologies.corpus import parse_topology_spec, topology_set
 from repro.topologies.registry import by_name
 from tests.baselines.fastpath_fuzz import SCHEMES as FUZZ_SCHEMES
 from tests.baselines.fastpath_fuzz import fuzz_topology, outcome_fields, reference_first_hops
@@ -49,9 +51,11 @@ def assert_outcomes_identical(fast, reference, context):
 
 
 @pytest.mark.parametrize("scheme_key", sorted(SCHEME_FACTORIES))
-@pytest.mark.parametrize("topology", ["abilene", "teleglobe", "geant"])
+@pytest.mark.parametrize(
+    "topology", topology_set("all") + ["abilene", "teleglobe", "geant"]
+)
 def test_fast_path_matches_engine(topology, scheme_key):
-    graph = by_name(topology)
+    graph = parse_topology_spec(topology).build()
     scheme = SCHEME_FACTORIES[scheme_key](graph)
     nodes = graph.nodes()
     pairs = [(u, v) for u in nodes for v in nodes if u != v]
@@ -61,7 +65,7 @@ def test_fast_path_matches_engine(topology, scheme_key):
     seed = f"{topology}-{scheme_key}"
     rng = random.Random(seed)
     for _round in range(8):
-        failures = rng.choice([0, 1, 1, 2, 3, 5])
+        failures = min(rng.choice([0, 1, 1, 2, 3, 5]), len(edge_ids))
         failed = tuple(sorted(rng.sample(edge_ids, failures)))
         subset = rng.sample(pairs, min(40, len(pairs)))
         fast = scheme.deliver_many(subset, failed_links=failed)

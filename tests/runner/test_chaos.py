@@ -188,13 +188,37 @@ class TestQuarantine:
         with CampaignStore(path) as store:
             assert store.load_quarantine(spec.spec_hash()) == []
 
-    def test_zero_faults_means_zero_quarantine_and_no_counters(self, tmp_path):
+    def test_zero_faults_means_zero_quarantine_and_no_counters(
+        self, tmp_path, monkeypatch
+    ):
         spec = pair_spec()
+        clean = run_campaign(spec, workers=1)
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        faults.reload_from_env()
+        # The idle fault layer costs one lazy plan load per process and no
+        # per-cell decision: count both instead of timing them.
+        calls = {"parse_plan": 0, "decide": 0}
+        real_parse_plan = faults.parse_plan
+        real_decide = faults.FaultPlan.decide
+
+        def counting_parse_plan(text):
+            calls["parse_plan"] += 1
+            return real_parse_plan(text)
+
+        def counting_decide(plan, site, key, attempt):
+            calls["decide"] += 1
+            return real_decide(plan, site, key, attempt)
+
+        monkeypatch.setattr(faults, "parse_plan", counting_parse_plan)
+        monkeypatch.setattr(faults.FaultPlan, "decide", counting_decide)
         path = tmp_path / "results.sqlite"
         policy = ExecutionPolicy(
             max_retries=2, cell_timeout=60.0, on_error="quarantine", **QUICK_BACKOFF
         )
         result = run_campaign(spec, workers=1, results=path, policy=policy)
+        assert calls["parse_plan"] <= 1
+        assert calls["decide"] == 0
+        assert deterministic_part(result.records) == deterministic_part(clean.records)
         assert result.quarantined == []
         assert result.fault_counters == {}
         with CampaignStore(path) as store:
