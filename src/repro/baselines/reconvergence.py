@@ -9,7 +9,7 @@ the paper uses it as motivation rather than as a stretch data point.)
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.forwarding.engine import DeliveryStatus, ForwardingOutcome
@@ -19,18 +19,22 @@ from repro.forwarding.router import ForwardingDecision, RouterLogic
 from repro.forwarding.scheme import ForwardingScheme
 from repro.graph.darts import Dart
 from repro.graph.multigraph import Graph
-from repro.graph.spcache import engine_for
-from repro.routing.tables import RoutingTables, cached_routing_tables
+from repro.graph.spcache import ShortestPathEngine, engine_for
 
 
 class ReconvergedLogic(RouterLogic):
-    """Routers forward on tables recomputed with global knowledge of the failures."""
+    """Routers forward on shortest paths recomputed around the failures.
+
+    A next hop is a parent pointer of the engine's memoized tree rooted at
+    the destination on the failed map, read on the first packet for it.
+    """
 
     name = "Re-convergence"
 
-    def __init__(self, converged: RoutingTables, state: NetworkState) -> None:
-        self.converged = converged
+    def __init__(self, engine: ShortestPathEngine, state: NetworkState) -> None:
+        self.engine = engine
         self.state = state
+        self._trees: Dict[str, Dict[int, Tuple[int, int]]] = {}
 
     def decide(
         self,
@@ -42,12 +46,18 @@ class ReconvergedLogic(RouterLogic):
         if state is not self.state:
             raise ProtocolError("router logic was built for a different network state")
         destination = packet.header.destination
-        if not self.converged.has_route(node, destination):
+        index = self.engine.compiled.index
+        parent = self._trees.get(destination)
+        if parent is None:
+            known = destination in index
+            parent = self.engine.sssp_tree(destination, state.failed_edges)[1] if known else {}
+            self._trees[destination] = parent
+        hop = parent.get(index.get(node))
+        if hop is None:
             return ForwardingDecision.drop("destination unreachable after re-convergence")
-        egress = self.converged.egress(node, destination)
-        # The converged tables were computed excluding the failed links, so the
-        # egress is up by construction; the engine re-checks the invariant.
-        return ForwardingDecision.forward(egress, spf_computations=0)
+        # The tree excludes the failed links, so the egress is up by
+        # construction; the engine re-checks the invariant.
+        return ForwardingDecision.forward(state.graph.dart(hop[1], node), spf_computations=0)
 
 
 class Reconvergence(ForwardingScheme):
@@ -62,26 +72,24 @@ class Reconvergence(ForwardingScheme):
         self._engine = engine_for(graph)
 
     def build_logic(self, state: NetworkState) -> RouterLogic:
-        # Converged tables are pure functions of (topology, failure set), so
-        # they are served from the per-process cache: a scenario evaluated by
-        # several experiments (or revisited pairs) recomputes nothing.
-        converged = cached_routing_tables(self.graph, excluded_edges=state.failed_edges)
-        return ReconvergedLogic(converged, state)
+        # Lazy per destination: one deliver pays for one (usually repaired)
+        # tree, whatever the number of routers.
+        return ReconvergedLogic(self._engine, state)
 
     def deliver_many(
         self,
         pairs: Iterable[tuple],
         failed_links: Iterable[int] = (),
     ) -> Dict[tuple, ForwardingOutcome]:
-        """Sweep fast path: walk the converged tables directly.
+        """Sweep fast path: walk the converged trees directly.
 
         Re-converged forwarding is a pure next-hop walk of the converged
-        routing tables, so the generic hop-by-hop engine adds only constant
-        overhead per hop.  This override produces outcomes field-for-field
-        identical to the engine (same paths, same hop-order cost summation,
-        same counters and drop reasons — asserted by the fast-path
-        equivalence tests); :meth:`ForwardingScheme.deliver` still runs the
-        real engine and remains the reference implementation.
+        trees, so the generic hop-by-hop engine adds only constant overhead
+        per hop.  This override produces outcomes field-for-field identical
+        to the engine (same paths, same hop-order cost summation, same
+        counters and drop reasons — asserted by the fast-path equivalence
+        tests); :meth:`ForwardingScheme.deliver` still runs the real engine
+        and remains the reference implementation.
         """
         state = NetworkState(self.graph, failed_links)  # validates the ids
         engine = self._engine
@@ -89,12 +97,9 @@ class Reconvergence(ForwardingScheme):
         compiled = engine.compiled
         names = compiled.names
         index_of = compiled.index
-        # One memoized SSSP tree per destination actually queried: the
-        # converged next hop of ``node`` towards ``destination`` is exactly
-        # the parent pointer of the Dijkstra run rooted at the destination
-        # (the same trees RoutingTables builds eagerly for all destinations).
-        # The walk runs in node-index space; names only materialise into the
-        # outcome's path list.
+        # One memoized SSSP tree per destination queried, the same trees
+        # ReconvergedLogic reads.  The walk runs in node-index space; names
+        # only materialise into the outcome's path list.
         trees: Dict[str, Dict] = {}
         weight_of = compiled.edge_weight
         ttl_budget = self.default_ttl()
@@ -104,29 +109,11 @@ class Reconvergence(ForwardingScheme):
             node = index_of.get(source)
             target = index_of.get(destination)
             if node is None or target is None:
-                # Unknown endpoints never match a routing entry: the engine
-                # delivers a source==destination packet on the spot and
-                # drops anything else at the source.
-                if source == destination:
-                    outcome = ForwardingOutcome(
-                        source=source,
-                        destination=destination,
-                        status=delivered,
-                        path=[source],
-                        cost=0.0,
-                        hops=0,
-                    )
-                else:
-                    outcome = ForwardingOutcome(
-                        source=source,
-                        destination=destination,
-                        status=DeliveryStatus.DROPPED,
-                        path=[source],
-                        cost=0.0,
-                        hops=0,
-                        drop_reason="destination unreachable after re-convergence",
-                    )
-                outcomes[(source, destination)] = outcome
+                # Unknown endpoints have no tree entry; the engine's answer
+                # (delivered on the spot when source == destination, else
+                # dropped at the source) is the reference.
+                pair = (source, destination)
+                outcomes[pair] = ForwardingScheme.deliver_many(self, [pair], excluded)[pair]
                 continue
             parent = trees.get(destination)
             if parent is None:

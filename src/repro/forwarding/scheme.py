@@ -3,9 +3,10 @@
 A scheme owns whatever per-router state it precomputes offline (routing
 tables, cycle-following tables, LFA candidates, ...) and knows how to build
 the :class:`~repro.forwarding.router.RouterLogic` that drives packets at
-forwarding time.  Experiments only ever talk to schemes through
-:meth:`ForwardingScheme.deliver`, which makes the Figure 2 sweeps one loop
-over ``(scheme, topology, failure scenario, source, destination)``.
+forwarding time.  The CLI and the daemon send single packets through
+:meth:`ForwardingScheme.deliver`; campaigns send one per pair and failure set
+through :meth:`ForwardingScheme.deliver_many`, whose flat-walk overrides must
+match the engine-driven implementation here.
 """
 
 from __future__ import annotations

@@ -105,15 +105,10 @@ class ShortestPathEngine:
         self._pair_mask_rows: Optional[List[Tuple[Tuple[str, str], int]]] = None
         #: Free-form per-engine memo for consumers that live in modules the
         #: engine cannot import (FCP SPF tables, executor scenario contexts,
-        #: the hop engine, cached diameters).  Entries here are few and
-        #: long-lived singletons; high-churn per-failure-set consumers get
-        #: their own bounded cache below so scenario churn cannot evict these.
+        #: the hop engine, failure-free routing tables, cached diameters).
+        #: Entries here are few and long-lived singletons, never one per
+        #: failure set.
         self.consumer_cache: _LruDict = _LruDict(256)
-        #: Per-failure-set routing tables (see
-        #: :func:`repro.routing.tables.cached_routing_tables`): one entry per
-        #: (discriminator, excluded set), each O(nodes^2) — bounded separately
-        #: because a long campaign touches thousands of distinct failure sets.
-        self.tables_cache: _LruDict = _LruDict(128)
         #: Per-root failure-free bases: the tree plus its per-vertex
         #: path-edge bitmasks, read by incremental repair and
         #: :meth:`affecting_pairs`.  At most one entry per node, each
@@ -343,7 +338,6 @@ class ShortestPathEngine:
             + self._apsp.evictions
             + self._components.evictions
             + self.consumer_cache.evictions
-            + self.tables_cache.evictions
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial formatting

@@ -195,21 +195,19 @@ def build_routing_tables(
 def cached_routing_tables(
     graph: Graph,
     discriminator_kind: DiscriminatorKind = DiscriminatorKind.HOP_COUNT,
-    excluded_edges: Optional[Iterable[int]] = None,
 ) -> RoutingTables:
-    """Shared routing tables for one (topology content, kind, failure set).
+    """Shared failure-free routing tables for one (topology content, kind).
 
     Tables are immutable after construction, so every consumer in a process
-    asking for the same combination — the re-convergence baseline building
-    per-scenario tables, the stretch experiment's failure-free baseline, the
-    campaign executor — receives the same instance.  The memo lives on the
-    per-content :class:`~repro.graph.spcache.ShortestPathEngine`, so a
-    mutated graph naturally resolves to fresh tables.
+    (the schemes' offline state, the stretch baseline) receives the same
+    instance.  The memo lives on the per-content
+    :class:`~repro.graph.spcache.ShortestPathEngine`, so a mutated graph
+    naturally resolves to fresh tables.
     """
     engine = engine_for(graph)
-    key = (discriminator_kind, frozenset(excluded_edges or ()))
-    tables = engine.tables_cache.get_or_none(key)
+    key = ("routing-tables", discriminator_kind)
+    tables = engine.consumer_cache.get_or_none(key)
     if tables is None:
-        tables = RoutingTables(graph, discriminator_kind, excluded_edges, engine=engine)
-        engine.tables_cache.put(key, tables)
+        tables = RoutingTables(graph, discriminator_kind, engine=engine)
+        engine.consumer_cache.put(key, tables)
     return tables

@@ -97,7 +97,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import ExperimentError, JobCancelled, ReproError
 from repro.graph.multigraph import Graph
-from repro.graph.spcache import engine_counter_totals, engine_for
+from repro.graph.spcache import ShortestPathEngine, engine_counter_totals, engine_for
 from repro.runner import faults
 from repro.runner.executor import build_scheme, load_topology
 from repro.runner.policy import ExecutionPolicy
@@ -264,8 +264,9 @@ class ServeSession:
         max_queued_jobs: int = 64,
     ) -> None:
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        #: (topology spec, scheme key, discriminator) -> built scheme.
-        self._schemes: Dict[Tuple[str, str, str], Any] = {}
+        #: (topology spec, scheme key, discriminator) -> (built scheme, the
+        #: shortest-path engine of its graph).
+        self._schemes: Dict[Tuple[str, str, str], Tuple[Any, ShortestPathEngine]] = {}
         #: results path -> open CampaignStore (warm across queries).
         self._stores: Dict[str, CampaignStore] = {}
         self._lock = threading.RLock()
@@ -297,6 +298,12 @@ class ServeSession:
     def scheme_for(
         self, topology: str, scheme: str, discriminator: Optional[str] = None
     ):
+        return self._warm_scheme(topology, scheme, discriminator)[0]
+
+    def _warm_scheme(
+        self, topology: str, scheme: str, discriminator: Optional[str] = None
+    ) -> Tuple[Any, ShortestPathEngine]:
+        """The warm scheme and its graph's engine, both built on first use."""
         from repro.routing.discriminator import DiscriminatorKind
 
         if scheme not in SCHEME_NAMES:
@@ -315,7 +322,7 @@ class ServeSession:
 
                     cache = ArtifactCache(self.cache_dir) if self.cache_dir else None
                     embedding = cached_embedding(graph, cache=cache)
-                built = build_scheme(scheme, graph, kind, embedding)
+                built = (build_scheme(scheme, graph, kind, embedding), engine_for(graph))
                 self._schemes[key] = built
             return built
 
@@ -430,7 +437,7 @@ class ServeSession:
         for field in ("topology", "scheme", "source", "destination"):
             if not request.get(field):
                 raise ExperimentError(f"deliver needs a {field}")
-        scheme = self.scheme_for(
+        scheme, engine = self._warm_scheme(
             str(request["topology"]),
             str(request["scheme"]),
             request.get("discriminator"),
@@ -450,7 +457,6 @@ class ServeSession:
         }
         if outcome.drop_reason:
             response["drop_reason"] = outcome.drop_reason
-        engine = engine_for(scheme.graph)
         # An unknown source has no index, hence no baseline (None).
         baseline = engine.sssp_tree(destination)[0].get(
             engine.compiled.index.get(source)

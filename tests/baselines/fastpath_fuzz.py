@@ -14,7 +14,12 @@ FCP's fast path and the engine read the same carried-set first-hop tables,
 so comparing the two cannot catch a wrong entry there.  After every FCP
 round, each first hop the tables gained is also checked against the
 reference :func:`~repro.graph.shortest_paths.dijkstra` on the map minus the
-carried links.
+carried links.  Re-convergence has the same gap: its fast path and its
+router logic read the same memoized post-failure trees.  After every
+re-convergence round, each outcome is checked against ``dijkstra`` on the
+map minus the failed links: a delivered packet's cost is the distance, a
+dropped packet's destination is unreachable, and a TTL expiry happens only
+on a reachable destination.
 
 Not collected by pytest (the file name has no ``test_`` prefix); the tier-1
 slice lives in ``test_fastpath_equivalence.py`` and the full run is::
@@ -28,6 +33,7 @@ The seed is printed first, so any failure can be replayed with ``--seed``.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 import time
@@ -35,6 +41,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 
 from repro.baselines.fcp import FailureCarryingPackets
 from repro.baselines.lfa import LoopFreeAlternates
+from repro.baselines.reconvergence import Reconvergence
 from repro.core.scheme import PacketRecycling, SimplePacketRecycling
 from repro.forwarding.engine import DeliveryStatus, ForwardingOutcome
 from repro.forwarding.scheme import ForwardingScheme
@@ -48,6 +55,7 @@ SCHEMES: Dict[str, Callable[[Graph], ForwardingScheme]] = {
     "pr-1bit": lambda graph: SimplePacketRecycling(graph, embedding_seed=7),
     "fcp": FailureCarryingPackets,
     "lfa": LoopFreeAlternates,
+    "reconvergence": Reconvergence,
 }
 
 MAX_FAILURES = 12
@@ -134,6 +142,36 @@ def fcp_table_error(
     return None
 
 
+def reconvergence_error(
+    graph: Graph, failed: Sequence[int], outcomes: Dict[tuple, ForwardingOutcome]
+) -> Optional[str]:
+    """The first re-convergence outcome that disagrees with the reference SPF.
+
+    Delivered outcomes must cost the ``dijkstra`` distance on the map minus
+    ``failed`` (up to float summation order), dropped ones must have an
+    unreachable destination, and TTL expiries a reachable one.
+    """
+    distances: Dict[str, Dict[str, float]] = {}
+    for (source, destination), outcome in outcomes.items():
+        if destination not in distances:
+            distances[destination] = dijkstra(graph, destination, failed)[0]
+        distance = distances[destination].get(source)
+        status = outcome.status
+        if status is DeliveryStatus.DELIVERED:
+            ok = distance is not None and math.isclose(outcome.cost, distance, rel_tol=1e-9)
+        elif status is DeliveryStatus.DROPPED:
+            ok = distance is None
+        else:
+            ok = distance is not None
+        if not ok:
+            return (
+                f"{graph.name} reconvergence {source} -> {destination} under "
+                f"{tuple(failed)}: {status.value} at cost {outcome.cost}, "
+                f"dijkstra distance {distance}"
+            )
+    return None
+
+
 def shrink(
     scheme: ForwardingScheme, pairs: Sequence[tuple], failed: Sequence[int]
 ) -> Tuple[int, ...]:
@@ -166,8 +204,9 @@ def fuzz_topology(
     """Fuzz ``rounds`` failure sets per scheme on one topology.
 
     Returns the TTL-expiry count per scheme and, on the first mismatch, a
-    report naming the shrunk failed-link set or the wrong FCP first hop
-    (``None`` when all agree).
+    report naming the shrunk failed-link set, the wrong FCP first hop or the
+    re-convergence outcome that disagrees with ``dijkstra`` (``None`` when
+    all agree).
     ``scheme`` reuses a prebuilt instance when only one key is fuzzed.
     """
     nodes = graph.nodes()
@@ -206,6 +245,10 @@ def fuzz_topology(
                 error = fcp_table_error(instance, checked)
                 if error is not None:
                     return expiries, f"round {round_index} under {failed}: {error}"
+            if key == "reconvergence":
+                error = reconvergence_error(graph, failed, fast)
+                if error is not None:
+                    return expiries, f"round {round_index}: {error}"
             expiries[key] += sum(
                 1 for outcome in fast.values()
                 if outcome.status is DeliveryStatus.TTL_EXCEEDED

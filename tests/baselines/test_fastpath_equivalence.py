@@ -27,6 +27,7 @@ from repro.core.scheme import PacketRecycling, SimplePacketRecycling
 from repro.forwarding.network_state import NetworkState
 from repro.forwarding.scheme import ForwardingScheme
 from repro.graph.spcache import engine_for
+from repro.routing.discriminator import DiscriminatorKind
 from repro.topologies.corpus import parse_topology_spec, topology_set
 from repro.topologies.registry import by_name
 from tests.baselines.fastpath_fuzz import SCHEMES as FUZZ_SCHEMES
@@ -40,6 +41,17 @@ SCHEME_FACTORIES = {
     "pr-1bit": lambda graph: SimplePacketRecycling(graph, embedding_seed=7),
 }
 
+#: The daemon takes ``discriminator`` per request, so the PR fast paths are
+#: also pinned with the DD bits carrying weighted path cost.
+WEIGHTED_FACTORIES = {
+    "pr-weighted": lambda graph: PacketRecycling(
+        graph, discriminator_kind=DiscriminatorKind.WEIGHTED_COST, embedding_seed=7
+    ),
+    "pr-1bit-weighted": lambda graph: SimplePacketRecycling(
+        graph, discriminator_kind=DiscriminatorKind.WEIGHTED_COST, embedding_seed=7
+    ),
+}
+
 
 def assert_outcomes_identical(fast, reference, context):
     """Same pairs, and per pair the same source, destination, status, path,
@@ -50,13 +62,13 @@ def assert_outcomes_identical(fast, reference, context):
         assert a == b, (context, pair, a, b)
 
 
-@pytest.mark.parametrize("scheme_key", sorted(SCHEME_FACTORIES))
+@pytest.mark.parametrize("scheme_key", sorted(SCHEME_FACTORIES) + sorted(WEIGHTED_FACTORIES))
 @pytest.mark.parametrize(
     "topology", topology_set("all") + ["abilene", "teleglobe", "geant"]
 )
 def test_fast_path_matches_engine(topology, scheme_key):
     graph = parse_topology_spec(topology).build()
-    scheme = SCHEME_FACTORIES[scheme_key](graph)
+    scheme = {**SCHEME_FACTORIES, **WEIGHTED_FACTORIES}[scheme_key](graph)
     nodes = graph.nodes()
     pairs = [(u, v) for u in nodes for v in nodes if u != v]
     edge_ids = graph.edge_ids()
