@@ -13,7 +13,7 @@ Section 6 holds against FCP.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional
+from typing import Collection, Dict, FrozenSet, Iterable, Optional
 
 from repro.errors import ProtocolError
 from repro.forwarding.engine import DeliveryStatus, ForwardingOutcome
@@ -46,11 +46,9 @@ class FcpLogic(RouterLogic):
         graph: Graph,
         routing: RoutingTables,
         state: NetworkState,
-        spf_cache: Optional[
-            # (node, carried failure set) -> [parent tree or None, lazily
-            # filled destination -> first-hop dart table]; see _next_hop_indexed.
-            "_LruDict"
-        ] = None,
+        # (node, carried failure set) -> [parent tree or None, lazily filled
+        # destination -> first-hop dart table]; see _next_hop_indexed.
+        spf_cache: _LruDict,
     ) -> None:
         self.graph = graph
         self.routing = routing
@@ -64,18 +62,13 @@ class FcpLogic(RouterLogic):
         # table computed under one scenario is equally valid under any other,
         # and repeated (hop, carried-set) combinations across scenarios become
         # dictionary hits instead of full Dijkstra runs.
-        if spf_cache is None:
-            spf_cache = _LruDict(_SPF_TABLE_CACHE)
         self._spf_cache = spf_cache
 
     def _next_hop_given_failures(
         self, node: str, destination: str, failures: FrozenSet[int]
     ) -> Optional[Dart]:
         """Egress dart of the shortest path on the map minus carried failures."""
-        dest_idx = self._engine.compiled.index.get(destination)
-        if dest_idx is None:
-            return None
-        return self._next_hop_indexed(node, dest_idx, failures)
+        return self._next_hop_indexed(node, self._engine.compiled.index[destination], failures)
 
     def _next_hop_indexed(
         self, node: str, dest_idx: int, failures: FrozenSet[int]
@@ -196,7 +189,7 @@ class FailureCarryingPackets(ForwardingScheme):
 
     def deliver_many(
         self,
-        pairs: Iterable[tuple],
+        pairs: Collection[tuple],
         failed_links: Iterable[int] = (),
     ) -> Dict[tuple, ForwardingOutcome]:
         """Sweep fast path: run the FCP forwarding loop without the engine.
@@ -207,25 +200,22 @@ class FailureCarryingPackets(ForwardingScheme):
         per-hop SPF recomputation served from the scheme-level memo.
         :meth:`ForwardingScheme.deliver` still runs the real engine.
         """
-        state = NetworkState(self.graph, failed_links)  # validates the ids
+        state = self.check_query(pairs, failed_links)
         logic = FcpLogic(self.graph, self.routing, state, spf_cache=self._spf_cache)
         next_hop_indexed = logic._next_hop_indexed
         spf_get = self._spf_cache.get_or_none
-        failed_mask = 0
-        for edge_id in state.failed_edges:
-            failed_mask |= 1 << edge_id
+        compiled = self._engine.compiled
+        failed_mask = compiled.exclusion_mask(state.failed_edges)
         routing_entries = self.routing._entries
-        index_of = self._engine.compiled.index
-        weight_of = self._engine.compiled.edge_weight
+        index_of = compiled.index
+        weight_of = compiled.edge_weight
         ttl_budget = self.default_ttl()
         attempts_bound = self.graph.number_of_edges() + 1
         outcomes: Dict[tuple, ForwardingOutcome] = {}
         for pair in pairs:
             source, destination = pair
             node = source
-            # -1 for an unknown destination: it matches no parent entry, so
-            # the walk drops exactly where the name-keyed lookup used to.
-            dest_idx = index_of.get(destination, -1)
+            dest_idx = index_of[destination]
             path = [node]
             cost = 0.0
             ttl = ttl_budget
@@ -264,10 +254,7 @@ class FailureCarryingPackets(ForwardingScheme):
                             egress = next_hop_indexed(node, dest_idx, carried)
                         spf_runs += 1
                     else:
-                        node_entries = routing_entries.get(node)
-                        entry = (
-                            node_entries.get(destination) if node_entries else None
-                        )
+                        entry = routing_entries[node].get(destination)
                         egress = entry.egress if entry is not None else None
                     if egress is None or not failed_mask & (1 << egress.edge_id):
                         break
@@ -297,14 +284,12 @@ class FailureCarryingPackets(ForwardingScheme):
                 cost=cost,
                 hops=len(path) - 1,
                 drop_reason=drop_reason,
-                # Every walk with source != destination decides at least
-                # once (the TTL budget is positive).
+                # Source != destination and the TTL budget is positive, so
+                # every walk decides at least once.
                 counters={
                     "spf_computations": spf_total,
                     "failures_recorded": failures_total,
-                }
-                if source != destination
-                else {},
+                },
             )
         return outcomes
 

@@ -12,7 +12,7 @@ is precisely why the paper compares against FCP and re-convergence instead.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.forwarding.engine import DeliveryStatus, ForwardingOutcome
@@ -107,7 +107,7 @@ class LoopFreeAlternates(ForwardingScheme):
 
     def deliver_many(
         self,
-        pairs: Iterable[tuple],
+        pairs: Collection[tuple],
         failed_links: Iterable[int] = (),
     ) -> Dict[tuple, ForwardingOutcome]:
         """Sweep fast path: walk primaries and precomputed alternates directly.
@@ -117,13 +117,12 @@ class LoopFreeAlternates(ForwardingScheme):
         drop reasons (asserted by the fast-path equivalence tests).
         :meth:`ForwardingScheme.deliver` still runs the real engine.
         """
-        state = NetworkState(self.graph, failed_links)  # validates the ids
-        failed_mask = 0
-        for edge_id in state.failed_edges:
-            failed_mask |= 1 << edge_id
+        state = self.check_query(pairs, failed_links)
+        compiled = self._engine.compiled
+        failed_mask = compiled.exclusion_mask(state.failed_edges)
         routing_entries = self.routing._entries
         alternates = self.alternates
-        weight_of = self._engine.compiled.edge_weight
+        weight_of = compiled.edge_weight
         ttl_budget = self.default_ttl()
         outcomes: Dict[tuple, ForwardingOutcome] = {}
         for pair in pairs:
@@ -159,8 +158,7 @@ class LoopFreeAlternates(ForwardingScheme):
                     )
                     break
                 # --- LfaLogic.decide, inlined ---
-                node_entries = routing_entries.get(node)
-                entry = node_entries.get(destination) if node_entries else None
+                entry = routing_entries[node].get(destination)
                 if entry is None:
                     outcome = ForwardingOutcome(
                         source=source,

@@ -16,7 +16,7 @@ from repro.forwarding.packets import Packet
 from repro.forwarding.router import ForwardingDecision, RouterLogic
 from repro.forwarding.scheme import ForwardingScheme
 from repro.graph.darts import Dart
-from repro.routing.tables import RoutingTables
+from repro.routing.tables import RoutingTables, cached_routing_tables
 
 
 class NoProtectionLogic(RouterLogic):
@@ -53,7 +53,7 @@ class NoProtection(ForwardingScheme):
 
     def __init__(self, graph) -> None:
         super().__init__(graph)
-        self.routing = RoutingTables(graph)
+        self.routing = cached_routing_tables(graph)
 
     def build_logic(self, state: NetworkState) -> RouterLogic:
         return NoProtectionLogic(self.routing, state)

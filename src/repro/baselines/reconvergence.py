@@ -9,7 +9,7 @@ the paper uses it as motivation rather than as a stretch data point.)
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Collection, Dict, Iterable, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.forwarding.engine import DeliveryStatus, ForwardingOutcome
@@ -46,13 +46,11 @@ class ReconvergedLogic(RouterLogic):
         if state is not self.state:
             raise ProtocolError("router logic was built for a different network state")
         destination = packet.header.destination
-        index = self.engine.compiled.index
         parent = self._trees.get(destination)
         if parent is None:
-            known = destination in index
-            parent = self.engine.sssp_tree(destination, state.failed_edges)[1] if known else {}
+            parent = self.engine.sssp_tree(destination, state.failed_edges)[1]
             self._trees[destination] = parent
-        hop = parent.get(index.get(node))
+        hop = parent.get(self.engine.compiled.index[node])
         if hop is None:
             return ForwardingDecision.drop("destination unreachable after re-convergence")
         # The tree excludes the failed links, so the egress is up by
@@ -78,7 +76,7 @@ class Reconvergence(ForwardingScheme):
 
     def deliver_many(
         self,
-        pairs: Iterable[tuple],
+        pairs: Collection[tuple],
         failed_links: Iterable[int] = (),
     ) -> Dict[tuple, ForwardingOutcome]:
         """Sweep fast path: walk the converged trees directly.
@@ -91,7 +89,7 @@ class Reconvergence(ForwardingScheme):
         tests); :meth:`ForwardingScheme.deliver` still runs the real engine
         and remains the reference implementation.
         """
-        state = NetworkState(self.graph, failed_links)  # validates the ids
+        state = self.check_query(pairs, failed_links)
         engine = self._engine
         excluded = state.failed_edges
         compiled = engine.compiled
@@ -106,15 +104,8 @@ class Reconvergence(ForwardingScheme):
         delivered = DeliveryStatus.DELIVERED
         outcomes: Dict[tuple, ForwardingOutcome] = {}
         for source, destination in pairs:
-            node = index_of.get(source)
-            target = index_of.get(destination)
-            if node is None or target is None:
-                # Unknown endpoints have no tree entry; the engine's answer
-                # (delivered on the spot when source == destination, else
-                # dropped at the source) is the reference.
-                pair = (source, destination)
-                outcomes[pair] = ForwardingScheme.deliver_many(self, [pair], excluded)[pair]
-                continue
+            node = index_of[source]
+            target = index_of[destination]
             parent = trees.get(destination)
             if parent is None:
                 parent = engine.sssp_tree(destination, excluded)[1]
@@ -134,8 +125,9 @@ class Reconvergence(ForwardingScheme):
                         hops=len(path) - 1,
                         # Every hop's decision carries spf_computations=0 and
                         # the engine accumulates explicit zeros, so the key
-                        # appears exactly when at least one hop was decided.
-                        counters={"spf_computations": 0.0} if len(path) > 1 else {},
+                        # appears exactly when at least one hop was decided:
+                        # always here, as the source is not the destination.
+                        counters={"spf_computations": 0.0},
                     )
                     break
                 if ttl <= 0:

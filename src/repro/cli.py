@@ -60,7 +60,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.api import build_packet_recycling, compare_schemes
 from repro.core.coverage import coverage_report
@@ -71,7 +71,7 @@ from repro.experiments.asciiplot import ccdf_rows, render_ccdf_plot, render_tabl
 from repro.experiments.overhead import overhead_experiment
 from repro.experiments.stretch import default_schemes, figure2_panel
 from repro.failures.sampling import sample_multi_link_failures
-from repro.failures.scenarios import single_link_failures
+from repro.failures.scenarios import resolve_failed_links, single_link_failures
 from repro.graph.connectivity import is_two_edge_connected
 from repro.graph.multigraph import Graph
 from repro.graph.spcache import cached_diameter
@@ -89,29 +89,13 @@ from repro.runner import aggregate as campaign_aggregate
 from repro.runner import faults as fault_harness
 from repro.errors import ReproError
 from repro.scenarios import available_scenario_models, get_scenario_model, registered_models
+from repro.store import resolve_results
 from repro.topologies import corpus as topology_corpus
 from repro import telemetry
 
 # Embedding seed of every command that builds Packet Re-cycling, the same as
 # ``repro serve`` and campaign specs use, so one request gets one answer.
 _EMBEDDING_SEED = 0
-
-
-def _parse_failed_links(graph: Graph, specs: Sequence[str]) -> List[int]:
-    """Failure specs: either an edge id or ``u-v`` endpoint pairs."""
-    failed: List[int] = []
-    for spec in specs:
-        if spec.isdigit():
-            failed.append(int(spec))
-            continue
-        if "-" not in spec:
-            raise SystemExit(f"cannot parse failed link {spec!r}; use an edge id or 'u-v'")
-        u, v = spec.split("-", 1)
-        edge_ids = graph.edge_ids_between(u, v)
-        if not edge_ids:
-            raise SystemExit(f"no link between {u!r} and {v!r} in {graph.name!r}")
-        failed.extend(edge_ids)
-    return failed
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +144,11 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_deliver(args: argparse.Namespace) -> int:
     graph = _load_topology(args.topology)
-    failed = _parse_failed_links(graph, args.fail or [])
+    # ``--fail u-v`` names the link by its endpoints; digits are an edge id.
+    failed = resolve_failed_links(graph, [
+        int(spec) if spec.isdigit() else tuple(spec.split("-", 1)) if "-" in spec else spec
+        for spec in args.fail
+    ])
     if args.compare:
         schemes = default_schemes(graph, embedding_seed=_EMBEDDING_SEED)
         outcomes = compare_schemes(graph, args.source, args.destination, failed, schemes)
@@ -273,24 +261,21 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
     # preview: generate and print one model's scenarios for a topology.
     graph = _load_topology(args.topology)
-    try:
-        model = get_scenario_model(args.model)
-        spec = ScenarioSpec(
-            kind="model",
-            model=args.model,
-            samples=args.samples,
-            non_disconnecting=not args.allow_disconnecting,
-            params=tuple(sorted(_parse_params(args.param).items())),
-        )
-        scenarios = model.generate(
-            graph,
-            seed=args.seed,
-            samples=spec.samples,
-            non_disconnecting=spec.non_disconnecting,
-            params=dict(spec.params),
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    model = get_scenario_model(args.model)
+    spec = ScenarioSpec(
+        kind="model",
+        model=args.model,
+        samples=args.samples,
+        non_disconnecting=not args.allow_disconnecting,
+        params=tuple(sorted(_parse_params(args.param).items())),
+    )
+    scenarios = model.generate(
+        graph,
+        seed=args.seed,
+        samples=spec.samples,
+        non_disconnecting=spec.non_disconnecting,
+        params=dict(spec.params),
+    )
     print(
         f"model={model.name} topology={graph.name} seed={args.seed} "
         f"params={dict(spec.params)}"
@@ -321,7 +306,7 @@ def _cmd_topologies(args: argparse.Namespace) -> int:
     if args.action == "show":
         try:
             graph = topology_corpus.build_topology(args.spec)
-        except (ReproError, OSError) as exc:
+        except OSError as exc:
             raise SystemExit(str(exc))
         print(f"spec: {topology_corpus.canonical_topology(args.spec)}")
         _print_topology_summary(graph, args.links)
@@ -347,27 +332,9 @@ def _cmd_topologies(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _resolve_results(path_arg: str):
-    """The one results-argument resolver every subcommand shares.
-
-    Classifies the path (SQLite store / telemetry manifest) and returns a
-    :class:`repro.store.ResolvedResults`; a JSONL or missing path exits with
-    the error instead of a traceback.
-    """
-    from repro.store import resolve_results
-
-    try:
-        return resolve_results(path_arg)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    with _resolve_results(args.results) as resolved:
-        try:
-            manifest = resolved.manifest()
-        except ReproError as exc:
-            raise SystemExit(str(exc))
+    with resolve_results(args.results) as resolved:
+        manifest = resolved.manifest()
     if args.validate:
         problems = telemetry.validate_manifest(manifest)
         if problems:
@@ -382,7 +349,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    with _resolve_results(args.results) as resolved:
+    with resolve_results(args.results) as resolved:
         if args.campaigns:
             rows = resolved.campaigns()
             if not rows:
@@ -403,12 +370,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 ],
             ))
             return 0
-        try:
-            records = resolved.records(
-                args.filter or None, limit=args.limit or None
-            )
-        except ReproError as exc:
-            raise SystemExit(str(exc))
+        records = resolved.records(args.filter or None, limit=args.limit or None)
     if args.json:
         for record in records:
             print(json.dumps(record, sort_keys=True))
@@ -436,10 +398,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_migrate(args: argparse.Namespace) -> int:
     from repro.store import migrate as migrate_results
 
-    try:
-        summary = migrate_results(args.source, args.destination, args.campaign)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    summary = migrate_results(args.source, args.destination, args.campaign)
     print(f"{summary['direction']}: campaign {summary['campaign_id']}, "
           f"{summary['records']} records -> {args.destination}")
     if summary.get("manifest"):
@@ -518,19 +477,16 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         topologies.extend(topology_corpus.topology_set(args.topology_set))
     if not topologies:
         topologies = ["abilene", "geant"]
-    try:
-        return CampaignSpec(
-            topologies=tuple(topologies),
-            schemes=tuple(args.schemes),
-            discriminators=tuple(args.discriminators),
-            scenarios=tuple(scenarios),
-            seed=args.seed,
-            embedding_method=args.embedding_method,
-            embedding_seed=args.embedding_seed,
-            coverage=args.coverage,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    return CampaignSpec(
+        topologies=tuple(topologies),
+        schemes=tuple(args.schemes),
+        discriminators=tuple(args.discriminators),
+        scenarios=tuple(scenarios),
+        seed=args.seed,
+        embedding_method=args.embedding_method,
+        embedding_seed=args.embedding_seed,
+        coverage=args.coverage,
+    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -540,28 +496,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.results:
         from repro.store import require_store_path
 
-        try:
-            require_store_path(args.results, spec.spec_hash())
-        except ReproError as exc:
-            raise SystemExit(str(exc))
+        require_store_path(args.results, spec.spec_hash())
     if args.no_telemetry:
         telemetry.set_enabled(False)
-    try:
-        policy = ExecutionPolicy(
-            max_retries=args.max_retries,
-            cell_timeout=args.cell_timeout,
-            on_error=args.on_error,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    policy = ExecutionPolicy(
+        max_retries=args.max_retries,
+        cell_timeout=args.cell_timeout,
+        on_error=args.on_error,
+    )
     if args.inject is not None:
         # The environment variable is the cross-process contract: worker
         # processes re-read it in their initializer, so --inject reaches
         # them however the pool starts.
-        try:
-            fault_harness.parse_plan(args.inject)
-        except ReproError as exc:
-            raise SystemExit(str(exc))
+        fault_harness.parse_plan(args.inject)
         os.environ[fault_harness.ENV_VAR] = args.inject
         fault_harness.reload_from_env()
     for name in spec.topologies:
@@ -969,10 +916,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Every command reports a :class:`~repro.errors.ReproError` the same way:
+    its one-line message on stderr and exit status 1, with no traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ReproError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

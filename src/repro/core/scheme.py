@@ -7,7 +7,7 @@ logic, and expose the overhead accounting used by the evaluation section.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Collection, Dict, Iterable, List, Optional
 
 from repro.core.protocol import PacketRecyclingLogic, SimplePacketRecyclingLogic
 from repro.core.tables import CycleFollowingTables
@@ -99,7 +99,7 @@ class PacketRecycling(ForwardingScheme):
 
     def deliver_many(
         self,
-        pairs: Iterable[tuple],
+        pairs: Collection[tuple],
         failed_links: Iterable[int] = (),
     ) -> Dict[tuple, ForwardingOutcome]:
         """Sweep fast path: run the PR forwarding loop without the engine.
@@ -128,10 +128,8 @@ class PacketRecycling(ForwardingScheme):
           scaled by the round count) and the loop walks the last partial
           round to TTL expiry as usual.
         """
-        state = NetworkState(self.graph, failed_links)  # validates the ids
-        failed_mask = 0
-        for edge_id in state.failed_edges:
-            failed_mask |= 1 << edge_id
+        state = self.check_query(pairs, failed_links)
+        failed_mask = self.routing._engine.compiled.exclusion_mask(state.failed_edges)
         routing_entries = self.routing._entries
         darts, code_of, cycle_next, avoid_next, degree_of, weight_of = self._flat_tables()
         ttl_budget = self.default_ttl()
@@ -201,10 +199,8 @@ class PacketRecycling(ForwardingScheme):
                 detected = False
                 while True:
                     if not pr_bit:
-                        # _route_normally (``get`` on the outer dict so an
-                        # unknown source drops like the engine, not KeyError)
-                        node_entries = routing_entries.get(node)
-                        entry = node_entries.get(destination) if node_entries else None
+                        # _route_normally
+                        entry = routing_entries[node].get(destination)
                         if entry is None:
                             status = DeliveryStatus.DROPPED
                             drop_reason = "no route to destination in routing table"

@@ -3,13 +3,51 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import FailureScenarioError
 from repro.graph.connectivity import is_connected
 from repro.graph.multigraph import Graph
 from repro.graph.spcache import engine_for
 from repro.routing.tables import RoutingTables
+
+
+def resolve_failed_links(graph: Graph, specs: Sequence[object]) -> Tuple[int, ...]:
+    """Sorted, distinct link ids from a list of edge ids and ``(u, v)`` endpoint pairs.
+
+    An endpoint pair fails every parallel link joining the two routers, which
+    is what "the link between u and v went down" means operationally.  An
+    edge id is taken as given: the scheme a query enters checks it
+    (:meth:`~repro.forwarding.scheme.ForwardingScheme.check_query`).
+    """
+    if not isinstance(specs, (list, tuple)):
+        raise FailureScenarioError(
+            f"failed links must be a list of edge ids and (u, v) pairs, not {specs!r}"
+        )
+    ids: List[int] = []
+    for spec in specs:
+        if isinstance(spec, bool):
+            # bool is an int subclass: without this guard True/False would
+            # silently pass as edge ids 1/0.
+            raise FailureScenarioError(
+                f"bad failed-link entry {spec!r}: booleans are not edge ids;"
+                " use an integer edge id or a (u, v) endpoint pair"
+            )
+        if isinstance(spec, int):
+            ids.append(spec)
+        elif isinstance(spec, (list, tuple)) and len(spec) == 2:
+            u, v = str(spec[0]), str(spec[1])
+            matched = graph.edge_ids_between(u, v)
+            if not matched:
+                raise FailureScenarioError(
+                    f"no link between {u!r} and {v!r} in {graph.name!r}"
+                )
+            ids.extend(matched)
+        else:
+            raise FailureScenarioError(
+                f"bad failed-link entry {spec!r}; use an edge id or a (u, v) endpoint pair"
+            )
+    return tuple(sorted(set(ids)))
 
 
 @dataclass(frozen=True)

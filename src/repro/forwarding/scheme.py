@@ -6,14 +6,17 @@ the :class:`~repro.forwarding.router.RouterLogic` that drives packets at
 forwarding time.  The CLI and the daemon send single packets through
 :meth:`ForwardingScheme.deliver`; campaigns send one per pair and failure set
 through :meth:`ForwardingScheme.deliver_many`, whose flat-walk overrides must
-match the engine-driven implementation here.
+match the engine-driven implementation here.  Both entry points, overrides
+included, start with :meth:`ForwardingScheme.check_query`, so a query that
+names a router or link the topology does not have is an error, never a
+dropped packet.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Collection, Dict, Iterable, Optional
 
-from repro.errors import ForwardingError
+from repro.errors import ForwardingError, NodeNotFound
 from repro.forwarding.engine import ForwardingOutcome, HopByHopEngine
 from repro.forwarding.network_state import NetworkState
 from repro.forwarding.packets import Packet
@@ -51,6 +54,30 @@ class ForwardingScheme:
         """
         return max(64, 8 * self.graph.number_of_edges() + 2 * self.graph.number_of_nodes())
 
+    def check_query(
+        self, pairs: Collection[tuple], failed_links: Iterable[int] = ()
+    ) -> NetworkState:
+        """Validate a forwarding query and return its failure state.
+
+        Raises :class:`~repro.errors.NodeNotFound` for an endpoint that is
+        not a router of the topology, :class:`~repro.errors.ForwardingError`
+        for a pair whose source is its destination, and
+        :class:`~repro.errors.FailureScenarioError` for a failed link id the
+        topology does not have.  Past this check every endpoint is known, so
+        no forwarding path needs an unknown-router case of its own.
+        """
+        nodes = self.graph._adjacency
+        for source, destination in pairs:
+            if source not in nodes:
+                raise NodeNotFound(source)
+            if destination not in nodes:
+                raise NodeNotFound(destination)
+            if source == destination:
+                raise ForwardingError(
+                    f"source and destination must differ (both {source!r})"
+                )
+        return NetworkState(self.graph, failed_links)
+
     def deliver(
         self,
         source: str,
@@ -68,9 +95,7 @@ class ForwardingScheme:
         knowledge.  ``dscp`` is the packet's traffic class, consulted only by
         class-based deployment policies.
         """
-        if source == destination:
-            raise ForwardingError("source and destination must differ")
-        state = NetworkState(self.graph, failed_links)
+        state = self.check_query(((source, destination),), failed_links)
         logic = self.build_logic(state)
         engine = HopByHopEngine(state, logic)
         packet = Packet(
@@ -84,15 +109,17 @@ class ForwardingScheme:
 
     def deliver_many(
         self,
-        pairs: Iterable[tuple],
+        pairs: Collection[tuple],
         failed_links: Iterable[int] = (),
     ) -> Dict[tuple, ForwardingOutcome]:
         """Deliver one packet per ``(source, destination)`` pair under one failure set.
 
         The network state and router logic are built once and reused, which
-        is what makes the full-mesh sweeps of Figure 2 affordable.
+        is what makes the full-mesh sweeps of Figure 2 affordable.  The
+        whole query is checked first (:meth:`check_query`), so ``pairs`` is
+        read twice and must be a collection, not a one-shot iterator.
         """
-        state = NetworkState(self.graph, failed_links)
+        state = self.check_query(pairs, failed_links)
         logic = self.build_logic(state)
         engine = HopByHopEngine(state, logic)
         outcomes: Dict[tuple, ForwardingOutcome] = {}

@@ -85,25 +85,13 @@ def topologies_in(records: Sequence[Record]) -> List[str]:
     return seen
 
 
-def scheme_label(record: Record, records: Sequence[Record]) -> str:
-    """Display label of a record's scheme within a record set.
+def _scheme_labels(records: Sequence[Record]) -> List[str]:
+    """Display label of every record's scheme, deciding the format once.
 
     When the set sweeps more than one discriminator kind, the discriminator
     is part of the label — otherwise cells that differ only in their DD
-    function would silently pool under one name.
-    """
-    discriminators = {r.get("discriminator") for r in records}
-    if len(discriminators) <= 1:
-        return record["scheme_name"]
-    return f'{record["scheme_name"]} [{record.get("discriminator")}]'
-
-
-def _scheme_labels(records: Sequence[Record]) -> List[str]:
-    """:func:`scheme_label` for every record, deciding the format once.
-
-    The multi-discriminator check scans the whole record set; calling
-    :func:`scheme_label` per record would redo that scan per record
-    (quadratic on corpus-scale campaigns).
+    function would silently pool under one name.  The check scans the whole
+    record set once, not once per record.
     """
     multi = len({r.get("discriminator") for r in records}) > 1
     if not multi:

@@ -50,8 +50,14 @@ Operations (``op`` field):
     Ad-hoc forwarding query: ``{"op": "deliver", "topology": "abilene",
     "scheme": "pr", "source": "a", "destination": "b",
     "failed": [[u, v], 3]}`` — failed links as edge ids or endpoint pairs.
-    Returns delivery status, hops, cost and (``stretch``/delivered) the
-    path stretch against the failure-free shortest path.
+    Returns delivery status, hops, cost, the failure-free ``baseline_cost``
+    and (delivered) the path stretch against it.  A query the topology
+    cannot answer is an error, never a dropped packet: an unknown source or
+    destination answers ``ok: false, error_type: "NodeNotFound"``, source
+    == destination ``"ForwardingError"``, and an unknown edge id or
+    endpoint pair ``"FailureScenarioError"`` — the exceptions
+    :meth:`~repro.forwarding.scheme.ForwardingScheme.check_query` raises
+    for the same query in the library.
 ``query``
     Filter records out of a results store (kept open across requests):
     ``{"op": "query", "results": "corpus.sqlite", "filter":
@@ -96,7 +102,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import ExperimentError, JobCancelled, ReproError
-from repro.graph.multigraph import Graph
+from repro.failures.scenarios import resolve_failed_links
 from repro.graph.spcache import ShortestPathEngine, engine_counter_totals, engine_for
 from repro.runner import faults
 from repro.runner.executor import build_scheme, load_topology
@@ -130,39 +136,6 @@ def jobs_path_for(socket_path: Union[str, Path]) -> Path:
     path = Path(socket_path)
     stem = path.stem if path.suffix else path.name
     return path.with_name(stem + ".jobs.sqlite")
-
-
-def _resolve_failed_links(graph: Graph, failed: Any) -> Tuple[int, ...]:
-    """Edge ids from a mixed list of edge ids and ``[u, v]`` endpoint pairs.
-
-    An endpoint pair fails every parallel edge joining the two nodes, which
-    is what "the link between u and v went down" means operationally.
-    """
-    if not failed:
-        return ()
-    ids: List[int] = []
-    for item in failed:
-        if isinstance(item, bool):
-            # bool is an int subclass, so without this guard True/False
-            # would silently pass as edge ids 1/0.
-            raise ExperimentError(
-                f"bad failed-link entry {item!r}: booleans are not edge ids;"
-                " use an integer edge id or an [u, v] endpoint pair"
-            )
-        if isinstance(item, int):
-            ids.append(item)
-            continue
-        if isinstance(item, (list, tuple)) and len(item) == 2:
-            u, v = str(item[0]), str(item[1])
-            matched = graph.edge_ids_between(u, v)
-            if not matched:
-                raise ExperimentError(f"no link between {u!r} and {v!r}")
-            ids.extend(matched)
-            continue
-        raise ExperimentError(
-            f"bad failed-link entry {item!r}; use an edge id or [u, v]"
-        )
-    return tuple(sorted(set(ids)))
 
 
 class JobWorker(threading.Thread):
@@ -442,7 +415,8 @@ class ServeSession:
             str(request["scheme"]),
             request.get("discriminator"),
         )
-        failed = _resolve_failed_links(scheme.graph, request.get("failed"))
+        failed = request.get("failed")
+        failed = resolve_failed_links(scheme.graph, () if failed is None else failed)
         source = str(request["source"])
         destination = str(request["destination"])
         outcome = scheme.deliver(source, destination, failed_links=failed)
@@ -457,10 +431,9 @@ class ServeSession:
         }
         if outcome.drop_reason:
             response["drop_reason"] = outcome.drop_reason
-        # An unknown source has no index, hence no baseline (None).
-        baseline = engine.sssp_tree(destination)[0].get(
-            engine.compiled.index.get(source)
-        )
+        # deliver checked both endpoints; a destination the failure-free
+        # map cannot reach has no baseline (None).
+        baseline = engine.sssp_tree(destination)[0].get(engine.compiled.index[source])
         response["baseline_cost"] = baseline
         if delivered and baseline:
             response["stretch"] = outcome.cost / baseline

@@ -1,15 +1,18 @@
 """Unit tests for the re-convergence baseline scheme."""
 
 import random
+from functools import partial
 
 import pytest
 
 from repro.baselines.reconvergence import Reconvergence
 from repro.core.coverage import coverage_report
+from repro.errors import NodeNotFound
 from repro.failures.scenarios import single_link_failures
 from repro.forwarding.network_state import NetworkState
 from repro.forwarding.packets import Packet
 from repro.forwarding.router import Action
+from repro.forwarding.scheme import ForwardingScheme
 from repro.graph.shortest_paths import shortest_path_cost
 from repro.graph.spcache import ShortestPathEngine, clear_engines, engine_for
 from repro.routing.tables import RoutingTables
@@ -54,14 +57,12 @@ class TestReconvergence:
         assert not outcome.delivered
 
     def test_unknown_endpoints_in_sweep(self, abilene_graph):
-        """The fast path answers unknown endpoints like the engine does."""
-        pairs = [("Mars", "Seattle"), ("Seattle", "Mars"), ("Mars", "Mars")]
-        outcomes = Reconvergence(abilene_graph).deliver_many(pairs)
-        assert [outcomes[pair].status.value for pair in pairs] == [
-            "dropped", "dropped", "delivered"
-        ]
-        assert outcomes[("Seattle", "Mars")].drop_reason == UNREACHABLE
-        assert all(outcome.path == [outcome.source] for outcome in outcomes.values())
+        """An unknown router fails the whole sweep call, as in the engine path."""
+        scheme = Reconvergence(abilene_graph)
+        for pair in [("Mars", "Seattle"), ("Seattle", "Mars"), ("Mars", "Mars")]:
+            for sweep in (scheme.deliver_many, partial(ForwardingScheme.deliver_many, scheme)):
+                with pytest.raises(NodeNotFound, match="Mars"):
+                    sweep([("Seattle", "Denver"), pair])
 
     def test_no_extra_overheads(self, abilene_graph):
         scheme = Reconvergence(abilene_graph)
@@ -116,9 +117,9 @@ def test_logic_matches_converged_tables(topology):
                     drops += 1
                     assert decision.action is Action.DROP, context
                     assert decision.drop_reason == UNREACHABLE, context
-        for node, destination in (("nowhere", nodes[0]), (nodes[0], "nowhere")):
-            decision = logic.decide(node, None, Packet(node, destination), state)
-            assert decision.action is Action.DROP and decision.drop_reason == UNREACHABLE
+        for source, destination in (("nowhere", nodes[0]), (nodes[0], "nowhere")):
+            with pytest.raises(NodeNotFound, match="nowhere"):
+                scheme.deliver(source, destination, failed_links=failed)
     assert drops > 0, "no failure set disconnected a pair"
 
 

@@ -101,6 +101,7 @@ class TestSessionOps:
                 assert response["baseline_cost"] == tables.cost(source, destination)
 
     def test_unknown_source_has_no_baseline_cost(self, session):
+        """An unknown source is an error answer, not a dropped packet."""
         response = session.handle({
             "op": "deliver",
             "topology": "abilene",
@@ -108,9 +109,10 @@ class TestSessionOps:
             "source": "no-such-node",
             "destination": "Seattle",
         })
-        assert response["ok"] is True
-        assert response["delivered"] is False
-        assert response["baseline_cost"] is None
+        assert response["ok"] is False
+        assert response["error_type"] == "NodeNotFound"
+        assert "no-such-node" in response["error"]
+        assert "baseline_cost" not in response
 
     def test_errors_come_back_as_responses(self, session):
         response = session.handle({
@@ -238,6 +240,20 @@ class TestFailedLinkValidation:
             "failed": [0],
         })
         assert good["ok"] is True
+
+    @pytest.mark.parametrize("failed", [3, 0, False, "3", {"3": 1}])
+    def test_failed_links_must_be_a_list(self, session, failed):
+        response = session.handle({
+            "op": "deliver",
+            "topology": "fig1-example",
+            "scheme": "reconvergence",
+            "source": "A",
+            "destination": "F",
+            "failed": failed,
+        })
+        assert response["ok"] is False
+        assert response["error_type"] == "FailureScenarioError"
+        assert "must be a list" in response["error"]
 
 
 class TestHostileTransport:
