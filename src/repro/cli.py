@@ -87,7 +87,7 @@ from repro.runner import (
 )
 from repro.runner import aggregate as campaign_aggregate
 from repro.runner import faults as fault_harness
-from repro.errors import ReproError
+from repro.errors import FailureScenarioError, ReproError
 from repro.scenarios import available_scenario_models, get_scenario_model, registered_models
 from repro.store import resolve_results
 from repro.topologies import corpus as topology_corpus
@@ -142,13 +142,29 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_fail(graph: Graph, spec: str) -> object:
+    """One ``--fail`` argument: an edge id, or ``u-v`` split at the ``-`` whose
+    halves are both routers (router names may contain hyphens)."""
+    if spec.isdigit():
+        return int(spec)
+    readings = [
+        (spec[:at], spec[at + 1:])
+        for at, char in enumerate(spec)
+        if char == "-" and spec[:at] in graph and spec[at + 1:] in graph
+    ]
+    if len(readings) == 1:
+        return readings[0]
+    if readings:
+        spelled = " or ".join(f"{u!r}-{v!r}" for u, v in readings)
+        raise FailureScenarioError(f"ambiguous failed link {spec!r}: reads as {spelled}")
+    raise FailureScenarioError(
+        f"bad failed-link entry {spec!r}; use an edge id or u-v with two routers of {graph.name!r}"
+    )
+
+
 def _cmd_deliver(args: argparse.Namespace) -> int:
     graph = _load_topology(args.topology)
-    # ``--fail u-v`` names the link by its endpoints; digits are an edge id.
-    failed = resolve_failed_links(graph, [
-        int(spec) if spec.isdigit() else tuple(spec.split("-", 1)) if "-" in spec else spec
-        for spec in args.fail
-    ])
+    failed = resolve_failed_links(graph, [_parse_fail(graph, spec) for spec in args.fail])
     if args.compare:
         schemes = default_schemes(graph, embedding_seed=_EMBEDDING_SEED)
         outcomes = compare_schemes(graph, args.source, args.destination, failed, schemes)

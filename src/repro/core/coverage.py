@@ -4,7 +4,9 @@ The paper's headline claim is that PR "can guarantee full repair coverage for
 any number of failures, as long as the network remains connected".  This
 module measures that claim empirically for any scheme: enumerate (or sample)
 failure scenarios, send a packet between every ordered pair of routers that
-is still connected, and classify the outcome.
+is still connected, and classify the outcome.  The sending and accounting is
+the campaign cell's measurement pass in ``"full"`` coverage mode
+(:mod:`repro.metrics.stretch`); :class:`CoverageReport` is its coverage half.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.forwarding.engine import DeliveryStatus
 from repro.forwarding.scheme import ForwardingScheme
-from repro.graph.connectivity import same_component
 from repro.graph.multigraph import Graph
+from repro.graph.spcache import engine_for
 
 
 @dataclass
@@ -29,7 +31,6 @@ class CoverageReport:
     looped: int = 0
     unreachable_pairs_skipped: int = 0
     drop_reasons: Dict[str, int] = field(default_factory=dict)
-    failures_by_scenario: Dict[Tuple[int, ...], int] = field(default_factory=dict)
 
     @property
     def coverage(self) -> float:
@@ -43,7 +44,7 @@ class CoverageReport:
         """Whether every packet with an existing path was delivered."""
         return self.delivered == self.attempts
 
-    def record(self, status: DeliveryStatus, scenario: Tuple[int, ...], reason: Optional[str]) -> None:
+    def record(self, status: DeliveryStatus, reason: Optional[str]) -> None:
         """Account one forwarding outcome."""
         self.attempts += 1
         if status is DeliveryStatus.DELIVERED:
@@ -55,7 +56,6 @@ class CoverageReport:
             self.dropped += 1
         if reason:
             self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
-        self.failures_by_scenario[scenario] = self.failures_by_scenario.get(scenario, 0) + 1
 
     def summary(self) -> str:
         """One-line human-readable summary."""
@@ -65,46 +65,32 @@ class CoverageReport:
         )
 
 
-def reachable_pairs(
-    graph: Graph,
-    failed_links: Iterable[int],
-    pairs: Optional[Sequence[Tuple[str, str]]] = None,
-) -> List[Tuple[str, str]]:
+def reachable_pairs(graph: Graph, failed_links: Iterable[int]) -> List[Tuple[str, str]]:
     """Ordered (source, destination) pairs still connected under the failures."""
+    engine = engine_for(graph)
     failed = frozenset(failed_links)
-    if pairs is None:
-        nodes = graph.nodes()
-        pairs = [(s, d) for s in nodes for d in nodes if s != d]
+    nodes = graph.nodes()
     return [
         (source, destination)
-        for source, destination in pairs
-        if same_component(graph, source, destination, failed)
+        for source in nodes
+        for destination in nodes
+        if source != destination and engine.same_component(source, destination, failed)
     ]
 
 
 def coverage_report(
-    scheme: ForwardingScheme,
-    scenarios: Iterable[Sequence[int]],
-    pairs: Optional[Sequence[Tuple[str, str]]] = None,
+    scheme: ForwardingScheme, scenarios: Iterable[Sequence[int]]
 ) -> CoverageReport:
     """Measure delivery coverage of ``scheme`` over the given failure scenarios.
 
     Only (source, destination) pairs for which a path still exists are
     attempted — pairs cut off by the failures are counted separately, since
-    no scheme can deliver those.
+    no scheme can deliver those.  This is the campaign measurement pass
+    (:func:`repro.metrics.stretch.measure_context`) in ``"full"`` coverage
+    mode.
     """
-    graph = scheme.graph
-    report = CoverageReport(scheme=scheme.name)
-    for scenario in scenarios:
-        scenario_key = tuple(sorted(scenario))
-        usable = reachable_pairs(graph, scenario_key, pairs)
-        all_pairs = (
-            pairs
-            if pairs is not None
-            else [(s, d) for s in graph.nodes() for d in graph.nodes() if s != d]
-        )
-        report.unreachable_pairs_skipped += len(all_pairs) - len(usable)
-        outcomes = scheme.deliver_many(usable, failed_links=scenario_key)
-        for (_source, _destination), outcome in outcomes.items():
-            report.record(outcome.status, scenario_key, outcome.drop_reason)
-    return report
+    # Imported here: repro.metrics.stretch builds on CoverageReport.
+    from repro.metrics.stretch import measure_context, scenario_context
+
+    context = scenario_context(scheme.graph, scenarios, coverage="full")
+    return measure_context(scheme, context)[2]

@@ -50,10 +50,6 @@ class MultihomedPrefix:
         """Name of the virtual node representing the prefix."""
         return f"prefix:{self.name}"
 
-    @property
-    def egress_routers(self) -> Tuple[str, ...]:
-        return tuple(router for router, _cost in self.egresses)
-
 
 def augment_with_prefixes(
     graph: Graph, prefixes: Sequence[MultihomedPrefix]

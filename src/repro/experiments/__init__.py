@@ -7,6 +7,11 @@ and prints the regenerated rows/series.  Two ablations not present in the
 paper (embedding quality vs. stretch, and the choice of distance
 discriminator) are included because the paper's Section 7 calls them out as
 the relevant trade-offs.
+
+The stretch, ablation and node-failure runners measure through the campaign
+cell's pass (:func:`repro.metrics.stretch.scenario_context` and
+:func:`repro.metrics.stretch.measure_context`), so a library result and a
+campaign record of the same workload carry the same numbers.
 """
 
 from repro.experiments.stretch import (

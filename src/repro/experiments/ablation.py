@@ -21,8 +21,6 @@ from repro.core.scheme import PacketRecycling
 from repro.embedding.builder import embed
 from repro.failures.scenarios import FailureScenario, single_link_failures
 from repro.graph.multigraph import Graph
-from repro.metrics.ccdf import distribution_summary
-from repro.metrics.stretch import stretch_values
 from repro.routing.discriminator import DiscriminatorKind, discriminator_bits_required
 from repro.experiments.stretch import run_stretch_experiment
 
@@ -58,8 +56,7 @@ def embedding_quality_ablation(
         embedding = embed(graph, method=method, seed=seed)
         scheme = PacketRecycling(graph, embedding=embedding)
         result = run_stretch_experiment(graph, scenarios, schemes=[scheme])
-        samples = result.samples[scheme.name]
-        summary = distribution_summary(stretch_values(samples))
+        summary = result.summary[scheme.name]
         rows.append(
             AblationRow(
                 configuration=f"embedding={method}",
@@ -89,8 +86,7 @@ def dd_kind_ablation(
     for kind in (DiscriminatorKind.HOP_COUNT, DiscriminatorKind.WEIGHTED_COST):
         scheme = PacketRecycling(graph, embedding=embedding, discriminator_kind=kind)
         result = run_stretch_experiment(graph, scenarios, schemes=[scheme])
-        samples = result.samples[scheme.name]
-        summary = distribution_summary(stretch_values(samples))
+        summary = result.summary[scheme.name]
         rows.append(
             AblationRow(
                 configuration=f"dd={kind.value}",

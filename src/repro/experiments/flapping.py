@@ -48,11 +48,6 @@ class FlappingRow:
     advertised_up_while_down: float
     advertised_down_while_up: float
 
-    @property
-    def inconsistency_fraction(self) -> float:
-        """Advertised-up-while-down time as a fraction of the horizon (set on build)."""
-        return self.advertised_up_while_down
-
 
 def _state_timeline(events: Sequence[FlapEvent], horizon: float, initially_up: bool = True) -> List[Tuple[float, float, bool]]:
     """Turn a transition list into ``(start, end, up)`` segments covering [0, horizon)."""

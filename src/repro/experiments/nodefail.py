@@ -6,21 +6,21 @@ node's links (packets sourced at or destined to the failed router are
 obviously unrecoverable and excluded).  This runner measures repair coverage
 and stretch for every single-node failure of a topology, for any set of
 schemes, over the pairs that do not involve the failed node and remain
-connected.
+connected.  It is the campaign measurement pass (:mod:`repro.metrics.stretch`)
+run over the node scenarios.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.failures.scenarios import node_failure_scenarios
 from repro.forwarding.scheme import ForwardingScheme
-from repro.graph.connectivity import same_component
 from repro.graph.multigraph import Graph
 from repro.metrics.ccdf import distribution_summary
-from repro.routing.tables import RoutingTables
+from repro.metrics.stretch import measure_context, scenario_context
 
 
 @dataclass
@@ -37,84 +37,35 @@ class NodeFailureResult:
         return list(self.delivery_ratio)
 
 
-def _affected_pairs_for_node(
-    graph: Graph,
-    tables: RoutingTables,
-    failed_node: str,
-    failed_links: Tuple[int, ...],
-) -> List[Tuple[str, str]]:
-    """Pairs not involving the failed node whose route crossed it and which stay connected."""
-    failed = set(failed_links)
-    pairs: List[Tuple[str, str]] = []
-    for source in graph.nodes():
-        if source == failed_node:
-            continue
-        for destination in graph.nodes():
-            if destination in (source, failed_node):
-                continue
-            if not tables.has_route(source, destination):
-                continue
-            node = source
-            affected = False
-            while node != destination:
-                entry = tables.entry(node, destination)
-                if entry.egress.edge_id in failed:
-                    affected = True
-                    break
-                node = entry.next_hop
-            if not affected:
-                continue
-            if same_component(graph, source, destination, failed):
-                pairs.append((source, destination))
-    return pairs
-
-
 def node_failure_experiment(
     graph: Graph,
     schemes: Optional[Sequence[ForwardingScheme]] = None,
     exclude: Optional[Sequence[str]] = None,
-    cache=None,
 ) -> NodeFailureResult:
     """Run every scheme over every single-node failure of ``graph``.
 
     ``exclude`` removes nodes from the failure set (e.g. nodes whose loss
     would disconnect the topology, if the caller wants to stay within the
-    paper's guarantee regime).  ``schemes`` defaults to the Figure 2 trio;
-    ``cache`` is forwarded to
-    :func:`repro.experiments.stretch.default_schemes` so PR's offline stage
-    is served from the artifact cache.
+    paper's guarantee regime).  ``schemes`` defaults to the Figure 2 trio
+    (:func:`repro.experiments.stretch.default_schemes`).
     """
     if schemes is None:
         from repro.experiments.stretch import default_schemes
 
-        schemes = default_schemes(graph, cache=cache)
+        schemes = default_schemes(graph)
     if not schemes:
         raise ExperimentError("at least one scheme is required")
-    tables = RoutingTables(graph)
     scenarios = node_failure_scenarios(graph, exclude=exclude)
-    result = NodeFailureResult(topology=graph.name, scenarios=len(scenarios), measured_pairs=0)
-
-    workload: List[Tuple[Tuple[int, ...], List[Tuple[str, str]]]] = []
-    for scenario in scenarios:
-        failed_node = scenario.description.split(" ", 1)[1]
-        pairs = _affected_pairs_for_node(graph, tables, failed_node, scenario.failed_links)
-        if pairs:
-            workload.append((scenario.failed_links, pairs))
-            result.measured_pairs += len(pairs)
-
+    # A node failure isolates the router, so the shared conditioning
+    # (affected and still connected) leaves out every pair that involves it.
+    context = scenario_context(graph, [scenario.failed_links for scenario in scenarios])
+    result = NodeFailureResult(
+        topology=graph.name,
+        scenarios=len(scenarios),
+        measured_pairs=sum(len(affected) for _key, affected, _measured in context),
+    )
     for scheme in schemes:
-        delivered = 0
-        attempts = 0
-        stretches: List[float] = []
-        for failed_links, pairs in workload:
-            outcomes = scheme.deliver_many(pairs, failed_links=failed_links)
-            for (source, destination), outcome in outcomes.items():
-                attempts += 1
-                if outcome.delivered:
-                    delivered += 1
-                    baseline = tables.cost(source, destination)
-                    if baseline > 0:
-                        stretches.append(outcome.cost / baseline)
-        result.delivery_ratio[scheme.name] = delivered / attempts if attempts else 1.0
-        result.stretch_summary[scheme.name] = distribution_summary(stretches)
+        fields, values, _report = measure_context(scheme, context)
+        result.delivery_ratio[scheme.name] = fields["delivery_ratio"]
+        result.stretch_summary[scheme.name] = distribution_summary(values)
     return result

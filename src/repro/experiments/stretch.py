@@ -7,6 +7,11 @@ row), select the (source, destination) pairs whose failure-free shortest path
 is affected and which remain connected, run Re-convergence, FCP and PR on
 exactly the same (scenario, pair) workload, and report the stretch CCDF
 ``P(Stretch > x | path)`` for x = 1..15.
+
+The conditioning and the delivery pass are the campaign runner's
+(:mod:`repro.metrics.stretch`), so a panel computed here and the same panel
+rebuilt from campaign records
+(:func:`repro.runner.aggregate.stretch_result_from_records`) agree exactly.
 """
 
 from __future__ import annotations
@@ -20,13 +25,17 @@ from repro.baselines.reconvergence import Reconvergence
 from repro.core.scheme import PacketRecycling
 from repro.errors import ExperimentError
 from repro.failures.sampling import sample_multi_link_failures
-from repro.failures.scenarios import FailureScenario, all_affecting_pairs, single_link_failures
+from repro.failures.scenarios import FailureScenario, single_link_failures
 from repro.forwarding.scheme import ForwardingScheme
 from repro.graph.multigraph import Graph
-from repro.graph.spcache import engine_for
 from repro.metrics.ccdf import ccdf_curve, default_stretch_thresholds, distribution_summary
-from repro.metrics.stretch import StretchSample, collect_stretch_samples, stretch_values
-from repro.routing.tables import RoutingTables, cached_routing_tables
+from repro.metrics.stretch import (
+    StretchSample,
+    measure_context,
+    samples_from_rows,
+    scenario_context,
+    stretch_values,
+)
 from repro.topologies.registry import by_name
 
 #: Figure 2 panel definitions: (paper label, topology name, failures per scenario).
@@ -78,6 +87,15 @@ class StretchExperimentResult:
         """Mean stretch of the delivered packets of ``scheme``."""
         return self.summary.get(scheme, {}).get("mean", 0.0)
 
+    def add_scheme(self, name: str, samples: List[StretchSample]) -> None:
+        """Record one scheme's samples with their CCDF, summary and delivery ratio."""
+        values = stretch_values(samples)
+        self.samples[name] = samples
+        self.ccdf[name] = ccdf_curve(values, default_stretch_thresholds())
+        self.summary[name] = distribution_summary(values)
+        delivered = sum(1 for sample in samples if sample.delivered)
+        self.delivery_ratio[name] = delivered / len(samples) if samples else 1.0
+
 
 def default_schemes(
     graph: Graph,
@@ -104,66 +122,34 @@ def default_schemes(
     ]
 
 
-def _pairs_for_scenarios(
-    graph: Graph,
-    scenarios: Sequence[FailureScenario],
-    tables: RoutingTables,
-) -> Dict[Tuple[int, ...], List[Tuple[str, str]]]:
-    """Affected-and-still-connected pairs for every scenario."""
-    engine = engine_for(graph)
-    pairs_per_scenario: Dict[Tuple[int, ...], List[Tuple[str, str]]] = {}
-    for scenario in scenarios:
-        key = tuple(sorted(scenario.failed_links))
-        affected = all_affecting_pairs(graph, scenario, tables)
-        failed = frozenset(key)
-        reachable = [
-            (source, destination)
-            for source, destination in affected
-            if engine.same_component(source, destination, failed)
-        ]
-        pairs_per_scenario[key] = reachable
-    return pairs_per_scenario
-
-
 def run_stretch_experiment(
     graph: Graph,
     scenarios: Sequence[FailureScenario],
     schemes: Optional[Sequence[ForwardingScheme]] = None,
-    thresholds: Optional[Sequence[float]] = None,
 ) -> StretchExperimentResult:
-    """Run the stretch comparison on an explicit list of scenarios."""
+    """Run the stretch comparison on an explicit list of scenarios.
+
+    Every scheme is measured by the campaign cell's pass
+    (:func:`~repro.metrics.stretch.measure_context`) over one shared
+    scenario context, so ``measured_pairs`` counts one pair per (scenario,
+    affected pair), repeated scenarios included, exactly as a campaign
+    cell's payload does.
+    """
     if not scenarios:
         raise ExperimentError("at least one failure scenario is required")
     if schemes is None:
         schemes = default_schemes(graph)
-    if thresholds is None:
-        thresholds = default_stretch_thresholds()
 
-    # One scenario context per panel: the failure-free tables and the
-    # affected/reachable pair sets are computed once and shared by all three
-    # schemes (and, through the per-process caches, by later invocations on
-    # the same topology).
-    baseline_tables = cached_routing_tables(graph)
-    pairs_per_scenario = _pairs_for_scenarios(graph, scenarios, baseline_tables)
-    scenario_keys = [tuple(sorted(scenario.failed_links)) for scenario in scenarios]
-    measured_pairs = sum(len(pairs) for pairs in pairs_per_scenario.values())
-
+    context = scenario_context(graph, [scenario.failed_links for scenario in scenarios])
     result = StretchExperimentResult(
         topology=graph.name,
         failures_per_scenario=len(scenarios[0].failed_links),
         scenarios=len(scenarios),
-        measured_pairs=measured_pairs,
+        measured_pairs=sum(len(affected) for _key, affected, _measured in context),
     )
     for scheme in schemes:
-        samples = collect_stretch_samples(
-            scheme, scenario_keys, pairs_per_scenario, baseline_tables
-        )
-        values = stretch_values(samples)
-        result.samples[scheme.name] = samples
-        result.ccdf[scheme.name] = ccdf_curve(values, thresholds)
-        result.summary[scheme.name] = distribution_summary(values)
-        delivered = sum(1 for sample in samples if sample.delivered)
-        result.delivery_ratio[scheme.name] = delivered / len(samples) if samples else 1.0
+        fields, _values, _report = measure_context(scheme, context, record_samples=True)
+        result.add_scheme(scheme.name, samples_from_rows(scheme.name, fields["samples"]))
     return result
 
 

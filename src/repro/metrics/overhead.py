@@ -28,15 +28,6 @@ class OverheadRow:
     memory_entries: int
     online_computation: int
 
-    def as_tuple(self) -> tuple:
-        return (
-            self.scheme,
-            self.header_bits,
-            self.header_bits_note,
-            self.memory_entries,
-            self.online_computation,
-        )
-
 
 def overhead_comparison(
     graph: Graph,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Dict
 
 from repro.errors import RoutingError
 from repro.graph.multigraph import Graph
@@ -66,24 +65,3 @@ def compare_discriminators(own: float, in_packet: float) -> bool:
     Returns ``True`` when the own value is strictly smaller.
     """
     return own < in_packet
-
-
-def discriminator_table(
-    graph: Graph,
-    distances_to: Dict[str, Dict[str, float]],
-    hops_to: Dict[str, Dict[str, int]],
-    kind: DiscriminatorKind,
-) -> Dict[str, Dict[str, float]]:
-    """Per-destination, per-node discriminator values.
-
-    ``distances_to[dest][node]`` and ``hops_to[dest][node]`` are the shortest
-    path cost / hop count from ``node`` to ``dest`` on the failure-free
-    topology; the result has the same shape.
-    """
-    table: Dict[str, Dict[str, float]] = {}
-    for destination, costs in distances_to.items():
-        hops = hops_to[destination]
-        table[destination] = {
-            node: discriminator_value(kind, hops[node], costs[node]) for node in costs
-        }
-    return table

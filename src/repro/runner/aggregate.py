@@ -22,9 +22,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ExperimentError
 from repro.experiments.stretch import StretchExperimentResult
 from repro.core.coverage import CoverageReport
-from repro.metrics.ccdf import ccdf_curve, default_stretch_thresholds, distribution_summary
+from repro.metrics.ccdf import default_stretch_thresholds
 from repro.metrics.overhead import OverheadRow
-from repro.metrics.stretch import StretchSample
+from repro.metrics.stretch import StretchSample, samples_from_rows
 from repro.topologies.corpus import TOPOLOGY_FILE_SUFFIXES
 
 Record = Dict[str, Any]
@@ -138,41 +138,14 @@ def merged_ccdf(
     return curves
 
 
-def _samples_from_record(record: Record, name: Optional[str] = None) -> List[StretchSample]:
+def _samples_from_record(record: Record, name: str) -> List[StretchSample]:
     rows = record["payload"].get("samples")
     if rows is None:
         raise ExperimentError(
             "records were produced with record_samples=False; per-sample "
             "reconstruction is not possible"
         )
-    if name is None:
-        name = record["scheme_name"]
-    # Consecutive rows of one scenario share the failed-links list object
-    # (and JSONL-loaded rows repeat equal lists), so the tuple conversion is
-    # cached across the run of identical values.
-    last_links = None
-    last_tuple: tuple = ()
-    samples = []
-    append = samples.append
-    for row in rows:
-        links = row[2]
-        if links is not last_links:
-            last_tuple = tuple(links)
-            last_links = links
-        append(
-            StretchSample(
-                name,
-                row[0],
-                row[1],
-                last_tuple,
-                row[3],
-                row[4],
-                row[5],
-                row[6],
-                row[7],
-            )
-        )
-    return samples
+    return samples_from_rows(name, rows)
 
 
 def stretch_result_from_records(
@@ -211,14 +184,8 @@ def stretch_result_from_records(
         scenarios=scenarios,
         measured_pairs=measured_pairs,
     )
-    thresholds = default_stretch_thresholds()
     for name, samples in by_scheme.items():
-        values = [s.stretch for s in samples if s.stretch is not None]
-        result.samples[name] = samples
-        result.ccdf[name] = ccdf_curve(values, thresholds)
-        result.summary[name] = distribution_summary(values)
-        delivered = sum(1 for s in samples if s.delivered)
-        result.delivery_ratio[name] = delivered / len(samples) if samples else 1.0
+        result.add_scheme(name, samples)
     return result
 
 

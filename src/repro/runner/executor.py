@@ -18,6 +18,11 @@ Records have three parts:
   the determinism tests rely on);
 * ``meta`` — timing, cache statistics and the worker pid.  Never compared.
 
+A cell measures through the same pass as the library experiments
+(:func:`repro.metrics.stretch.scenario_context` and
+:func:`repro.metrics.stretch.measure_context`); the executor adds the scenario
+generation, the offline stage, the telemetry spans and the payload layout.
+
 Records are flushed to the store in cell order (a completed record waits
 until every earlier cell has completed), so a campaign produced by a
 parallel run is record-for-record comparable with a serial one.
@@ -39,7 +44,6 @@ from repro.baselines.fcp import FailureCarryingPackets
 from repro.baselines.lfa import LoopFreeAlternates
 from repro.baselines.noprotection import NoProtection
 from repro.baselines.reconvergence import Reconvergence
-from repro.core.coverage import CoverageReport, reachable_pairs
 from repro.core.scheme import PacketRecycling, SimplePacketRecycling
 from repro.errors import (
     CellTimeoutError,
@@ -49,17 +53,16 @@ from repro.errors import (
 from repro.failures.sampling import sample_multi_link_failures
 from repro.failures.scenarios import (
     FailureScenario,
-    all_affecting_pairs,
     node_failure_scenarios,
     single_link_failures,
 )
-from repro.forwarding.engine import DeliveryStatus
 from repro.forwarding.scheme import ForwardingScheme
 from repro.graph.multigraph import Graph
 from repro.graph.compiled import graph_signature
 from repro.graph.spcache import clear_engines, engine_counter_totals, engine_for
 from repro.metrics.ccdf import ccdf_curve, default_stretch_thresholds, distribution_summary
 from repro.metrics.overhead import overhead_comparison
+from repro.metrics.stretch import ScenarioEntry, measure_context, scenario_context
 from repro.routing.discriminator import DiscriminatorKind
 from repro.runner import aggregate, faults
 from repro.runner.cache import ArtifactCache, cached_embedding
@@ -186,10 +189,8 @@ def generate_scenarios(graph: Graph, cell: CampaignCell) -> List[FailureScenario
     return generated
 
 
-def _scenario_context(
-    graph: Graph, cell: CampaignCell
-) -> List[Tuple[Tuple[int, ...], List[Tuple[str, str]], List[Tuple[str, str]]]]:
-    """``(failure key, affected pairs, measured pairs)`` per scenario of a cell.
+def _scenario_context(graph: Graph, cell: CampaignCell) -> List[ScenarioEntry]:
+    """The :func:`~repro.metrics.stretch.scenario_context` of a cell's scenarios.
 
     The context depends only on (topology content, scenario spec, seed,
     coverage mode) — deliberately *not* on the scheme or discriminator — so
@@ -203,29 +204,9 @@ def _scenario_context(
     if cached is not None:
         return cached
     scenarios = generate_scenarios(graph, cell)
-    context = []
-    # Scenario models (srlg, regional, maintenance, ...) can emit the same
-    # failed-link set repeatedly; the conditioning work is a pure function
-    # of that set, so duplicates share one entry (and downstream one
-    # delivery pass per pattern, see run_cell).
-    by_pattern: Dict[Tuple[int, ...], Tuple] = {}
-    for scenario in scenarios:
-        failed = tuple(sorted(scenario.failed_links))
-        entry = by_pattern.get(failed)
-        if entry is None:
-            failed_set = frozenset(failed)
-            affected = [
-                pair
-                for pair in all_affecting_pairs(graph, scenario)
-                if engine.same_component(pair[0], pair[1], failed_set)
-            ]
-            if cell.coverage == "full":
-                measured = reachable_pairs(graph, failed)
-            else:
-                measured = affected
-            entry = (failed, affected, measured)
-            by_pattern[failed] = entry
-        context.append(entry)
+    context = scenario_context(
+        graph, [scenario.failed_links for scenario in scenarios], cell.coverage
+    )
     engine.consumer_cache.put(key, context)
     return context
 
@@ -270,23 +251,18 @@ def run_cell(
 def _run_cell_body(cell: CampaignCell, cache_dir: Optional[str] = None) -> Dict[str, Any]:
     """The instrumented cell body (see :func:`run_cell`).
 
-    The forwarding work is one delivery pass per scenario over the measured
-    pair set; coverage accounting and stretch samples are both derived from
-    that single pass (stretch only over the pairs whose failure-free path
-    the scenario broke — the Figure 2 conditioning).
+    The forwarding work is the shared measurement pass,
+    :func:`~repro.metrics.stretch.measure_context`: one delivery pass per
+    distinct failed-link pattern over the measured pair set, from which both
+    the coverage accounting and the stretch samples are derived (stretch
+    only over the pairs whose failure-free path the scenario broke — the
+    Figure 2 conditioning).
     """
     started = time.perf_counter()
     with telemetry.span("cell/topology_load"):
         graph = load_topology(cell.topology)
     with telemetry.span("cell/scenarios"):
         context = _scenario_context(graph, cell)
-    # Failure-free baseline costs come straight off the engine's memoized
-    # destination trees (the same values RoutingTables.cost would return),
-    # so a cell whose scheme builds no routing tables doesn't force a full
-    # table construction just for the stretch baseline.
-    engine = engine_for(graph)
-    node_index = engine.compiled.index
-
     cache: Optional[ArtifactCache] = None
     embedding = None
     offline_started = time.perf_counter()
@@ -304,91 +280,20 @@ def _run_cell_body(cell: CampaignCell, cache_dir: Optional[str] = None) -> Dict[
         scheme = build_scheme(cell.scheme, graph, cell.discriminator, embedding)
     offline_seconds = time.perf_counter() - offline_started
 
-    report = CoverageReport(scheme=scheme.name)
-    nodes = graph.nodes()
-    all_pairs_count = len(nodes) * (len(nodes) - 1)
-    measured_pairs = 0
-    # Accounting runs over every (scenario, pair) outcome, so the loop works
-    # on primitives: per-sample payload rows are built directly (identical
-    # values to the StretchSample-based construction they replace) and
-    # failure-free baseline costs are memoized per pair.
-    delivered_status = DeliveryStatus.DELIVERED
-    sample_rows: List[List[Any]] = []
-    stretch_values: List[float] = []
-    n_samples = 0
-    delivered_samples = 0
-    baseline_cost_of: Dict[Tuple[str, str], float] = {}
-    record_samples = cell.record_samples
-    # One delivery pass per distinct failed-link pattern: scenarios sharing
-    # a pattern (common under srlg/regional/maintenance models) reuse the
-    # same outcome dict — deliver_many is deterministic in (pairs, failed
-    # links), so the per-scenario accounting below is unchanged.
-    outcomes_by_pattern: Dict[Tuple[int, ...], Dict[Tuple, Any]] = {}
     with telemetry.span(f"delivery/scheme={cell.scheme}"):
-        for key, affected, measured in context:
-            measured_pairs += len(affected)
-            if cell.coverage == "full":
-                report.unreachable_pairs_skipped += all_pairs_count - len(measured)
-            if not measured:
-                continue
-            affected_set = set(affected)
-            outcomes = outcomes_by_pattern.get(key)
-            if outcomes is None:
-                outcomes = scheme.deliver_many(measured, failed_links=key)
-                outcomes_by_pattern[key] = outcomes
-            key_row = list(key)
-            for pair, outcome in outcomes.items():
-                status = outcome.status
-                delivered = status is delivered_status
-                if delivered:
-                    report.attempts += 1
-                    report.delivered += 1
-                else:
-                    report.record(status, key, outcome.drop_reason)
-                if pair not in affected_set:
-                    continue
-                baseline_cost = baseline_cost_of.get(pair)
-                if baseline_cost is None:
-                    # cost(source -> destination) == dist[source] of the
-                    # destination-rooted failure-free tree (undirected graph,
-                    # exactly what RoutingTables stores in its cost column).
-                    baseline_cost = engine.sssp_tree(pair[1])[0][node_index[pair[0]]]
-                    baseline_cost_of[pair] = baseline_cost
-                n_samples += 1
-                if delivered and baseline_cost > 0:
-                    stretch = outcome.cost / baseline_cost
-                    stretch_values.append(stretch)
-                    delivered_samples += 1
-                else:
-                    stretch = None
-                    if delivered:
-                        delivered_samples += 1
-                if record_samples:
-                    sample_rows.append(
-                        [
-                            pair[0],
-                            pair[1],
-                            key_row,
-                            stretch,
-                            delivered,
-                            outcome.hops,
-                            outcome.cost,
-                            baseline_cost,
-                        ]
-                    )
+        fields, stretch_values, report = measure_context(
+            scheme, context, cell.record_samples
+        )
 
-    telemetry.record_value("cell/measured_pairs", measured_pairs)
+    telemetry.record_value("cell/measured_pairs", fields["measured_pairs"])
     telemetry.record_value("cell/stretch_samples", len(stretch_values))
     with telemetry.span("cell/aggregate"):
         [overhead_row] = overhead_comparison(graph, [scheme])
         payload: Dict[str, Any] = {
             "scenarios": len(context),
             "failures_per_scenario": len(context[0][0]) if context else 0,
-            "measured_pairs": measured_pairs,
-            "n_samples": n_samples,
-            "delivered_samples": delivered_samples,
-            "delivery_ratio": delivered_samples / n_samples if n_samples else 1.0,
-            "n_stretch": len(stretch_values),
+            # measured_pairs ... n_stretch, plus samples when recorded
+            **fields,
             # JSON-normalised (lists, not tuples) so in-memory records compare
             # equal to records reloaded from the store.
             "ccdf": [
@@ -409,8 +314,6 @@ def _run_cell_body(cell: CampaignCell, cache_dir: Optional[str] = None) -> Dict[
             "memory_entries": overhead_row.memory_entries,
             "online_computation": overhead_row.online_computation,
         }
-        if record_samples:
-            payload["samples"] = sample_rows
     return {
         "cell_id": cell.cell_id,
         "index": cell.index,

@@ -112,6 +112,14 @@ class TestRunStretchExperiment:
         with pytest.raises(ExperimentError):
             run_stretch_experiment(abilene_graph, [])
 
+    def test_repeated_scenario_counts_every_sample(self, abilene_graph, abilene_pr):
+        """A scenario listed twice is measured twice, as a campaign cell does."""
+        scenario = single_link_failures(abilene_graph)[0]
+        result = run_stretch_experiment(abilene_graph, [scenario, scenario], [abilene_pr])
+        samples = result.samples[abilene_pr.name]
+        assert result.scenarios == 2
+        assert result.measured_pairs == len(samples) > 0
+
 
 class TestFigure2Panel:
     def test_panel_2a_runs_with_supplied_graph(self, abilene_graph, abilene_pr):

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestTopologyCommand:
@@ -89,6 +96,36 @@ class TestDeliverCommand:
     def test_unknown_failure_spec_rejected(self):
         with pytest.raises(SystemExit):
             main(["deliver", "abilene", "Seattle", "Atlanta", "--fail", "Mars-Venus"])
+
+    def test_hyphenated_router_names_split_at_the_router_boundary(self, tmp_path, capsys):
+        path = tmp_path / "hy.topo"
+        path.write_text("new-york b 1\nb c 1\nc new-york 1\n")
+        assert main(["deliver", str(path), "new-york", "c", "--fail", "new-york-c"]) == 0
+        assert "new-york -> b -> c" in capsys.readouterr().out
+
+    def test_ambiguous_failed_link_names_both_readings(self, tmp_path):
+        path = tmp_path / "amb.topo"
+        path.write_text("x y-z 1\nx-y z 1\nx z 1\n")
+        with pytest.raises(SystemExit) as exited:
+            main(["deliver", str(path), "x", "z", "--fail", "x-y-z"])
+        message = str(exited.value.code)
+        assert "ambiguous" in message
+        assert "'x'-'y-z'" in message and "'x-y'-'z'" in message
+
+    def test_bad_failure_spec_hint_uses_the_cli_syntax(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "deliver", "abilene", "Seattle", "Atlanta",
+             "--fail", "foo"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=120,
+        )
+        assert result.returncode == 1
+        assert "'foo'" in result.stderr
+        assert "an edge id or u-v" in result.stderr
+        assert "(u, v)" not in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestExperimentCommands:
