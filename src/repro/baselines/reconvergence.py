@@ -3,7 +3,8 @@
 For the stretch comparison of Figure 2 the interesting quantity is the path a
 packet takes *after* the network has fully re-converged: the shortest path on
 the failed topology.  (What happens *during* convergence — packets black-holed
-onto the dead link — is modelled separately by :mod:`repro.simulator`, since
+onto the dead link — is simulated by :mod:`repro.simulator`, which switches
+each router from stale tables to this logic at its own FIB-update instant;
 the paper uses it as motivation rather than as a stretch data point.)
 """
 

@@ -5,29 +5,30 @@ fails, the IGP takes on the order of a second to re-converge, and every
 packet forwarded onto the dead link in the meantime is lost.  PR reroutes the
 same packets over the complementary cycle, losing (essentially) none.
 
-The simulation uses a scaled-down packet rate so it runs in milliseconds of
-CPU time; :func:`repro.simulator.des.estimate_packets_lost` extrapolates the
+The simulator forwards with the schemes' own router logic (NoProtection,
+Reconvergence and PR, switched per router by
+:class:`~repro.simulator.forwarders.SchemeForwarder`), so the experiment
+measures the same forwarding that the stretch and coverage experiments
+trace.  The simulation uses a scaled-down packet rate so it runs in
+milliseconds of CPU time; :func:`repro.simulator.des.estimate_packets_lost` extrapolates the
 measured loss fraction to the OC-192 rates quoted by the paper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Mapping, Optional, Tuple
 
+from repro.baselines.noprotection import NoProtection
+from repro.baselines.reconvergence import Reconvergence
 from repro.core.scheme import PacketRecycling
 from repro.errors import ExperimentError
 from repro.forwarding.network_state import NetworkState
 from repro.graph.multigraph import Graph
 from repro.routing.reconvergence import ReconvergenceModel
-from repro.routing.tables import RoutingTables
 from repro.simulator.des import PacketLevelSimulator, SimulationReport, estimate_packets_lost
 from repro.simulator.flows import TrafficFlow
-from repro.simulator.forwarders import (
-    ConvergenceAwareForwarder,
-    ProtectionForwarder,
-    StaticForwarder,
-)
+from repro.simulator.forwarders import SchemeForwarder
 from repro.simulator.links import LinkModel
 
 
@@ -44,6 +45,40 @@ class ConvergenceLossResult:
     def loss_fraction(self, behaviour: str) -> float:
         """Measured loss fraction of one behaviour."""
         return self.reports[behaviour].loss_fraction
+
+
+def convergence_behaviours(
+    graph: Graph,
+    failed_edge: int,
+    updated_at: Mapping[str, float],
+    detected_at: float,
+    embedding_seed: int = 7,
+) -> Dict[str, SchemeForwarder]:
+    """The experiment's three behaviours over the map without ``failed_edge``.
+
+    Every router forwards on the stale tables (the NoProtection logic) until
+    it either installs its re-converged FIB (``updated_at``) or, with PR,
+    the failure is detected (``detected_at``).
+    """
+    failed_state = NetworkState(graph, [failed_edge])
+    stale = NoProtection(graph).build_logic(failed_state)
+    return {
+        "no-protection": SchemeForwarder("no-protection", failed_state, stale, stale),
+        "re-convergence": SchemeForwarder(
+            "re-convergence",
+            failed_state,
+            stale,
+            Reconvergence(graph).build_logic(failed_state),
+            updated_at,
+        ),
+        "Packet Re-cycling": SchemeForwarder(
+            "Packet Re-cycling",
+            failed_state,
+            stale,
+            PacketRecycling(graph, embedding_seed=embedding_seed).build_logic(failed_state),
+            detected_at,
+        ),
+    }
 
 
 def convergence_loss_experiment(
@@ -63,16 +98,20 @@ def convergence_loss_experiment(
 ) -> ConvergenceLossResult:
     """Run the convergence-loss comparison for one flow and one link failure.
 
-    The failed link defaults to the first link on the flow's shortest path,
-    which is the worst case for that flow.  Three behaviours are simulated:
+    The failed link defaults to the middle link of the flow's shortest
+    path.  The flow runs on the intact map until ``failure_time``; from then
+    on three behaviours are simulated, each from the schemes' router logic:
 
-    * ``no-protection`` — stale tables forever (upper bound on loss),
-    * ``re-convergence`` — routers flip to new tables at their individual
-      convergence instants (from :class:`ReconvergenceModel`),
-    * ``Packet Re-cycling`` — PR reroutes as soon as the adjacent router
-      detects the failure (``detection_delay``).
+    * ``no-protection`` — the NoProtection logic (stale tables) throughout,
+      the upper bound on loss;
+    * ``re-convergence`` — each router switches from the NoProtection logic
+      to the Reconvergence logic at its own FIB-update instant (from
+      :class:`ReconvergenceModel`);
+    * ``Packet Re-cycling`` — the NoProtection logic until the failure is
+      detected (``detection_delay``), then the PR logic.
     """
-    tables = RoutingTables(graph)
+    no_protection = NoProtection(graph)
+    tables = no_protection.routing
     if failed_edge is None:
         path = tables.shortest_path(source, destination)
         if len(path) < 2:
@@ -89,53 +128,36 @@ def convergence_loss_experiment(
     timeline = reconvergence_model.convergence_delay(graph, failed_edge, failure_time)
     link_model = link_model or LinkModel()
 
-    flow = TrafficFlow(
-        source=source,
-        destination=destination,
-        rate_pps=rate_pps,
-        packet_size_bytes=1000,
-        start=0.0,
-        end=duration,
+    def window(start: float, end: float) -> TrafficFlow:
+        return TrafficFlow(source, destination, rate_pps, 1000, start, end)
+
+    # Before the failure every behaviour forwards on the intact map, so the
+    # window [0, failure_time) is simulated once and each behaviour's
+    # post-failure run continues its report.
+    intact = NetworkState(graph)
+    intact_logic = no_protection.build_logic(intact)
+    intact_run = PacketLevelSimulator(
+        graph, SchemeForwarder("intact", intact, intact_logic, intact_logic), link_model
     )
+    if failure_time > 0.0:
+        intact_run.add_flow(window(0.0, failure_time))
+    intact_report = intact_run.run()
 
-    failed_state = NetworkState(graph, [failed_edge])
-
-    behaviours = {
-        "no-protection": StaticForwarder(graph, failed_state, tables),
-        "re-convergence": ConvergenceAwareForwarder(
-            graph, failed_state, timeline.updated_at, tables
-        ),
-        "Packet Re-cycling": ProtectionForwarder(
-            PacketRecycling(graph, embedding_seed=embedding_seed),
-            failed_state,
-            active_from=failure_time + detection_delay,
-        ),
-    }
-
+    behaviours = convergence_behaviours(
+        graph,
+        failed_edge,
+        timeline.updated_at,
+        failure_time + detection_delay,
+        embedding_seed,
+    )
     reports: Dict[str, SimulationReport] = {}
     for name, forwarder in behaviours.items():
         simulator = PacketLevelSimulator(graph, forwarder, link_model)
-        # Before the failure instant every behaviour forwards on the intact
-        # network: model this by only failing the link when the flow reaches
-        # the failure time.  The simplest faithful way with a static failure
-        # set is to simulate the pre-failure and post-failure windows
-        # separately; pre-failure loss is zero by construction, so simulate
-        # the post-failure window only and add the pre-failure packets as
-        # delivered.
-        pre_failure_packets = int(failure_time * rate_pps)
-        post_flow = TrafficFlow(
-            source=source,
-            destination=destination,
-            rate_pps=rate_pps,
-            packet_size_bytes=1000,
-            start=failure_time,
-            end=duration,
+        simulator.report = replace(
+            intact_report, forwarder=name, drop_times=list(intact_report.drop_times)
         )
-        simulator.add_flow(post_flow)
-        report = simulator.run()
-        report.packets_sent += pre_failure_packets
-        report.packets_delivered += pre_failure_packets
-        reports[name] = report
+        simulator.add_flow(window(failure_time, duration))
+        reports[name] = simulator.run()
 
     outage_by_behaviour = {
         "no-protection": duration - failure_time,

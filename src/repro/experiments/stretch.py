@@ -101,7 +101,6 @@ def default_schemes(
     graph: Graph,
     embedding_seed: Optional[int] = 7,
     cache=None,
-    embedding_method: str = "auto",
 ) -> List[ForwardingScheme]:
     """The three schemes compared in Figure 2, in the paper's legend order.
 
@@ -112,9 +111,7 @@ def default_schemes(
     """
     embedding = None
     if cache is not None:
-        embedding = cache.get_or_build(
-            graph, method=embedding_method, seed=embedding_seed
-        )
+        embedding = cache.get_or_build(graph, seed=embedding_seed)
     return [
         Reconvergence(graph),
         FailureCarryingPackets(graph),

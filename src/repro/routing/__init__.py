@@ -4,8 +4,10 @@ Packet Re-cycling leaves failure-free forwarding untouched: every router
 first builds an ordinary shortest-path routing table (the paper cites
 Dijkstra explicitly) and only consults the cycle-following machinery when a
 failure is hit.  This package provides those tables, the *distance
-discriminator* column added by Section 4.3, and a model of full routing
-re-convergence used both as a baseline and by the discrete-event simulator.
+discriminator* column added by Section 4.3, and the timing model of full
+routing re-convergence that the discrete-event simulator switches routers
+by (the converged end state is the Reconvergence scheme of
+:mod:`repro.baselines`).
 """
 
 from repro.routing.discriminator import (
@@ -17,7 +19,6 @@ from repro.routing.tables import RoutingEntry, RoutingTables, build_routing_tabl
 from repro.routing.reconvergence import (
     ConvergenceTimeline,
     ReconvergenceModel,
-    converged_tables,
 )
 
 __all__ = [
@@ -29,5 +30,4 @@ __all__ = [
     "build_routing_tables",
     "ConvergenceTimeline",
     "ReconvergenceModel",
-    "converged_tables",
 ]

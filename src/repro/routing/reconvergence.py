@@ -1,37 +1,25 @@
 """Full routing re-convergence: the paper's second comparison point.
 
 Traditional link-state re-convergence floods the failure throughout the
-network, lets every router re-run SPF and install new FIB entries.  Two views
-of this process are needed by the reproduction:
+network, lets every router re-run SPF and install new FIB entries.  This
+module models the **transient** (:class:`ReconvergenceModel` /
+:class:`ConvergenceTimeline`): how long each router forwards onto a dead
+link before its new tables are in place, which drives the packet-loss
+estimate of the introduction (a heavily loaded OC-192 link down for one
+second loses on the order of a quarter of a million 1 kB packets).
 
-* the **end state** (:func:`converged_tables`): routing tables recomputed on
-  the failed topology — the ideal paths against which Figure 2 measures the
-  re-convergence stretch;
-* the **transient** (:class:`ReconvergenceModel` /
-  :class:`ConvergenceTimeline`): how long the network forwards onto a dead
-  link before new tables are in place, which drives the packet-loss estimate
-  of the introduction (a heavily loaded OC-192 link down for one second loses
-  on the order of a quarter of a million 1 kB packets).
+The **end state**, shortest paths recomputed on the failed topology, is the
+:class:`~repro.baselines.reconvergence.Reconvergence` scheme's router logic;
+the simulator switches each router to it at the router's ``updated_at``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict
 
 from repro.graph.multigraph import Graph
 from repro.graph.spcache import hop_engine_for
-from repro.routing.discriminator import DiscriminatorKind
-from repro.routing.tables import RoutingTables
-
-
-def converged_tables(
-    graph: Graph,
-    failed_edges: Iterable[int],
-    discriminator_kind: DiscriminatorKind = DiscriminatorKind.HOP_COUNT,
-) -> RoutingTables:
-    """Routing tables after the network has fully re-converged around failures."""
-    return RoutingTables(graph, discriminator_kind, excluded_edges=failed_edges)
 
 
 @dataclass
@@ -134,21 +122,3 @@ class ReconvergenceModel:
         """Seconds from failure until the last router has re-converged."""
         timeline = self.convergence_delay(graph, failed_edge)
         return timeline.converged_time - timeline.failure_time
-
-
-def affected_destinations(
-    tables: RoutingTables,
-    node: str,
-    failed_edges: Iterable[int],
-) -> List[str]:
-    """Destinations whose failure-free route at ``node`` uses a failed link.
-
-    These are the destinations for which ``node`` blackholes traffic until it
-    re-converges (or, with PR, the destinations whose packets get the PR bit).
-    """
-    failed = frozenset(failed_edges)
-    affected: List[str] = []
-    for entry in tables.table_of(node):
-        if entry.egress.edge_id in failed:
-            affected.append(entry.destination)
-    return affected

@@ -7,18 +7,16 @@ lost".  This package provides a small discrete-event simulator with link
 propagation and serialisation delays, constant-bit-rate flows, link failure
 events and per-router re-convergence times, so that the packets-lost-during-
 convergence experiment (and the PR counterfactual, which loses none) can be
-run end to end.
+run end to end.  Every hop is decided by a scheme's own
+:class:`~repro.forwarding.router.RouterLogic` through one
+:class:`SchemeForwarder`, so the simulator has no forwarding rules of its
+own.
 """
 
 from repro.simulator.events import Event, EventQueue
 from repro.simulator.links import LinkModel, OC192
 from repro.simulator.flows import TrafficFlow
-from repro.simulator.forwarders import (
-    ConvergenceAwareForwarder,
-    ProtectionForwarder,
-    StaticForwarder,
-    TimeAwareForwarder,
-)
+from repro.simulator.forwarders import SchemeForwarder
 from repro.simulator.des import PacketLevelSimulator, SimulationReport, estimate_packets_lost
 
 __all__ = [
@@ -27,10 +25,7 @@ __all__ = [
     "LinkModel",
     "OC192",
     "TrafficFlow",
-    "ConvergenceAwareForwarder",
-    "ProtectionForwarder",
-    "StaticForwarder",
-    "TimeAwareForwarder",
+    "SchemeForwarder",
     "PacketLevelSimulator",
     "SimulationReport",
     "estimate_packets_lost",

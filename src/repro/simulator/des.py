@@ -2,8 +2,9 @@
 
 The simulator moves individual packets hop by hop through the topology with
 serialisation and propagation delays, FIFO per-link queueing, constant-rate
-flows, and a forwarding behaviour that may change over time (stale tables →
-converged tables, or an always-on fast-reroute scheme).  It exists to answer
+flows, and a :class:`~repro.simulator.forwarders.SchemeForwarder` that asks
+a scheme's router logic for every hop and may switch logics over time (stale
+tables until a router re-converges or detects the failure).  It exists to answer
 the question posed by the paper's introduction quantitatively: *how many
 packets does one link failure cost under re-convergence, and how many under
 PR?*
@@ -15,13 +16,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
-from repro.forwarding.network_state import NetworkState
 from repro.forwarding.packets import Packet
 from repro.graph.darts import Dart
 from repro.graph.multigraph import Graph
 from repro.simulator.events import EventQueue
 from repro.simulator.flows import TrafficFlow
-from repro.simulator.forwarders import TimeAwareForwarder
+from repro.simulator.forwarders import SchemeForwarder
 from repro.simulator.links import LinkModel
 
 
@@ -75,7 +75,7 @@ class PacketLevelSimulator:
     def __init__(
         self,
         graph: Graph,
-        forwarder: TimeAwareForwarder,
+        forwarder: SchemeForwarder,
         link_model: Optional[LinkModel] = None,
         max_hops: int = 1024,
     ) -> None:

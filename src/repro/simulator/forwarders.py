@@ -1,37 +1,59 @@
-"""Time-aware forwarding behaviours for the discrete-event simulator.
+"""Time-aware forwarding for the discrete-event simulator.
 
-The path-tracing engine of :mod:`repro.forwarding` answers "where does this
-packet go given this failure set"; the simulator additionally needs to know
-*when* each router starts behaving differently.  A
-:class:`TimeAwareForwarder` therefore takes the current simulation time into
-account:
+The simulator forwards with the schemes' own router logic: a
+:class:`SchemeForwarder` holds two :class:`~repro.forwarding.router.RouterLogic`
+objects built for the same :class:`NetworkState` and switches each router
+from the ``before`` logic to the ``after`` logic at that router's instant.
+The convergence-loss experiment builds its three behaviours from schemes:
 
-* :class:`StaticForwarder` — routers forward on fixed (stale) tables forever;
-  packets meeting a failed link are lost.  This is the no-protection floor.
-* :class:`ConvergenceAwareForwarder` — each router switches from the stale to
-  the re-converged table at its own convergence instant (from
-  :class:`~repro.routing.reconvergence.ReconvergenceModel`).
-* :class:`ProtectionForwarder` — wraps any :class:`ForwardingScheme` logic
-  (e.g. Packet Re-cycling), which reacts to the failure immediately.
+* no protection — the :class:`~repro.baselines.noprotection.NoProtection`
+  logic throughout, so packets meeting the dead link are lost;
+* re-convergence — the NoProtection logic until the router installs its new
+  FIB (per router, from
+  :class:`~repro.routing.reconvergence.ReconvergenceModel`), then the
+  :class:`~repro.baselines.reconvergence.Reconvergence` logic;
+* Packet Re-cycling — the NoProtection logic until the failure is detected,
+  then the PR logic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Mapping, Optional, Union
 
 from repro.forwarding.network_state import NetworkState
 from repro.forwarding.packets import Packet
 from repro.forwarding.router import Action, RouterLogic
-from repro.forwarding.scheme import ForwardingScheme
 from repro.graph.darts import Dart
-from repro.graph.multigraph import Graph
-from repro.routing.tables import RoutingTables
 
 
-class TimeAwareForwarder:
-    """Interface the simulator drives: one decision per (time, node, packet)."""
+class SchemeForwarder:
+    """One forwarding behaviour: a scheme logic before and after a switch.
 
-    name = "abstract"
+    ``switch_at`` is one instant for every router, or a per-router map (a
+    router missing from it runs ``after`` from time zero).  A packet is
+    forwarded only when the logic in force decides ``FORWARD`` over a usable
+    dart; anything else loses it, which is the loss the simulator measures.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        state: NetworkState,
+        before: RouterLogic,
+        after: RouterLogic,
+        switch_at: Union[float, Mapping[str, float]] = 0.0,
+    ) -> None:
+        self.name = name
+        self.state = state
+        self.before = before
+        self.after = after
+        self.switch_at = switch_at
+
+    def switch_time(self, node: str) -> float:
+        """Instant ``node`` starts running the ``after`` logic."""
+        if isinstance(self.switch_at, Mapping):
+            return self.switch_at.get(node, 0.0)
+        return self.switch_at
 
     def egress_for(
         self,
@@ -41,105 +63,8 @@ class TimeAwareForwarder:
         packet: Packet,
     ) -> Optional[Dart]:
         """The dart to forward over, or ``None`` to drop the packet."""
-        raise NotImplementedError
-
-
-class StaticForwarder(TimeAwareForwarder):
-    """Stale shortest-path tables; drops at failed links. No protection at all."""
-
-    name = "no-protection"
-
-    def __init__(self, graph: Graph, state: NetworkState, tables: Optional[RoutingTables] = None) -> None:
-        self.graph = graph
-        self.state = state
-        self.tables = tables if tables is not None else RoutingTables(graph)
-
-    def egress_for(
-        self,
-        time: float,
-        node: str,
-        ingress: Optional[Dart],
-        packet: Packet,
-    ) -> Optional[Dart]:
-        if not self.tables.has_route(node, packet.destination):
-            return None
-        egress = self.tables.egress(node, packet.destination)
-        if not self.state.dart_usable(egress):
-            return None
-        return egress
-
-
-class ConvergenceAwareForwarder(TimeAwareForwarder):
-    """Each router flips from stale to converged tables at its own instant."""
-
-    name = "re-convergence"
-
-    def __init__(
-        self,
-        graph: Graph,
-        state: NetworkState,
-        updated_at: Dict[str, float],
-        stale_tables: Optional[RoutingTables] = None,
-    ) -> None:
-        self.graph = graph
-        self.state = state
-        self.updated_at = dict(updated_at)
-        self.stale_tables = stale_tables if stale_tables is not None else RoutingTables(graph)
-        self.converged_tables = RoutingTables(graph, excluded_edges=state.failed_edges)
-
-    def egress_for(
-        self,
-        time: float,
-        node: str,
-        ingress: Optional[Dart],
-        packet: Packet,
-    ) -> Optional[Dart]:
-        converged = time >= self.updated_at.get(node, 0.0)
-        tables = self.converged_tables if converged else self.stale_tables
-        if not tables.has_route(node, packet.destination):
-            return None
-        egress = tables.egress(node, packet.destination)
-        if not self.state.dart_usable(egress):
-            # Before convergence the stale route may point at the dead link;
-            # the packet is black-holed, which is precisely the loss the
-            # experiment measures.
-            return None
-        return egress
-
-
-class ProtectionForwarder(TimeAwareForwarder):
-    """Adapter running any :class:`ForwardingScheme` logic inside the simulator.
-
-    Fast-reroute schemes such as PR act on local failure detection, so the
-    reaction is effectively immediate at simulation time scales (tens of
-    milliseconds of detection delay can be modelled by ``active_from``).
-    """
-
-    def __init__(self, scheme: ForwardingScheme, state: NetworkState, active_from: float = 0.0) -> None:
-        self.scheme = scheme
-        self.name = scheme.name
-        self.state = state
-        self.active_from = active_from
-        self._protected_logic: RouterLogic = scheme.build_logic(state)
-        self._unprotected_state = NetworkState(scheme.graph, ())
-        self._unprotected_logic: RouterLogic = scheme.build_logic(self._unprotected_state)
-
-    def egress_for(
-        self,
-        time: float,
-        node: str,
-        ingress: Optional[Dart],
-        packet: Packet,
-    ) -> Optional[Dart]:
-        if time >= self.active_from:
-            logic, state = self._protected_logic, self.state
-        else:
-            logic, state = self._unprotected_logic, self._unprotected_state
-        decision = logic.decide(node, ingress, packet, state)
+        logic = self.after if time >= self.switch_time(node) else self.before
+        decision = logic.decide(node, ingress, packet, self.state)
         if decision.action is Action.FORWARD and self.state.dart_usable(decision.egress):
             return decision.egress
-        if decision.action is Action.FORWARD:
-            # The logic decided on a link that is physically down right now
-            # (possible only in the pre-detection window); the packet is lost.
-            return None
         return None

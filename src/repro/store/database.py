@@ -93,13 +93,7 @@ class CampaignStore:
     @property
     def conn(self) -> sqlite3.Connection:
         if self._conn is None:
-            conn = schema.connect(self.path)
-            try:
-                schema.ensure_schema(conn)
-            except BaseException:
-                conn.close()
-                raise
-            self._conn = conn
+            self._conn = schema.open_store(self.path)
         return self._conn
 
     def close(self) -> None:
@@ -150,9 +144,7 @@ class CampaignStore:
         workers: Optional[int] = None,
     ) -> None:
         """Make sure a campaign row exists (keeps its seq if it does)."""
-        conn = self.conn
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with schema.transaction(self.conn) as conn:
             row = conn.execute(
                 "SELECT seq FROM campaigns WHERE campaign_id = ?", (campaign_id,)
             ).fetchone()
@@ -174,10 +166,6 @@ class CampaignStore:
                     " status = 'running' WHERE campaign_id = ?",
                     (canonical_json(spec_dict), cells, workers, campaign_id),
                 )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
 
     def begin_campaign(
         self,
@@ -191,9 +179,7 @@ class CampaignStore:
         A fresh (non-resume) run calls this: the old records vanish and the
         campaign becomes the most recent one (``campaign:last1``).
         """
-        conn = self.conn
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with schema.transaction(self.conn) as conn:
             self._delete_campaign_rows(conn, campaign_id)
             conn.execute("DELETE FROM campaigns WHERE campaign_id = ?", (campaign_id,))
             conn.execute(
@@ -206,10 +192,6 @@ class CampaignStore:
                     workers,
                 ),
             )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
 
     @staticmethod
     def _delete_campaign_rows(conn: sqlite3.Connection, campaign_id: str) -> None:
@@ -218,15 +200,9 @@ class CampaignStore:
 
     def delete_campaign(self, campaign_id: str) -> None:
         """Remove a campaign and everything it owns."""
-        conn = self.conn
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with schema.transaction(self.conn) as conn:
             self._delete_campaign_rows(conn, campaign_id)
             conn.execute("DELETE FROM campaigns WHERE campaign_id = ?", (campaign_id,))
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
 
     def finish_campaign(
         self,
@@ -257,11 +233,9 @@ class CampaignStore:
                 f"record without a cell_id cannot enter store {self.path}"
             )
         scenario = record.get("scenario")
-        conn = self.conn
         faults = _faults()
         spec = faults.checkpoint("store-append", cell_id)
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with schema.transaction(self.conn) as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO cells"
                 " (campaign_id, cell_id, cell_index, topology, scheme,"
@@ -290,13 +264,6 @@ class CampaignStore:
                 " VALUES (?, ?, ?)",
                 (campaign_id, cell_id, canonical_json(record)),
             )
-            conn.execute("COMMIT")
-        except BaseException:
-            try:
-                conn.execute("ROLLBACK")
-            except sqlite3.OperationalError:
-                pass
-            raise
 
     def load_records(self, campaign_id: str) -> List[Dict[str, Any]]:
         """Every record of one campaign, in cell order."""
@@ -346,9 +313,7 @@ class CampaignStore:
         self, campaign_id: str, entries: Sequence[Dict[str, Any]]
     ) -> None:
         """Replace the campaign's quarantine entries (whole-set rewrite)."""
-        conn = self.conn
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with schema.transaction(self.conn) as conn:
             conn.execute(
                 "DELETE FROM quarantine WHERE campaign_id = ?", (campaign_id,)
             )
@@ -364,10 +329,6 @@ class CampaignStore:
                         canonical_json(entry),
                     ),
                 )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
 
     def load_quarantine(self, campaign_id: str) -> List[Dict[str, Any]]:
         rows = self.conn.execute(

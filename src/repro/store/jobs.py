@@ -67,13 +67,7 @@ class JobQueue:
     def conn(self) -> sqlite3.Connection:
         with self._lock:
             if self._conn is None:
-                conn = schema.connect(self.path)
-                try:
-                    schema.ensure_schema(conn)
-                except BaseException:
-                    conn.close()
-                    raise
-                self._conn = conn
+                self._conn = schema.open_store(self.path)
             return self._conn
 
     def close(self) -> None:
@@ -83,19 +77,8 @@ class JobQueue:
                 self._conn = None
 
     def _transaction(self, fn):
-        with self._lock:
-            conn = self.conn
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                value = fn(conn)
-                conn.execute("COMMIT")
-                return value
-            except BaseException:
-                try:
-                    conn.execute("ROLLBACK")
-                except sqlite3.OperationalError:
-                    pass
-                raise
+        with self._lock, schema.transaction(self.conn) as conn:
+            return fn(conn)
 
     # ------------------------------------------------------------------
     # submission

@@ -22,8 +22,9 @@ on the SQLite write lock instead of corrupting each other.
 from __future__ import annotations
 
 import sqlite3
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 from repro.errors import ResultStoreError
 
@@ -145,6 +146,37 @@ def connect(path: Union[str, Path]) -> sqlite3.Connection:
     conn.execute("PRAGMA busy_timeout=30000")
     conn.execute("PRAGMA foreign_keys=ON")
     return conn
+
+
+def open_store(path: Union[str, Path]) -> sqlite3.Connection:
+    """A connection with every pending migration applied (closed on failure)."""
+    conn = connect(path)
+    try:
+        ensure_schema(conn)
+    except BaseException:
+        conn.close()
+        raise
+    return conn
+
+
+@contextmanager
+def transaction(conn: sqlite3.Connection) -> Iterator[sqlite3.Connection]:
+    """One ``BEGIN IMMEDIATE`` ... ``COMMIT`` write transaction.
+
+    Any exception from the body rolls the transaction back and propagates
+    unchanged; a rollback that fails because SQLite already ended the
+    transaction does not mask it.
+    """
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        yield conn
+        conn.execute("COMMIT")
+    except BaseException:
+        try:
+            conn.execute("ROLLBACK")
+        except sqlite3.OperationalError:
+            pass
+        raise
 
 
 def applied_version(conn: sqlite3.Connection) -> int:

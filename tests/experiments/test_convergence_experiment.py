@@ -1,8 +1,16 @@
 """Tests for the convergence-loss experiment (the paper's motivation, X2)."""
 
+import random
+
 import pytest
 
-from repro.experiments.convergence import convergence_loss_experiment
+from repro.experiments.convergence import convergence_behaviours, convergence_loss_experiment
+from repro.routing.reconvergence import ReconvergenceModel
+from repro.routing.tables import RoutingTables
+from repro.simulator.des import PacketLevelSimulator
+from repro.simulator.flows import TrafficFlow
+from repro.simulator.links import LinkModel
+from repro.topologies.registry import by_name
 
 
 @pytest.fixture(scope="module")
@@ -45,3 +53,134 @@ class TestConvergenceLoss:
 
     def test_convergence_time_is_subsecond_but_positive(self, result):
         assert 0.1 < result.convergence_time < 2.0
+
+    def test_no_protection_mean_latency_is_the_failure_free_path_latency(
+        self, result, abilene_tables
+    ):
+        # Only the packets sent before the failure get through, each over
+        # the intact shortest path with no queueing at this rate.
+        link = LinkModel()
+        hops = abilene_tables.hops("Seattle", "KansasCity")
+        per_hop = link.propagation_delay_s + link.serialization_delay(1000)
+        report = result.reports["no-protection"]
+        assert report.packets_delivered > 0
+        assert report.mean_latency == pytest.approx(hops * per_hop, rel=1e-9)
+        assert report.mean_hops == hops
+
+
+def _ticks(first, count, interval=0.05):
+    return [first + k * interval for k in range(count)]
+
+
+#: Results of ``convergence_loss_experiment(graph, source, destination,
+#: rate_pps=20.0, duration=1.5)``: failed link, convergence time,
+#: extrapolated losses and, per behaviour, (sent, delivered, dropped,
+#: drop times).  Drops start when the first post-failure packet reaches the
+#: dead link and recur every emission interval.
+GOLDEN = {
+    ("abilene", "Seattle", "KansasCity"): (
+        ("Seattle", "Denver"),
+        0.7,
+        {"no-protection": 404352.0, "re-convergence": 217728.0, "Packet Re-cycling": 15552.0},
+        {
+            "no-protection": (30, 4, 26, _ticks(0.2, 26)),
+            "re-convergence": (30, 16, 14, _ticks(0.2, 14)),
+            "Packet Re-cycling": (30, 29, 1, [0.2]),
+        },
+    ),
+    ("geant", "PT", "FI"): (
+        ("DE", "FR"),
+        0.7,
+        {"no-protection": 404352.0, "re-convergence": 217728.0, "Packet Re-cycling": 15552.0},
+        {
+            "no-protection": (30, 4, 26, _ticks(0.2100016, 26)),
+            "re-convergence": (30, 17, 13, _ticks(0.2100016, 13)),
+            "Packet Re-cycling": (30, 29, 1, [0.2100016]),
+        },
+    ),
+    ("teleglobe", "Seattle", "London"): (
+        ("NewYork", "Chicago"),
+        0.71,
+        {"no-protection": 404352.0, "re-convergence": 220838.4, "Packet Re-cycling": 15552.0},
+        {
+            "no-protection": (30, 4, 26, _ticks(0.2050008, 26)),
+            "re-convergence": (30, 16, 14, _ticks(0.2050008, 14)),
+            "Packet Re-cycling": (30, 29, 1, [0.2050008]),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("flow", sorted(GOLDEN), ids="-".join)
+def test_golden_results(flow):
+    topology, source, destination = flow
+    failed_link, convergence_time, extrapolated, reports = GOLDEN[flow]
+    result = convergence_loss_experiment(
+        by_name(topology), source, destination, rate_pps=20.0, duration=1.5
+    )
+    assert result.failed_link == failed_link
+    assert result.convergence_time == pytest.approx(convergence_time, abs=1e-12)
+    assert result.extrapolated_losses == pytest.approx(extrapolated, rel=1e-12)
+    assert list(result.reports) == list(reports)
+    for name, (sent, delivered, dropped, drop_times) in reports.items():
+        report = result.reports[name]
+        counts = (report.packets_sent, report.packets_delivered, report.packets_dropped)
+        assert counts == (sent, delivered, dropped), name
+        assert report.drop_times == pytest.approx(drop_times, abs=1e-12), name
+
+
+def _oracle_cases(topology):
+    """(graph, flows, failed links): links on the flows' paths and elsewhere."""
+    graph = by_name(topology)
+    rng = random.Random(f"convergence-oracle-{topology}")
+    nodes = sorted(graph.nodes())
+    flows = [tuple(rng.sample(nodes, 2)) for _ in range(3)]
+    tables = RoutingTables(graph)
+    on_paths = sorted(
+        {tables.entry(source, destination).egress.edge_id for source, destination in flows}
+    )
+    return graph, flows, on_paths + rng.sample(graph.edge_ids(), 2)
+
+
+def _path_edges(tables, source, destination):
+    path = tables.shortest_path(source, destination)
+    return {tables.entry(node, destination).egress.edge_id for node in path[:-1]}
+
+
+@pytest.mark.parametrize("topology", ["abilene", "geant", "teleglobe"])
+def test_no_protection_drops_exactly_the_flows_crossing_the_failure(topology):
+    graph, flows, failed_links = _oracle_cases(topology)
+    tables = RoutingTables(graph)
+    for failed in failed_links:
+        for source, destination in flows:
+            result = convergence_loss_experiment(
+                graph, source, destination, failed_edge=failed,
+                rate_pps=100.0, duration=1.0, failure_time=0.2,
+            )
+            report = result.reports["no-protection"]
+            crosses = failed in _path_edges(tables, source, destination)
+            # 20 packets before the failure, 80 after it.
+            assert report.packets_sent == 100
+            assert report.packets_dropped == (80 if crosses else 0), (source, destination, failed)
+
+
+@pytest.mark.parametrize("topology", ["abilene", "geant", "teleglobe"])
+def test_reconvergence_after_convergence_follows_the_failed_map_shortest_path(topology):
+    graph, flows, failed_links = _oracle_cases(topology)
+    model = ReconvergenceModel()
+    for failed in failed_links:
+        converged = RoutingTables(graph, excluded_edges=[failed])
+        timeline = model.convergence_delay(graph, failed, failure_time=0.2)
+        forwarder = convergence_behaviours(
+            graph, failed, timeline.updated_at, timeline.detection_time
+        )["re-convergence"]
+        for source, destination in flows:
+            simulator = PacketLevelSimulator(graph, forwarder)
+            start = timeline.converged_time + 0.01
+            simulator.add_flow(
+                TrafficFlow(source, destination, rate_pps=100.0, start=start, end=start + 0.2)
+            )
+            report = simulator.run()
+            context = (source, destination, failed)
+            assert report.packets_delivered == report.packets_sent == 20, context
+            assert report.mean_hops == converged.hops(source, destination), context

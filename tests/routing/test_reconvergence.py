@@ -1,32 +1,39 @@
 """Unit tests for the re-convergence model."""
 
-import pytest
-
-from repro.routing.reconvergence import (
-    ReconvergenceModel,
-    affected_destinations,
-    converged_tables,
-)
-from repro.routing.tables import RoutingTables
+from repro.baselines.reconvergence import Reconvergence
+from repro.forwarding.network_state import NetworkState
+from repro.forwarding.packets import Packet
+from repro.forwarding.router import Action
+from repro.routing.reconvergence import ReconvergenceModel
 
 
 class TestConvergedTables:
+    """The converged end state is the Reconvergence scheme's routing."""
+
     def test_routes_avoid_failed_links(self, abilene_graph):
         edge = abilene_graph.edge_ids_between("Denver", "KansasCity")[0]
-        converged = converged_tables(abilene_graph, [edge])
+        state = NetworkState(abilene_graph, [edge])
+        logic = Reconvergence(abilene_graph).build_logic(state)
+        forwarded = 0
         for node in abilene_graph.nodes():
             for destination in abilene_graph.nodes():
-                if node == destination or not converged.has_route(node, destination):
+                if node == destination:
                     continue
-                assert converged.egress(node, destination).edge_id != edge
+                decision = logic.decide(node, None, Packet(node, destination), state)
+                if decision.action is Action.FORWARD:
+                    forwarded += 1
+                    assert decision.egress.edge_id != edge
+        assert forwarded > 0
 
     def test_costs_never_improve_after_failure(self, abilene_graph, abilene_tables):
         edge = abilene_graph.edge_ids_between("Chicago", "NewYork")[0]
-        converged = converged_tables(abilene_graph, [edge])
-        for node in abilene_graph.nodes():
-            if node == "NewYork" or not converged.has_route(node, "NewYork"):
-                continue
-            assert converged.cost(node, "NewYork") >= abilene_tables.cost(node, "NewYork") - 1e-9
+        outcomes = Reconvergence(abilene_graph).deliver_many(
+            [(node, "NewYork") for node in abilene_graph.nodes() if node != "NewYork"],
+            failed_links=[edge],
+        )
+        for (node, destination), outcome in outcomes.items():
+            assert outcome.delivered
+            assert outcome.cost >= abilene_tables.cost(node, destination) - 1e-9
 
 
 class TestReconvergenceModel:
@@ -56,16 +63,3 @@ class TestReconvergenceModel:
         edge_id = abilene_graph.edge_ids_between("Atlanta", "Washington")[0]
         timeline = model.convergence_delay(abilene_graph, edge_id)
         assert timeline.blackhole_duration("Atlanta") > 0.0
-
-
-class TestAffectedDestinations:
-    def test_only_destinations_behind_the_failure(self, abilene_graph):
-        tables = RoutingTables(abilene_graph)
-        edge_id = abilene_graph.edge_ids_between("Chicago", "NewYork")[0]
-        affected = affected_destinations(tables, "Chicago", [edge_id])
-        assert "NewYork" in affected
-        assert "Indianapolis" not in affected
-
-    def test_no_failures_means_nothing_affected(self, abilene_graph):
-        tables = RoutingTables(abilene_graph)
-        assert affected_destinations(tables, "Chicago", []) == []

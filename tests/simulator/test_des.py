@@ -2,17 +2,13 @@
 
 import pytest
 
-from repro.core.scheme import PacketRecycling
+from repro.baselines.noprotection import NoProtection
+from repro.baselines.reconvergence import Reconvergence
 from repro.forwarding.network_state import NetworkState
 from repro.routing.reconvergence import ReconvergenceModel
-from repro.routing.tables import RoutingTables
 from repro.simulator.des import PacketLevelSimulator, estimate_packets_lost
 from repro.simulator.flows import TrafficFlow
-from repro.simulator.forwarders import (
-    ConvergenceAwareForwarder,
-    ProtectionForwarder,
-    StaticForwarder,
-)
+from repro.simulator.forwarders import SchemeForwarder
 from repro.simulator.links import LinkModel
 
 
@@ -20,10 +16,20 @@ def _edge(graph, u, v):
     return graph.edge_ids_between(u, v)[0]
 
 
+def _stale(graph, state):
+    """The NoProtection logic: stale tables, drop at the failed link."""
+    return NoProtection(graph).build_logic(state)
+
+
+def _no_protection(graph, state):
+    stale = _stale(graph, state)
+    return SchemeForwarder("no-protection", state, stale, stale)
+
+
 class TestFailureFreeSimulation:
     def test_all_packets_delivered(self, abilene_graph):
         state = NetworkState(abilene_graph)
-        simulator = PacketLevelSimulator(abilene_graph, StaticForwarder(abilene_graph, state))
+        simulator = PacketLevelSimulator(abilene_graph, _no_protection(abilene_graph, state))
         simulator.add_flow(TrafficFlow("Seattle", "Washington", rate_pps=200.0, end=0.5))
         report = simulator.run()
         assert report.packets_sent == 100
@@ -35,7 +41,7 @@ class TestFailureFreeSimulation:
         state = NetworkState(abilene_graph)
         link = LinkModel(propagation_delay_s=0.01)
         simulator = PacketLevelSimulator(
-            abilene_graph, StaticForwarder(abilene_graph, state), link
+            abilene_graph, _no_protection(abilene_graph, state), link
         )
         simulator.add_flow(TrafficFlow("Seattle", "Denver", rate_pps=10.0, end=0.2))
         report = simulator.run()
@@ -48,7 +54,7 @@ class TestFailureSimulation:
     def test_static_forwarder_loses_affected_traffic(self, abilene_graph):
         failed = _edge(abilene_graph, "Denver", "KansasCity")
         state = NetworkState(abilene_graph, [failed])
-        simulator = PacketLevelSimulator(abilene_graph, StaticForwarder(abilene_graph, state))
+        simulator = PacketLevelSimulator(abilene_graph, _no_protection(abilene_graph, state))
         simulator.add_flow(TrafficFlow("Seattle", "KansasCity", rate_pps=100.0, end=1.0))
         report = simulator.run()
         assert report.packets_dropped == report.packets_sent
@@ -57,7 +63,13 @@ class TestFailureSimulation:
         failed = _edge(abilene_graph, "Denver", "KansasCity")
         state = NetworkState(abilene_graph, [failed])
         timeline = ReconvergenceModel().convergence_delay(abilene_graph, failed, failure_time=0.0)
-        forwarder = ConvergenceAwareForwarder(abilene_graph, state, timeline.updated_at)
+        forwarder = SchemeForwarder(
+            "re-convergence",
+            state,
+            _stale(abilene_graph, state),
+            Reconvergence(abilene_graph).build_logic(state),
+            timeline.updated_at,
+        )
         simulator = PacketLevelSimulator(abilene_graph, forwarder)
         simulator.add_flow(TrafficFlow("Seattle", "KansasCity", rate_pps=100.0, end=2.0))
         report = simulator.run()
@@ -68,7 +80,9 @@ class TestFailureSimulation:
     def test_pr_forwarder_loses_nothing_after_detection(self, abilene_graph, abilene_pr):
         failed = _edge(abilene_graph, "Denver", "KansasCity")
         state = NetworkState(abilene_graph, [failed])
-        forwarder = ProtectionForwarder(abilene_pr, state, active_from=0.0)
+        forwarder = SchemeForwarder(
+            "pr", state, _stale(abilene_graph, state), abilene_pr.build_logic(state), 0.0
+        )
         simulator = PacketLevelSimulator(abilene_graph, forwarder)
         simulator.add_flow(TrafficFlow("Seattle", "KansasCity", rate_pps=100.0, end=1.0))
         report = simulator.run()
@@ -78,7 +92,9 @@ class TestFailureSimulation:
     def test_pr_loss_limited_to_detection_window(self, abilene_graph, abilene_pr):
         failed = _edge(abilene_graph, "Denver", "KansasCity")
         state = NetworkState(abilene_graph, [failed])
-        forwarder = ProtectionForwarder(abilene_pr, state, active_from=0.05)
+        forwarder = SchemeForwarder(
+            "pr", state, _stale(abilene_graph, state), abilene_pr.build_logic(state), 0.05
+        )
         simulator = PacketLevelSimulator(abilene_graph, forwarder)
         simulator.add_flow(TrafficFlow("Denver", "KansasCity", rate_pps=100.0, end=1.0))
         report = simulator.run()
@@ -99,3 +115,14 @@ class TestEstimatePacketsLost:
     def test_invalid_utilization_rejected(self):
         with pytest.raises(Exception):
             estimate_packets_lost(1e9, utilization=1.5, outage_seconds=1.0)
+
+
+class TestSchemeForwarder:
+    def test_switch_instants(self, abilene_graph):
+        state = NetworkState(abilene_graph)
+        logic = _stale(abilene_graph, state)
+        per_router = SchemeForwarder("x", state, logic, logic, {"Seattle": 1.5})
+        assert per_router.switch_time("Seattle") == 1.5
+        # A router missing from the map runs the after logic from time zero.
+        assert per_router.switch_time("Denver") == 0.0
+        assert SchemeForwarder("x", state, logic, logic, 0.3).switch_time("Denver") == 0.3

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ExperimentError, ResultStoreError
 from repro.runner.executor import run_campaign
 from repro.store.database import CampaignStore, is_store_path
-from repro.store.schema import SCHEMA_VERSION, applied_version
+from repro.store.schema import SCHEMA_VERSION, applied_version, transaction
 
 from tests.store.conftest import deterministic_part, pair_spec
 
@@ -30,6 +30,19 @@ class TestSchema:
         with CampaignStore(store_path) as store:
             [row] = store.conn.execute("PRAGMA journal_mode").fetchall()
             assert row[0] == "wal"
+
+    def test_failed_transaction_reraises_and_rolls_back(self, store_path):
+        class BodyFailed(Exception):
+            pass
+
+        with CampaignStore(store_path) as store:
+            conn = store.conn
+            with pytest.raises(BodyFailed):
+                with transaction(conn):
+                    conn.execute("INSERT INTO campaigns (campaign_id) VALUES ('x')")
+                    raise BodyFailed
+            assert not conn.in_transaction
+            assert store.campaign_row("x") is None
 
     def test_suffix_detection(self, tmp_path):
         assert is_store_path(tmp_path / "a.sqlite")
