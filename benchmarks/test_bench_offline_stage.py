@@ -13,12 +13,12 @@ import pytest
 from repro.core.scheme import PacketRecycling
 from repro.embedding.genus import self_paired_edge_count
 from repro.embedding.validation import validate_embedding
-from repro.topologies.registry import by_name
+from repro.topologies.corpus import build_topology
 
 
 @pytest.mark.parametrize("topology_name", ["abilene", "teleglobe", "geant"])
 def test_bench_offline_precomputation(benchmark, topology_name):
-    graph = by_name(topology_name)
+    graph = build_topology(topology_name)
     scheme = benchmark(lambda: PacketRecycling(graph, embedding_seed=0))
 
     validate_embedding(graph, scheme.embedding.rotation, scheme.embedding.faces)

@@ -17,7 +17,7 @@ import sys
 from repro.experiments.asciiplot import render_table
 from repro.experiments.convergence import convergence_loss_experiment
 from repro.simulator.des import estimate_packets_lost
-from repro.topologies.registry import by_name
+from repro.topologies.corpus import build_topology
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
     source = sys.argv[2] if len(sys.argv) > 2 else "Seattle"
     destination = sys.argv[3] if len(sys.argv) > 3 else "KansasCity"
 
-    graph = by_name(topology)
+    graph = build_topology(topology)
     print(f"Simulating a {source} -> {destination} flow on {graph.name}; the link in the "
           f"middle of its path fails 0.2 s into a 2 s simulation.")
     result = convergence_loss_experiment(

@@ -20,7 +20,7 @@ from repro.core.scheme import PacketRecycling, SimplePacketRecycling
 from repro.experiments.asciiplot import render_table
 from repro.failures.sampling import sample_multi_link_failures
 from repro.failures.scenarios import single_link_failures
-from repro.topologies.registry import by_name
+from repro.topologies.corpus import build_topology
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
     failures = int(sys.argv[2]) if len(sys.argv) > 2 else 3
     samples = int(sys.argv[3]) if len(sys.argv) > 3 else 25
 
-    graph = by_name(topology)
+    graph = build_topology(topology)
     print(f"Topology {graph.name}: {graph.number_of_nodes()} routers, "
           f"{graph.number_of_edges()} links")
 

@@ -60,7 +60,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.api import build_packet_recycling, compare_schemes
 from repro.core.coverage import coverage_report
@@ -87,7 +87,8 @@ from repro.runner import (
 )
 from repro.runner import aggregate as campaign_aggregate
 from repro.runner import faults as fault_harness
-from repro.errors import FailureScenarioError, ReproError
+from repro.errors import ExperimentError, FailureScenarioError, ReproError
+from repro.params import parse_assignments, parse_spec
 from repro.scenarios import available_scenario_models, get_scenario_model, registered_models
 from repro.store import resolve_results
 from repro.topologies import corpus as topology_corpus
@@ -227,39 +228,14 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     return 0 if report.full_coverage else 1
 
 
-def _parse_param_value(text: str) -> object:
-    """Parameter values on the command line: JSON scalar, else a plain string."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
-def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
-    """``k=v`` strings into a parameter dict (values parsed as JSON scalars)."""
-    params: Dict[str, object] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"cannot parse parameter {pair!r}; use name=value")
-        name, value = pair.split("=", 1)
-        params[name.strip()] = _parse_param_value(value.strip())
-    return params
-
-
 def _parse_model_arg(text: str, samples: int) -> ScenarioSpec:
     """A sweep ``--model`` argument: ``name`` or ``name:k=v,k2=v2``."""
-    name, _, param_text = text.partition(":")
-    params = _parse_params(param_text.split(",")) if param_text else {}
     try:
+        name, params = parse_spec(text, ExperimentError)
         # Parameters go through the params field (not keyword splatting) so
         # a user parameter named like a spec field still gets the model's
         # clean unknown-parameter error instead of a TypeError.
-        return ScenarioSpec(
-            kind="model",
-            model=name.strip(),
-            samples=samples,
-            params=tuple(sorted(params.items())),
-        )
+        return ScenarioSpec(kind="model", model=name, samples=samples, params=params)
     except ReproError as exc:
         raise SystemExit(f"bad --model {text!r}: {exc}")
 
@@ -283,7 +259,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         model=args.model,
         samples=args.samples,
         non_disconnecting=not args.allow_disconnecting,
-        params=tuple(sorted(_parse_params(args.param).items())),
+        params=parse_assignments(args.param, ExperimentError),
     )
     scenarios = model.generate(
         graph,

@@ -10,7 +10,7 @@ from repro.baselines.reconvergence import Reconvergence
 from repro.core.scheme import PacketRecycling, SimplePacketRecycling
 from repro.graph.multigraph import Graph
 from repro.metrics.overhead import OverheadRow, overhead_comparison
-from repro.topologies.registry import by_name
+from repro.topologies.corpus import parse_topology_spec
 
 
 def overhead_experiment(
@@ -28,7 +28,7 @@ def overhead_experiment(
         topology_names = ["abilene", "teleglobe", "geant"]
     results: Dict[str, List[OverheadRow]] = {}
     for name in topology_names:
-        graph: Graph = by_name(name)
+        graph: Graph = parse_topology_spec(name).build()
         schemes = [
             Reconvergence(graph),
             FailureCarryingPackets(graph),

@@ -36,7 +36,7 @@ from repro.metrics.stretch import (
     scenario_context,
     stretch_values,
 )
-from repro.topologies.registry import by_name
+from repro.topologies.corpus import parse_topology_spec
 
 #: Figure 2 panel definitions: (paper label, topology name, failures per scenario).
 FIGURE2_PANELS: Dict[str, Tuple[str, int]] = {
@@ -168,7 +168,7 @@ def figure2_panel(
     """
     topology_name, failures = resolve_figure2_panel(panel)
     if graph is None:
-        graph = by_name(topology_name)
+        graph = parse_topology_spec(topology_name).build()
     if failures == 1:
         scenarios = single_link_failures(graph, only_non_disconnecting=True)
     else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Optional
 
 from repro.errors import CellTimeoutError, ExperimentError
@@ -64,14 +64,7 @@ class ExecutionPolicy:
 
     def to_dict(self) -> dict:
         """The policy as a JSON-shaped dictionary (the job-journal form)."""
-        return {
-            "max_retries": self.max_retries,
-            "cell_timeout": self.cell_timeout,
-            "on_error": self.on_error,
-            "backoff_base_s": self.backoff_base_s,
-            "backoff_cap_s": self.backoff_cap_s,
-            "max_pool_rebuilds": self.max_pool_rebuilds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Optional[dict]) -> "ExecutionPolicy":
@@ -84,14 +77,7 @@ class ExecutionPolicy:
         """
         if not payload:
             return cls()
-        known = {
-            "max_retries",
-            "cell_timeout",
-            "on_error",
-            "backoff_base_s",
-            "backoff_cap_s",
-            "max_pool_rebuilds",
-        }
+        known = {field.name for field in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ExperimentError(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
@@ -187,19 +187,16 @@ class ScenarioSpec:
             payload["params"] = dict(self.params)
         return payload
 
-    #: Keys :meth:`from_dict` accepts; anything else means the payload was
-    #: produced by an incompatible version and must fail loudly.
-    _DICT_KEYS = frozenset(
-        ("kind", "failures", "samples", "non_disconnecting", "model", "params")
-    )
-
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ScenarioSpec":
-        unknown = sorted(set(payload) - cls._DICT_KEYS)
+        # Keys beyond the dataclass fields mean the payload was produced by
+        # an incompatible version and must fail loudly.
+        known = {field.name for field in fields(cls)}
+        unknown = sorted(set(payload) - known)
         if unknown:
             raise ExperimentError(
                 f"unknown scenario spec keys {unknown!r}; "
-                f"expected a subset of {sorted(cls._DICT_KEYS)}"
+                f"expected a subset of {sorted(known)}"
             )
         params = payload.get("params", {})
         if not isinstance(params, Mapping):

@@ -36,7 +36,8 @@ import — see :func:`~repro.scenarios.registry.register_scenario_model` for
 the ``fork`` vs ``spawn`` caveat on parallel sweeps.)
 """
 
-from repro.scenarios.base import ModelParam, ParamValue, ScenarioModel
+from repro.params import Param, ParamValue
+from repro.scenarios.base import ScenarioModel
 from repro.scenarios.registry import (
     available_scenario_models,
     get_scenario_model,
@@ -68,7 +69,7 @@ register_scenario_model(ChurnSnapshots())
 __all__ = [
     "CHURN_PROCESSES",
     "ChurnSnapshots",
-    "ModelParam",
+    "Param",
     "ParamValue",
     "RegionalFailures",
     "RollingMaintenance",

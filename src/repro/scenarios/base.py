@@ -12,74 +12,24 @@ events, maintenance churn — behind a uniform interface:
 * models are **deterministic in their seed**: the same ``(graph, seed,
   samples, params)`` always yields the identical scenario list, which is what
   lets the campaign runner guarantee serial == parallel == resumed results;
-* model **parameters are declared**, not free-form: unknown parameter names
-  and uncoercible values are rejected with an
+* model **parameters are declared** (:class:`repro.params.Param`, shared
+  with the topology families), not free-form: unknown parameter names and
+  uncoercible values are rejected with an
   :class:`~repro.errors.ExperimentError` at spec-construction time, so a
   stale campaign JSON fails loudly instead of silently generating the wrong
-  scenarios.
+  scenarios.  :meth:`ScenarioModel.validate_params` adds a model's own
+  cross-parameter constraints on top.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Tuple
 
 from repro.errors import ExperimentError
 from repro.failures.scenarios import FailureScenario
 from repro.graph.multigraph import Graph
-
-#: Parameter values are JSON scalars so that specs round-trip losslessly.
-ParamValue = Union[int, float, str, bool]
-
-
-@dataclass(frozen=True)
-class ModelParam:
-    """One declared parameter of a scenario model.
-
-    The default's type doubles as the parameter's type: overrides are coerced
-    to it (``int`` accepts integral floats and digit strings, ``float``
-    accepts ints, ``bool`` accepts ``"true"``/``"false"`` strings) and
-    anything that does not coerce is rejected.
-    """
-
-    name: str
-    default: ParamValue
-    doc: str
-
-    def coerce(self, value: object) -> ParamValue:
-        """Coerce ``value`` to this parameter's type or raise ``ExperimentError``."""
-        kind = type(self.default)
-        try:
-            if kind is bool:
-                if isinstance(value, bool):
-                    return value
-                if isinstance(value, str) and value.lower() in ("true", "false"):
-                    return value.lower() == "true"
-                raise ValueError(value)
-            if kind is int:
-                if isinstance(value, bool):
-                    raise ValueError(value)
-                coerced = int(str(value)) if isinstance(value, str) else int(value)
-                if isinstance(value, float) and value != coerced:
-                    raise ValueError(value)
-                return coerced
-            if kind is float:
-                if isinstance(value, bool):
-                    raise ValueError(value)
-                coerced = float(value)
-                # nan/inf satisfy no ordering constraint and would send the
-                # generators' time loops spinning forever.
-                if not math.isfinite(coerced):
-                    raise ValueError(value)
-                return coerced
-            return str(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ExperimentError(
-                f"parameter {self.name!r} expects a {kind.__name__}, "
-                f"got {value!r}"
-            ) from None
+from repro.params import Param, ParamValue, default_params, resolve_params
 
 
 class ScenarioModel(ABC):
@@ -92,17 +42,11 @@ class ScenarioModel(ABC):
 
     name: str = ""
     summary: str = ""
-    params: Tuple[ModelParam, ...] = ()
-
-    def param(self, name: str) -> ModelParam:
-        for param in self.params:
-            if param.name == name:
-                return param
-        raise ExperimentError(f"model {self.name!r} has no parameter {name!r}")
+    params: Tuple[Param, ...] = ()
 
     def default_params(self) -> Dict[str, ParamValue]:
         """The fully-resolved defaults, in declaration order."""
-        return {param.name: param.default for param in self.params}
+        return default_params(self.params)
 
     def resolve_params(self, overrides: Mapping[str, object]) -> Dict[str, ParamValue]:
         """Merge ``overrides`` into the defaults, rejecting unknown names.
@@ -111,16 +55,9 @@ class ScenarioModel(ABC):
         that differ only in whether a default was spelled out explicitly
         resolve to the same canonical parameter set (and the same cell ids).
         """
-        known = {param.name for param in self.params}
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            raise ExperimentError(
-                f"unknown parameters {unknown!r} for scenario model "
-                f"{self.name!r}; declared: {sorted(known)}"
-            )
-        resolved = self.default_params()
-        for name, value in overrides.items():
-            resolved[name] = self.param(name).coerce(value)
+        resolved = resolve_params(
+            self.params, overrides, f"scenario model {self.name!r}", ExperimentError
+        )
         self.validate_params(resolved)
         return resolved
 

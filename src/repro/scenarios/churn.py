@@ -23,7 +23,8 @@ from repro.errors import ExperimentError
 from repro.failures.flapping import FlapEvent
 from repro.failures.scenarios import FailureScenario
 from repro.graph.multigraph import Graph
-from repro.scenarios.base import ModelParam, ParamValue, ScenarioModel
+from repro.params import Param, ParamValue
+from repro.scenarios.base import ScenarioModel
 
 #: Churn processes accepted by :func:`churn_events` (and, with the addition
 #: of ``"exponential"``, by ``flapping_experiment``).
@@ -177,12 +178,12 @@ class ChurnSnapshots(ScenarioModel):
     name = "churn"
     summary = "Gilbert-Elliott/Weibull per-link churn sampled at snapshot times"
     params = (
-        ModelParam("process", "gilbert-elliott", "'gilbert-elliott' or 'weibull'"),
-        ModelParam("horizon", 200.0, "simulated seconds of churn"),
-        ModelParam("mean_up", 50.0, "mean link up time (seconds)"),
-        ModelParam("mean_down", 5.0, "mean link down time (seconds)"),
-        ModelParam("shape", 1.5, "Weibull shape (ignored by gilbert-elliott)"),
-        ModelParam("step", 1.0, "Gilbert-Elliott step (ignored by weibull)"),
+        Param("process", "gilbert-elliott", "'gilbert-elliott' or 'weibull'"),
+        Param("horizon", 200.0, "simulated seconds of churn"),
+        Param("mean_up", 50.0, "mean link up time (seconds)"),
+        Param("mean_down", 5.0, "mean link down time (seconds)"),
+        Param("shape", 1.5, "Weibull shape (ignored by gilbert-elliott)"),
+        Param("step", 1.0, "Gilbert-Elliott step (ignored by weibull)"),
     )
 
     def validate_params(self, params) -> None:

@@ -19,7 +19,8 @@ from typing import List, Mapping
 from repro.errors import ExperimentError
 from repro.failures.scenarios import FailureScenario
 from repro.graph.multigraph import Graph
-from repro.scenarios.base import ModelParam, ParamValue, ScenarioModel
+from repro.params import Param, ParamValue
+from repro.scenarios.base import ScenarioModel
 
 
 class RollingMaintenance(ScenarioModel):
@@ -28,8 +29,8 @@ class RollingMaintenance(ScenarioModel):
     name = "maintenance"
     summary = "rolling maintenance windows over a seeded link schedule"
     params = (
-        ModelParam("window", 2, "links down simultaneously per window"),
-        ModelParam("stride", 1, "links the window advances between scenarios"),
+        Param("window", 2, "links down simultaneously per window"),
+        Param("stride", 1, "links the window advances between scenarios"),
     )
 
     def validate_params(self, params) -> None:

@@ -30,7 +30,8 @@ from repro.errors import ExperimentError
 from repro.failures.scenarios import FailureScenario
 from repro.graph.connectivity import is_connected
 from repro.graph.multigraph import Graph
-from repro.scenarios.base import ModelParam, ParamValue, ScenarioModel
+from repro.params import Param, ParamValue
+from repro.scenarios.base import ScenarioModel
 
 
 def hop_ball(graph: Graph, center: str, radius: int) -> Set[str]:
@@ -54,7 +55,7 @@ class RegionalFailures(ScenarioModel):
     name = "regional"
     summary = "all links within a hop ball of a sampled epicenter fail"
     params = (
-        ModelParam("radius", 1, "hop radius of the dead region (1 = one node)"),
+        Param("radius", 1, "hop radius of the dead region (1 = one node)"),
     )
 
     def validate_params(self, params) -> None:

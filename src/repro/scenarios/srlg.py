@@ -17,7 +17,8 @@ from typing import List, Mapping
 
 from repro.failures.scenarios import FailureScenario
 from repro.graph.multigraph import Graph
-from repro.scenarios.base import ModelParam, ParamValue, ScenarioModel
+from repro.params import Param, ParamValue
+from repro.scenarios.base import ScenarioModel
 from repro.errors import ExperimentError
 
 
@@ -27,7 +28,7 @@ class SharedRiskGroups(ScenarioModel):
     name = "srlg"
     summary = "conduit-sharing link groups fail together"
     params = (
-        ModelParam("group_size", 3, "links per shared-risk group"),
+        Param("group_size", 3, "links per shared-risk group"),
     )
 
     def validate_params(self, params) -> None:

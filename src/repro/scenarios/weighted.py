@@ -21,7 +21,8 @@ from repro.errors import ExperimentError
 from repro.failures.scenarios import FailureScenario
 from repro.graph.multigraph import Graph
 from repro.graph.shortest_paths import dijkstra
-from repro.scenarios.base import ModelParam, ParamValue, ScenarioModel
+from repro.params import Param, ParamValue
+from repro.scenarios.base import ScenarioModel
 
 _WEIGHT_MODES = ("betweenness", "length")
 
@@ -75,9 +76,9 @@ class WeightedLinkFailures(ScenarioModel):
     name = "weighted"
     summary = "link failure probability proportional to betweenness or length"
     params = (
-        ModelParam("failures", 1, "simultaneous link failures per scenario"),
-        ModelParam("by", "betweenness", "weighting: 'betweenness' or 'length'"),
-        ModelParam("attempts", 200, "rejection-sampling budget per scenario"),
+        Param("failures", 1, "simultaneous link failures per scenario"),
+        Param("by", "betweenness", "weighting: 'betweenness' or 'length'"),
+        Param("attempts", 200, "rejection-sampling budget per scenario"),
     )
 
     def validate_params(self, params) -> None:

@@ -96,12 +96,8 @@ class PacketLevelSimulator:
         """Schedule every packet emission of ``flow``."""
         if not self.graph.has_node(flow.source) or not self.graph.has_node(flow.destination):
             raise SimulationError("flow endpoints must exist in the topology")
-        emission = flow.start
-        index = 0
-        while emission < flow.end:
+        for emission in flow.emission_times():
             self._schedule_emission(flow, emission)
-            index += 1
-            emission = flow.start + index * flow.interval
 
     def _schedule_emission(self, flow: TrafficFlow, time: float) -> None:
         def emit() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 from repro.errors import SimulationError
 
@@ -43,10 +44,19 @@ class TrafficFlow:
         """Seconds between consecutive packet emissions."""
         return 1.0 / self.rate_pps
 
+    def emission_times(self) -> List[float]:
+        """Every emission instant: ``start + k * interval`` while before ``end``."""
+        times = []
+        emission = self.start
+        while emission < self.end:
+            times.append(emission)
+            emission = self.start + len(times) * self.interval
+        return times
+
     @property
     def total_packets(self) -> int:
         """Number of packets emitted over the whole window."""
-        return int((self.end - self.start) * self.rate_pps)
+        return len(self.emission_times())
 
     @property
     def rate_bps(self) -> float:

@@ -34,10 +34,8 @@ from repro.topologies.generators import (
 )
 from repro.topologies.graphml import graph_from_graphml, load_graphml
 from repro.topologies.parser import graph_from_text, graph_to_text, load_graph, save_graph
-from repro.topologies.registry import available_topologies, by_name
 from repro.topologies.corpus import (
     TopologyFamily,
-    TopologyParam,
     TopologySpec,
     TopologyValidation,
     build_topology,
@@ -54,7 +52,6 @@ from repro.topologies.corpus import (
 
 __all__ = [
     "TopologyFamily",
-    "TopologyParam",
     "TopologySpec",
     "TopologyValidation",
     "build_topology",
@@ -94,6 +91,4 @@ __all__ = [
     "graph_to_text",
     "load_graph",
     "save_graph",
-    "available_topologies",
-    "by_name",
 ]

@@ -5,16 +5,16 @@ The paper evaluates on three ISP topologies; production-scale sweeps need a
 campaign spec.  This module is the registry behind that corpus:
 
 * **Families** (:class:`TopologyFamily`) are named topology constructors
-  with *declared* parameters, mirroring the scenario-model contract of
-  :mod:`repro.scenarios.base`: unknown parameter names and uncoercible
-  values are rejected at spec-construction time, and resolved parameters
-  always contain every declared parameter, so two spellings of the same
-  instance canonicalise to the same string — and therefore to the same
-  campaign cell ids and artifact-cache keys.
+  with *declared* parameters (:class:`repro.params.Param`, shared with the
+  scenario models): unknown parameter names and uncoercible values are
+  rejected with a :class:`~repro.errors.TopologyError` at spec-construction
+  time, and resolved parameters always contain every declared parameter, so
+  two spellings of the same instance canonicalise to the same string — and
+  therefore to the same campaign cell ids and artifact-cache keys.
 * **Specs** (:class:`TopologySpec`) are parsed from ``name[:k=v,...]``
-  strings (``waxman:size=40,seed=3``), exactly the syntax campaign scenario
-  models use.  :attr:`TopologySpec.canonical` is the normal form — family
-  lowercased, every parameter present, name-sorted.
+  strings (``waxman:size=40,seed=3``) by :func:`repro.params.parse_spec`,
+  the parser scenario models use too.  :attr:`TopologySpec.canonical` is
+  the normal form — family lowercased, every parameter present, name-sorted.
 * **Zoo snapshots** are GraphML / weighted edge-list files committed under
   ``src/repro/topologies/data/`` (Topology Zoo formats); each file becomes a
   parameter-free family named by its stem.
@@ -31,8 +31,6 @@ across processes and machines.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
@@ -40,6 +38,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 from repro.errors import TopologyError
 from repro.graph.connectivity import is_connected, is_two_edge_connected
 from repro.graph.multigraph import Graph
+from repro.params import Param, ParamValue, format_value, parse_spec, resolve_params
 from repro.topologies import generators
 from repro.topologies.abilene import abilene
 from repro.topologies.example import example_fig1
@@ -48,10 +47,6 @@ from repro.topologies.graphml import load_graphml
 from repro.topologies.parser import load_graph
 from repro.topologies.teleglobe import teleglobe
 
-#: Parameter values are JSON scalars so that specs round-trip losslessly
-#: through campaign JSON files and result stores.
-ParamValue = Union[int, float, str, bool]
-
 #: Directory of the committed zoo snapshots.
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -59,54 +54,6 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 TOPOLOGY_FILE_SUFFIXES = (".graphml", ".edges", ".topo", ".txt")
 
 _FAMILY_KINDS = ("legacy", "synthetic", "zoo")
-
-
-# ----------------------------------------------------------------------
-# declared parameters
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TopologyParam:
-    """One declared parameter of a topology family.
-
-    The default's type doubles as the parameter's type; overrides are
-    coerced to it and anything that does not coerce is rejected with a
-    :class:`~repro.errors.TopologyError`.
-    """
-
-    name: str
-    default: ParamValue
-    doc: str = ""
-
-    def coerce(self, value: object) -> ParamValue:
-        """Coerce ``value`` to this parameter's type or raise ``TopologyError``."""
-        kind = type(self.default)
-        try:
-            if kind is bool:
-                if isinstance(value, bool):
-                    return value
-                if isinstance(value, str) and value.lower() in ("true", "false"):
-                    return value.lower() == "true"
-                raise ValueError(value)
-            if kind is int:
-                if isinstance(value, bool):
-                    raise ValueError(value)
-                coerced = int(str(value)) if isinstance(value, str) else int(value)
-                if isinstance(value, float) and value != coerced:
-                    raise ValueError(value)
-                return coerced
-            if kind is float:
-                if isinstance(value, bool):
-                    raise ValueError(value)
-                coerced = float(value)
-                if not math.isfinite(coerced):
-                    raise ValueError(value)
-                return coerced
-            return str(value)
-        except (TypeError, ValueError, OverflowError):
-            raise TopologyError(
-                f"topology parameter {self.name!r} expects a {kind.__name__}, "
-                f"got {value!r}"
-            ) from None
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +67,7 @@ class TopologyFamily:
     kind: str
     summary: str
     build: Callable[..., Graph]
-    params: Tuple[TopologyParam, ...] = ()
+    params: Tuple[Param, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in _FAMILY_KINDS:
@@ -128,56 +75,14 @@ class TopologyFamily:
                 f"unknown family kind {self.kind!r}; expected one of {_FAMILY_KINDS}"
             )
 
-    def param(self, name: str) -> TopologyParam:
-        for param in self.params:
-            if param.name == name:
-                return param
-        raise TopologyError(
-            f"topology family {self.name!r} has no parameter {name!r}"
-        )
-
-    def default_params(self) -> Dict[str, ParamValue]:
-        """The fully-resolved defaults, in declaration order."""
-        return {param.name: param.default for param in self.params}
-
     def resolve_params(self, overrides: Mapping[str, object]) -> Dict[str, ParamValue]:
         """Merge ``overrides`` into the defaults, rejecting unknown names."""
-        known = {param.name for param in self.params}
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            if not known:
-                raise TopologyError(
-                    f"topology {self.name!r} takes no parameters, got {unknown!r}"
-                )
-            raise TopologyError(
-                f"unknown parameters {unknown!r} for topology family "
-                f"{self.name!r}; declared: {sorted(known)}"
-            )
-        resolved = self.default_params()
-        for name, value in overrides.items():
-            resolved[name] = self.param(name).coerce(value)
-        return resolved
+        return resolve_params(self.params, overrides, f"topology {self.name!r}", TopologyError)
 
 
 # ----------------------------------------------------------------------
 # specs
 # ----------------------------------------------------------------------
-def _format_value(value: ParamValue) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _parse_value(text: str) -> object:
-    """A ``k=v`` value: JSON scalar when it parses, plain string otherwise."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
 @dataclass(frozen=True)
 class TopologySpec:
     """One fully-resolved topology instance of the corpus.
@@ -196,9 +101,7 @@ class TopologySpec:
         """The normal-form spec string (``name`` or ``name:k=v,...``)."""
         if not self.params:
             return self.family
-        rendered = ",".join(
-            f"{name}={_format_value(value)}" for name, value in self.params
-        )
+        rendered = ",".join(f"{name}={format_value(value)}" for name, value in self.params)
         return f"{self.family}:{rendered}"
 
     def build(self) -> Graph:
@@ -214,18 +117,8 @@ def parse_topology_spec(text: str) -> TopologySpec:
     Raises :class:`~repro.errors.TopologyError` for unknown family names,
     unknown parameters and uncoercible values.
     """
-    head, _, param_text = text.partition(":")
-    family = get_family(head.strip())
-    overrides: Dict[str, object] = {}
-    if param_text.strip():
-        for pair in param_text.split(","):
-            if "=" not in pair:
-                raise TopologyError(
-                    f"cannot parse parameter {pair.strip()!r} in topology spec "
-                    f"{text!r}; use name=value"
-                )
-            name, value = pair.split("=", 1)
-            overrides[name.strip()] = _parse_value(value.strip())
+    name, overrides = parse_spec(text, TopologyError)
+    family = get_family(name)
     resolved = family.resolve_params(overrides)
     return TopologySpec(family.name, tuple(sorted(resolved.items())))
 
@@ -475,7 +368,7 @@ def _synthetic(
     name: str,
     summary: str,
     build: Callable[..., Graph],
-    *params: TopologyParam,
+    *params: Param,
 ) -> None:
     register_family(
         TopologyFamily(
@@ -488,39 +381,39 @@ _synthetic(
     "ring",
     "a cycle (smallest 2-edge-connected topology)",
     lambda size: generators.ring_graph(size),
-    TopologyParam("size", 16, "number of nodes"),
+    Param("size", 16, "number of nodes"),
 )
 _synthetic(
     "grid",
     "planar rows x cols grid",
     lambda rows, cols: generators.grid_graph(rows, cols),
-    TopologyParam("rows", 4, "grid rows"),
-    TopologyParam("cols", 5, "grid columns"),
+    Param("rows", 4, "grid rows"),
+    Param("cols", 5, "grid columns"),
 )
 _synthetic(
     "torus",
     "grid with wrap-around links (genus-1)",
     lambda rows, cols: generators.torus_grid_graph(rows, cols),
-    TopologyParam("rows", 4, "grid rows"),
-    TopologyParam("cols", 5, "grid columns"),
+    Param("rows", 4, "grid rows"),
+    Param("cols", 5, "grid columns"),
 )
 _synthetic(
     "complete",
     "the complete graph K_n",
     lambda size: generators.complete_graph(size),
-    TopologyParam("size", 8, "number of nodes"),
+    Param("size", 8, "number of nodes"),
 )
 _synthetic(
     "wheel",
     "a hub joined to every node of a ring",
     lambda spokes: generators.wheel_graph(spokes),
-    TopologyParam("spokes", 10, "ring size around the hub"),
+    Param("spokes", 10, "ring size around the hub"),
 )
 _synthetic(
     "ladder",
     "two parallel paths joined by rungs",
     lambda rungs: generators.ladder_graph(rungs),
-    TopologyParam("rungs", 8, "number of rungs"),
+    Param("rungs", 8, "number of rungs"),
 )
 _synthetic(
     "petersen",
@@ -531,16 +424,16 @@ _synthetic(
     "barbell",
     "two cliques joined by a path (bridge-heavy)",
     lambda bell, path: generators.barbell_graph(bell, path),
-    TopologyParam("bell", 4, "clique size"),
-    TopologyParam("path", 2, "connecting path length"),
+    Param("bell", 4, "clique size"),
+    Param("path", 2, "connecting path length"),
 )
 _synthetic(
     "random-connected",
     "random spanning tree plus chords",
     lambda size, extra, seed: generators.random_connected_graph(size, extra, seed),
-    TopologyParam("size", 20, "number of nodes"),
-    TopologyParam("extra", 10, "chord edges beyond the spanning tree"),
-    TopologyParam("seed", 0, "RNG seed"),
+    Param("size", 20, "number of nodes"),
+    Param("extra", 10, "chord edges beyond the spanning tree"),
+    Param("seed", 0, "RNG seed"),
 )
 _synthetic(
     "random-planar",
@@ -548,10 +441,10 @@ _synthetic(
     lambda rows, cols, diagonals, seed: generators.random_planar_graph(
         rows, cols, diagonals, seed
     ),
-    TopologyParam("rows", 4, "grid rows"),
-    TopologyParam("cols", 5, "grid columns"),
-    TopologyParam("diagonals", 4, "cells that receive a diagonal"),
-    TopologyParam("seed", 0, "RNG seed"),
+    Param("rows", 4, "grid rows"),
+    Param("cols", 5, "grid columns"),
+    Param("diagonals", 4, "cells that receive a diagonal"),
+    Param("seed", 0, "RNG seed"),
 )
 _synthetic(
     "gnp",
@@ -559,9 +452,9 @@ _synthetic(
     lambda size, probability, seed: generators.erdos_renyi_graph(
         size, probability, seed
     ),
-    TopologyParam("size", 16, "number of nodes"),
-    TopologyParam("probability", 0.25, "edge probability"),
-    TopologyParam("seed", 0, "RNG seed"),
+    Param("size", 16, "number of nodes"),
+    Param("probability", 0.25, "edge probability"),
+    Param("seed", 0, "RNG seed"),
 )
 _synthetic(
     "er-giant",
@@ -569,32 +462,32 @@ _synthetic(
     lambda size, probability, seed: generators.er_giant_component_graph(
         size, probability, seed
     ),
-    TopologyParam("size", 30, "nodes before extracting the giant component"),
-    TopologyParam("probability", 0.12, "edge probability"),
-    TopologyParam("seed", 0, "RNG seed"),
+    Param("size", 30, "nodes before extracting the giant component"),
+    Param("probability", 0.12, "edge probability"),
+    Param("seed", 0, "RNG seed"),
 )
 _synthetic(
     "waxman",
     "Waxman random geometric graph (distance weights)",
     lambda size, alpha, beta, seed: generators.waxman_graph(size, alpha, beta, seed),
-    TopologyParam("size", 24, "number of nodes"),
-    TopologyParam("alpha", 0.6, "overall link density"),
-    TopologyParam("beta", 0.4, "long-link propensity"),
-    TopologyParam("seed", 0, "RNG seed"),
+    Param("size", 24, "number of nodes"),
+    Param("alpha", 0.6, "overall link density"),
+    Param("beta", 0.4, "long-link propensity"),
+    Param("seed", 0, "RNG seed"),
 )
 _synthetic(
     "barabasi-albert",
     "preferential attachment (scale-free degrees)",
     lambda size, m, seed: generators.barabasi_albert_graph(size, m, seed),
-    TopologyParam("size", 24, "number of nodes"),
-    TopologyParam("m", 2, "attachments per new node"),
-    TopologyParam("seed", 0, "RNG seed"),
+    Param("size", 24, "number of nodes"),
+    Param("m", 2, "attachments per new node"),
+    Param("seed", 0, "RNG seed"),
 )
 _synthetic(
     "fat-tree",
     "k-ary fat-tree switch fabric (core/agg/edge)",
     lambda k: generators.fat_tree_graph(k),
-    TopologyParam("k", 4, "fabric arity (even)"),
+    Param("k", 4, "fabric arity (even)"),
 )
 
 _register_zoo_snapshots()

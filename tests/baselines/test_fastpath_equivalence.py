@@ -28,8 +28,7 @@ from repro.forwarding.network_state import NetworkState
 from repro.forwarding.scheme import ForwardingScheme
 from repro.graph.spcache import engine_for
 from repro.routing.discriminator import DiscriminatorKind
-from repro.topologies.corpus import parse_topology_spec, topology_set
-from repro.topologies.registry import by_name
+from repro.topologies.corpus import build_topology, parse_topology_spec, topology_set
 from tests.baselines.fastpath_fuzz import SCHEMES as FUZZ_SCHEMES
 from tests.baselines.fastpath_fuzz import fuzz_topology, outcome_fields, reference_first_hops
 
@@ -93,7 +92,7 @@ def test_fast_path_memo_is_scenario_safe(scheme_key):
     adversarial case for state a scheme instance keeps across calls, such as
     FCP's carried-set SPF tables, which are valid under any failure set.
     """
-    graph = by_name("abilene")
+    graph = build_topology("abilene")
     scheme = SCHEME_FACTORIES[scheme_key](graph)
     nodes = graph.nodes()
     pairs = [(u, v) for u in nodes for v in nodes if u != v]
@@ -111,7 +110,7 @@ def test_fast_path_memo_is_scenario_safe(scheme_key):
 
 def test_fresh_instances_share_memo_but_stay_correct():
     """Two PR instances with identical offline state share one engine."""
-    graph = by_name("geant")
+    graph = build_topology("geant")
     first = PacketRecycling(graph, embedding_seed=7)
     second = PacketRecycling(graph, embedding_seed=7)
     edge_ids = graph.edge_ids()
@@ -134,7 +133,7 @@ def test_deep_failure_slice_matches_engine(scheme_key):
     two failure sets: the first call meets it fresh, the second with warm
     per-instance caches.
     """
-    graph = by_name("teleglobe")
+    graph = build_topology("teleglobe")
     rng = random.Random(f"deep-{scheme_key}")
     scheme = FUZZ_SCHEMES[scheme_key](graph)
     expiries, failure = fuzz_topology(
@@ -146,7 +145,7 @@ def test_deep_failure_slice_matches_engine(scheme_key):
 
 
 def _reweighted(name, weights):
-    graph = by_name(name).copy()
+    graph = build_topology(name).copy()
     for position, edge in enumerate(graph.edges()):
         edge.weight = weights[position % len(weights)]
     return graph
@@ -155,7 +154,7 @@ def _reweighted(name, weights):
 @pytest.mark.parametrize(
     "graph_factory, repair_safe",
     [
-        (lambda: by_name("geant"), True),
+        (lambda: build_topology("geant"), True),
         # 0.1 and 0.2 are not dyadic, so float sums tie inexactly and the
         # failure-free path shortcut must stay off.
         (lambda: _reweighted("geant", (0.1, 0.2)), False),

@@ -17,8 +17,7 @@ from repro.graph.shortest_paths import shortest_path_cost
 from repro.graph.spcache import ShortestPathEngine, clear_engines, engine_for
 from repro.routing.tables import RoutingTables
 from repro.store.serve import ServeSession
-from repro.topologies.corpus import parse_topology_spec, topology_set
-from repro.topologies.registry import by_name
+from repro.topologies.corpus import build_topology, parse_topology_spec, topology_set
 
 UNREACHABLE = "destination unreachable after re-convergence"
 
@@ -148,7 +147,7 @@ class TestSinglePacketWork:
 
     def _cold_engine(self):
         clear_engines()
-        engine = engine_for(by_name("geant"))
+        engine = engine_for(build_topology("geant"))
         engine.sssp_tree(self.DESTINATION)
         return engine
 
@@ -158,7 +157,7 @@ class TestSinglePacketWork:
 
     def test_scheme_deliver(self, monkeypatch):
         engine = self._cold_engine()
-        graph = by_name("geant")
+        graph = build_topology("geant")
         scheme = Reconvergence(graph)
         builds = _counting_builds(monkeypatch)
         misses = engine.misses
@@ -178,7 +177,7 @@ class TestSinglePacketWork:
             response = session.handle({
                 "op": "deliver", "topology": "geant", "scheme": "reconvergence",
                 "source": self.SOURCE, "destination": self.DESTINATION,
-                "failed": self._failure(by_name("geant")),
+                "failed": self._failure(build_topology("geant")),
             })
         finally:
             session.close()

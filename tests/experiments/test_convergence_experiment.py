@@ -10,7 +10,7 @@ from repro.routing.tables import RoutingTables
 from repro.simulator.des import PacketLevelSimulator
 from repro.simulator.flows import TrafficFlow
 from repro.simulator.links import LinkModel
-from repro.topologies.registry import by_name
+from repro.topologies.corpus import build_topology
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ def test_golden_results(flow):
     topology, source, destination = flow
     failed_link, convergence_time, extrapolated, reports = GOLDEN[flow]
     result = convergence_loss_experiment(
-        by_name(topology), source, destination, rate_pps=20.0, duration=1.5
+        build_topology(topology), source, destination, rate_pps=20.0, duration=1.5
     )
     assert result.failed_link == failed_link
     assert result.convergence_time == pytest.approx(convergence_time, abs=1e-12)
@@ -131,7 +131,7 @@ def test_golden_results(flow):
 
 def _oracle_cases(topology):
     """(graph, flows, failed links): links on the flows' paths and elsewhere."""
-    graph = by_name(topology)
+    graph = build_topology(topology)
     rng = random.Random(f"convergence-oracle-{topology}")
     nodes = sorted(graph.nodes())
     flows = [tuple(rng.sample(nodes, 2)) for _ in range(3)]

@@ -22,8 +22,7 @@ from repro.graph.multigraph import Graph
 from repro.graph.shortest_paths import all_pairs_shortest_costs, dijkstra
 from repro.graph.spcache import ShortestPathEngine, engine_for
 from repro.routing.tables import RoutingTables
-from repro.topologies.corpus import parse_topology_spec, topology_set
-from repro.topologies.registry import by_name
+from repro.topologies.corpus import build_topology, parse_topology_spec, topology_set
 
 
 def random_graph(seed: int, nodes: int = 10, extra_edges: int = 14) -> Graph:
@@ -67,7 +66,7 @@ def test_engine_sssp_matches_reference_dijkstra(seed):
 
 @pytest.mark.parametrize("topology", ["abilene", "teleglobe", "geant"])
 def test_engine_sssp_matches_reference_on_real_topologies(topology):
-    graph = by_name(topology)
+    graph = build_topology(topology)
     engine = engine_for(graph)
     rng = random.Random(7)
     for _ in range(5):
@@ -150,7 +149,7 @@ def test_affecting_pairs_fast_path_matches_table_walk(seed):
 
 
 def test_affecting_pairs_with_excluded_tables_uses_walk():
-    graph = by_name("abilene")
+    graph = build_topology("abilene")
     pre_failed = frozenset([graph.edge_ids()[0]])
     tables = RoutingTables(graph, excluded_edges=pre_failed)
     scenario = FailureScenario((graph.edge_ids()[1],), kind="custom")
@@ -216,7 +215,7 @@ def test_content_tree_matches_full_recompute_across_corpus(topology):
 
 def test_repair_falls_back_above_affected_threshold():
     """A failure hitting most of a tree must recompute, not repair."""
-    graph = by_name("abilene")
+    graph = build_topology("abilene")
     engine = ShortestPathEngine(graph)
     source = graph.nodes()[0]
     # Excluding every edge on the source's failure-free tree affects every
@@ -248,7 +247,7 @@ def test_repair_disabled_on_inexact_weights():
 
 
 def test_cache_info_reports_repair_counters():
-    graph = by_name("abilene")
+    graph = build_topology("abilene")
     engine = ShortestPathEngine(graph)
     info = engine.cache_info()
     for key in ("repair_hits", "repair_fallbacks", "repair_bases", "repair_safe"):
@@ -263,7 +262,7 @@ def test_cache_info_reports_repair_counters():
 
 def test_each_memo_lookup_counts_one_hit_or_miss():
     """Plain miss -> hit -> repaired miss -> fallback, counters pinned."""
-    graph = by_name("abilene")
+    graph = build_topology("abilene")
     engine = ShortestPathEngine(graph)
     source = graph.nodes()[0]
 
@@ -293,19 +292,19 @@ def test_each_memo_lookup_counts_one_hit_or_miss():
 
 
 def test_engine_is_content_addressed():
-    one = by_name("abilene")
-    two = by_name("abilene")
+    one = build_topology("abilene")
+    two = build_topology("abilene")
     assert one is not two
     assert engine_for(one) is engine_for(two)
     # Mutating a graph changes its content signature and thus its engine.
-    mutated = by_name("abilene")
+    mutated = build_topology("abilene")
     engine_before = engine_for(mutated)
     mutated.add_edge(mutated.nodes()[0], mutated.nodes()[-1], 5.0)
     assert engine_for(mutated) is not engine_before
 
 
 def test_compiled_graph_exclusion_mask_round_trip():
-    graph = by_name("abilene")
+    graph = build_topology("abilene")
     compiled = CompiledGraph(graph)
     edge_ids = graph.edge_ids()[:3]
     mask = compiled.exclusion_mask(edge_ids)

@@ -12,7 +12,7 @@ from repro.failures.sampling import sample_multi_link_failures
 from repro.failures.scenarios import single_link_failures
 from repro.forwarding.headers import DscpCodec
 from repro.topologies.parser import save_graph, load_graph
-from repro.topologies.registry import by_name
+from repro.topologies.corpus import build_topology
 
 
 class TestOfflinePipeline:
@@ -20,7 +20,7 @@ class TestOfflinePipeline:
 
     def test_full_offline_then_online_flow(self, tmp_path):
         # 1. Operator exports the topology.
-        topology_path = save_graph(by_name("abilene"), tmp_path / "abilene.topo")
+        topology_path = save_graph(build_topology("abilene"), tmp_path / "abilene.topo")
         graph = load_graph(topology_path)
 
         # 2. The offline server computes and stores the embedding.

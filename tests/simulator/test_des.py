@@ -37,6 +37,13 @@ class TestFailureFreeSimulation:
         assert report.packets_dropped == 0
         assert report.loss_fraction == 0.0
 
+    def test_packets_sent_matches_flow_total_packets(self, abilene_graph):
+        state = NetworkState(abilene_graph)
+        simulator = PacketLevelSimulator(abilene_graph, _no_protection(abilene_graph, state))
+        flow = TrafficFlow("Seattle", "Washington", rate_pps=1.0, end=1.5)
+        simulator.add_flow(flow)
+        assert simulator.run().packets_sent == flow.total_packets == 2
+
     def test_latency_accounts_for_propagation(self, abilene_graph, abilene_tables):
         state = NetworkState(abilene_graph)
         link = LinkModel(propagation_delay_s=0.01)

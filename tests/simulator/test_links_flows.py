@@ -32,6 +32,15 @@ class TestTrafficFlow:
         assert flow.total_packets == 200
         assert flow.interval == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("rate_pps, end, packets", [(1.0, 1.5, 2), (7.0, 0.2, 2)])
+    def test_packet_count_matches_emissions(self, rate_pps, end, packets):
+        # A window that is not a whole number of intervals still emits at
+        # its start and at every later interval before the end.
+        flow = TrafficFlow("a", "b", rate_pps=rate_pps, start=0.0, end=end)
+        assert flow.total_packets == packets
+        assert flow.emission_times()[0] == 0.0
+        assert flow.emission_times()[-1] < end
+
     def test_rate_bps(self):
         flow = TrafficFlow("a", "b", rate_pps=1000.0, packet_size_bytes=1000)
         assert flow.rate_bps == pytest.approx(8_000_000.0)

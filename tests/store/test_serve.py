@@ -22,7 +22,7 @@ from repro.store.serve import (
     socket_alive,
     stream,
 )
-from repro.topologies.registry import by_name
+from repro.topologies.corpus import build_topology
 
 from tests.store.conftest import SlowSession, deterministic_part, pair_spec, serving
 
@@ -80,7 +80,7 @@ class TestSessionOps:
 
     @pytest.mark.parametrize("topology", ["abilene", "geant"])
     def test_baseline_cost_matches_routing_tables(self, session, topology):
-        graph = by_name(topology)
+        graph = build_topology(topology)
         tables = RoutingTables(graph)
         rng = random.Random(f"baseline:{topology}")
         nodes = graph.nodes()

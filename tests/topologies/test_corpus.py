@@ -9,7 +9,6 @@ import pytest
 from repro.errors import TopologyError
 from repro.runner import CampaignSpec
 from repro.topologies import corpus
-from repro.topologies.registry import available_topologies, by_name
 
 
 def edge_list_digest(graph) -> str:
@@ -155,22 +154,33 @@ class TestValidation:
         assert any("disconnected" in problem for problem in report.problems)
 
 
-class TestRegistryFacade:
-    def test_available_topologies_sorted_copy(self):
-        names = available_topologies()
+class TestFamilyLookup:
+    def test_family_names_include_the_paper_topologies(self):
+        assert {"abilene", "teleglobe", "geant"} <= set(corpus.family_names())
+
+    def test_family_names_is_a_sorted_fresh_copy(self):
+        names = corpus.family_names()
         assert names == sorted(names)
+        assert corpus.family_names() is not names
         names.append("mutation")
-        assert "mutation" not in available_topologies()
+        assert "mutation" not in corpus.family_names()
 
-    def test_by_name_case_insensitive(self):
-        assert by_name("ABILENE").number_of_nodes() == 11
+    def test_build_topology_is_case_insensitive(self):
+        for spelling in ("Abilene", "ABILENE"):
+            graph = corpus.build_topology(spelling)
+            assert graph.number_of_nodes() == 11
+            assert graph.name == "abilene"
 
-    def test_by_name_error_reports_attempted_spelling(self):
+    def test_unknown_family_rejected_with_attempted_spelling(self):
         with pytest.raises(TopologyError, match="'Arpanet-1969'"):
-            by_name("Arpanet-1969")
+            corpus.get_family("Arpanet-1969")
+        with pytest.raises(TopologyError, match="'Arpanet-1969'"):
+            corpus.parse_topology_spec("Arpanet-1969")
 
-    def test_by_name_builds_parameterized_family_defaults(self):
-        assert by_name("fat-tree").number_of_nodes() == 20
+    def test_build_topology_builds_parameterized_family_defaults(self):
+        graph = corpus.build_topology("fat-tree")
+        assert graph.number_of_nodes() == 20
+        assert graph.name == "fat-tree:k=4"
 
 
 class TestCampaignCanonicalisation:

@@ -1,10 +1,9 @@
-"""Tests for the topology file parser and the registry."""
+"""Tests for the topology file parser."""
 
 import pytest
 
 from repro.errors import TopologyError
 from repro.topologies.parser import graph_from_text, graph_to_text, load_graph, save_graph
-from repro.topologies.registry import available_topologies, by_name
 
 
 class TestParser:
@@ -53,21 +52,3 @@ class TestParser:
         loaded = load_graph(path)
         assert loaded.to_edge_list() == fig1_graph.to_edge_list()
         assert loaded.name == "fig1"
-
-
-class TestRegistry:
-    def test_available_topologies(self):
-        names = available_topologies()
-        assert {"abilene", "teleglobe", "geant"} <= set(names)
-
-    def test_by_name_case_insensitive(self):
-        assert by_name("Abilene").number_of_nodes() == 11
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(TopologyError):
-            by_name("arpanet-1969")
-
-    def test_available_topologies_is_a_sorted_copy(self):
-        names = available_topologies()
-        assert names == sorted(names)
-        assert available_topologies() is not names
