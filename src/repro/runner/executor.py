@@ -66,7 +66,7 @@ from repro.metrics.stretch import ScenarioEntry, measure_context, scenario_conte
 from repro.routing.discriminator import DiscriminatorKind
 from repro.runner import aggregate, faults
 from repro.runner.cache import ArtifactCache, cached_embedding
-from repro.runner.policy import ExecutionPolicy, run_with_timeout
+from repro.runner.policy import ExecutionPolicy, collector_paused, run_with_timeout
 from repro.runner.spec import (
     EMBEDDING_SCHEMES,
     SCHEME_NAMES,
@@ -96,7 +96,8 @@ def load_topology(spec: str) -> Graph:
     Corpus specs cover the legacy registry names (``abilene``), the
     parameterized synthetic families (``waxman:size=40,seed=3``) and the
     committed zoo snapshots (``nsfnet1991``); anything else is treated as a
-    path to a GraphML or edge-list file.
+    path to a GraphML or edge-list file.  An entry that is neither raises
+    :class:`~repro.errors.TopologyError` (see ``corpus.missing_topology``).
     """
     parsed = corpus.try_parse_spec(spec)
     if parsed is not None:
@@ -104,10 +105,8 @@ def load_topology(spec: str) -> Graph:
     else:
         try:
             stat = os.stat(spec)
-        except OSError:
-            # Not a registered name and not a file: surface the loader's
-            # missing-file error.
-            return corpus.load_topology_file(spec)
+        except FileNotFoundError:
+            raise corpus.missing_topology(spec) from None
         key = ("file", spec, stat.st_mtime_ns, stat.st_size)
     graph = _TOPOLOGY_CACHE.get(key)
     if graph is None:
@@ -391,17 +390,25 @@ def _run_cell_attempts(
     ``attempts``) that the parent folds into the campaign fault counters.
     ``base_attempt`` is the number of attempts already consumed elsewhere —
     a crashed worker's re-dispatch arrives here with the crash counted.
+
+    Each attempt runs inside :func:`~repro.runner.policy.collector_paused`.
+    This is the one site that pauses the collector, and it covers the
+    serial loop, pool workers and the daemon's job worker.  The pause wraps
+    ``run_with_timeout`` so a timed-out attempt releases it at once, even
+    while an abandoned body thread still runs; the backoff sleep and the
+    time between cells run with the collector as it was.
     """
     attempt = base_attempt
     info = {"retries": 0, "timeouts": 0, "attempts": 0}
     while True:
         info["attempts"] = attempt + 1
         try:
-            record = run_with_timeout(
-                lambda: run_cell(cell, cache_dir, attempt=attempt),
-                policy.cell_timeout,
-                label=f"cell {cell.cell_id}",
-            )
+            with collector_paused():
+                record = run_with_timeout(
+                    lambda: run_cell(cell, cache_dir, attempt=attempt),
+                    policy.cell_timeout,
+                    label=f"cell {cell.cell_id}",
+                )
             return "ok", record, info
         except CellTimeoutError as exc:
             info["timeouts"] += 1

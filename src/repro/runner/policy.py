@@ -11,15 +11,22 @@ Backoff between retries is exponential with **deterministic jitter**: the
 jitter fraction is hashed from ``(cell_id, attempt)``, so a rerun of the
 same campaign against the same flaky resource spaces its retries
 identically — reproducibility extends to the failure path.
+
+Every cell attempt also runs with Python's cyclic garbage collector paused
+(:func:`collector_paused`): a campaign's long-lived heap of engine memos and
+sample rows is almost all live, so collections during a cell walk hundreds
+of thousands of objects and free next to nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import signal
 import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import CellTimeoutError, ExperimentError
 
@@ -102,6 +109,43 @@ class ExecutionPolicy:
         return min(self.backoff_cap_s, base * (1.0 + jitter))
 
 
+#: How many callers are inside :func:`collector_paused`, guarded by the lock.
+_pause_lock = threading.Lock()
+_pause_depth = 0
+#: Whether the collector was enabled when the first caller entered.
+_pause_restores = False
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector for the ``with`` body.
+
+    Nests and is thread-safe: the first entrant records ``gc.isenabled()``
+    and disables the collector; the last leaver re-enables it only if it
+    was enabled on that first entry, on every exit path, exceptions
+    included.  The collector is process-global, so while any caller is
+    inside, *every* thread of the process sees it paused — in
+    ``repro serve`` the request threads run beside the job worker's cells
+    this way.  Reference counting still frees acyclic garbage; cycles made
+    meanwhile wait for the first collection after the pause.  The pause
+    never calls ``gc.collect()``: a full pass over a campaign's heap costs
+    more than the pause saves.
+    """
+    global _pause_depth, _pause_restores
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_restores = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _pause_restores:
+                gc.enable()
+
+
 def run_with_timeout(
     fn: Callable[[], Any], timeout: Optional[float], label: str = "cell"
 ) -> Any:
@@ -113,6 +157,11 @@ def run_with_timeout(
     library caller driving campaigns from a thread — we fall back to running
     ``fn`` on a daemon thread and abandoning it on timeout: the result is
     discarded, but the campaign regains control.
+
+    The executor calls this inside :func:`collector_paused`, never the other
+    way round: the pause is held by the caller, so a timeout releases it
+    when :class:`CellTimeoutError` is raised here, not when an abandoned
+    body thread ends (which may be never).
     """
     if timeout is None:
         return fn()

@@ -146,6 +146,11 @@ class JobWorker(threading.Thread):
     the worker itself only exits when asked to (or with the process); the
     session's :meth:`ServeSession.ensure_worker` restarts a worker that
     died anyway, which is the supervision contract.
+
+    Each cell of a job runs with Python's cyclic collector paused
+    (:func:`~repro.runner.policy.collector_paused`).  The collector is
+    process-global, so the daemon's request threads see it paused while a
+    cell runs and collect as usual between cells and after the job.
     """
 
     poll_interval_s = 0.05

@@ -31,6 +31,7 @@ across processes and machines.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
@@ -180,13 +181,26 @@ def registered_families(kind: Optional[str] = None) -> List[TopologyFamily]:
 
 def get_family(name: str) -> TopologyFamily:
     """Look a family up case-insensitively, reporting the attempted name."""
-    key = name.strip().lower()
-    family = _FAMILIES.get(key)
+    family = _FAMILIES.get(name.strip().lower())
     if family is None:
-        raise TopologyError(
-            f"unknown topology {name!r}; available: {', '.join(family_names())}"
-        )
+        raise _unknown_family(name)
     return family
+
+
+def _unknown_family(name: str) -> TopologyError:
+    return TopologyError(f"unknown topology {name!r}; available: {', '.join(family_names())}")
+
+
+def missing_topology(text: str) -> TopologyError:
+    """The error for an entry that is neither a registered family nor a file.
+
+    An entry that looks like a path (it has a suffix or a path separator)
+    names the missing file; a bare name gets :func:`get_family`'s
+    unknown-topology message with the registered families.
+    """
+    if Path(text).suffix or "/" in text or os.sep in text:
+        return TopologyError(f"topology file {text!r} does not exist")
+    return _unknown_family(text)
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +269,8 @@ def build_topology(text: str) -> Graph:
     spec = try_parse_spec(text)
     if spec is not None:
         return spec.build()
+    if not os.path.exists(text):
+        raise missing_topology(text)
     return load_topology_file(text)
 
 

@@ -23,6 +23,20 @@ class TestTopologyCommand:
         output = capsys.readouterr().out
         assert "Seattle -- Sunnyvale" in output
 
+    @pytest.mark.parametrize("command", ["topology", "coverage"])
+    def test_unknown_topology_is_a_one_line_error(self, command):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", command, "nowhere"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("unknown topology 'nowhere'; available: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+
     def test_file_topology(self, tmp_path, capsys):
         path = tmp_path / "net.topo"
         path.write_text("a b 1\nb c 1\nc a 1\n")

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.errors import TopologyError
-from repro.runner import CampaignSpec
+from repro.runner import CampaignSpec, load_topology
 from repro.topologies import corpus
 
 
@@ -176,6 +176,18 @@ class TestFamilyLookup:
             corpus.get_family("Arpanet-1969")
         with pytest.raises(TopologyError, match="'Arpanet-1969'"):
             corpus.parse_topology_spec("Arpanet-1969")
+
+    @pytest.mark.parametrize("load", [corpus.build_topology, load_topology])
+    def test_unknown_name_is_a_typed_error_listing_the_families(self, load):
+        listing = r"unknown topology 'nowhere'; available: .*abilene"
+        with pytest.raises(TopologyError, match=listing):
+            load("nowhere")
+
+    @pytest.mark.parametrize("load", [corpus.build_topology, load_topology])
+    @pytest.mark.parametrize("missing", ["nowhere.graphml", "some/dir/net"])
+    def test_missing_file_is_a_typed_error_naming_the_path(self, load, missing):
+        with pytest.raises(TopologyError, match=f"topology file '{missing}' does not exist"):
+            load(missing)
 
     def test_build_topology_builds_parameterized_family_defaults(self):
         graph = corpus.build_topology("fat-tree")
