@@ -16,12 +16,13 @@ from __future__ import annotations
 from typing import Collection, Dict, FrozenSet, Iterable, Optional
 
 from repro.errors import ProtocolError
-from repro.forwarding.engine import DeliveryStatus, ForwardingOutcome
+from repro.forwarding.engine import ForwardingOutcome
 from repro.forwarding.headers import link_identifier_bits
 from repro.forwarding.network_state import NetworkState
 from repro.forwarding.packets import Packet
 from repro.forwarding.router import ForwardingDecision, RouterLogic
 from repro.forwarding.scheme import ForwardingScheme
+from repro.forwarding.walk import Counters, walk_many
 from repro.graph.darts import Dart
 from repro.graph.multigraph import Graph
 from repro.graph.spcache import _LruDict, engine_for
@@ -34,6 +35,15 @@ _SPF_TABLE_CACHE = 16384
 #: Sentinel distinguishing "destination not resolved yet" from the cached
 #: ``None`` of an unreachable destination in the lazy first-hop tables.
 _UNRESOLVED = object()
+
+_NOTHING_CARRIED: FrozenSet[int] = frozenset()
+
+#: Every FCP decision carries both counters (explicit zeros included), as
+#: walk-kernel codes: one decision, plus a unit of each value.
+_COUNTERS = Counters("spf_computations", "failures_recorded")
+_DECIDED = _COUNTERS.code(spf_computations=0, failures_recorded=0)
+_SPF_RUN = _COUNTERS.unit("spf_computations")
+_FAILURE_RECORDED = _COUNTERS.unit("failures_recorded")
 
 
 class FcpLogic(RouterLogic):
@@ -192,13 +202,11 @@ class FailureCarryingPackets(ForwardingScheme):
         pairs: Collection[tuple],
         failed_links: Iterable[int] = (),
     ) -> Dict[tuple, ForwardingOutcome]:
-        """Sweep fast path: run the FCP forwarding loop without the engine.
+        """Sweep fast path: :func:`~repro.forwarding.walk.walk_many` over the SPF memo.
 
-        Replicates :meth:`FcpLogic.decide` plus the hop-by-hop engine
-        bookkeeping in one flat loop — identical paths, costs, counters and
-        drop reasons (asserted by the fast-path equivalence tests), with the
-        per-hop SPF recomputation served from the scheme-level memo.
-        :meth:`ForwardingScheme.deliver` still runs the real engine.
+        The routing lane, and :meth:`FcpLogic.decide` at every other hop with
+        its SPF recomputation served from the scheme-level memo.  The state
+        is the carried failure set, ``None`` while it is empty.
         """
         state = self.check_query(pairs, failed_links)
         logic = FcpLogic(self.graph, self.routing, state, spf_cache=self._spf_cache)
@@ -209,89 +217,52 @@ class FailureCarryingPackets(ForwardingScheme):
         routing_entries = self.routing._entries
         index_of = compiled.index
         weight_of = compiled.edge_weight
-        ttl_budget = self.default_ttl()
         attempts_bound = self.graph.number_of_edges() + 1
-        outcomes: Dict[tuple, ForwardingOutcome] = {}
-        for pair in pairs:
-            source, destination = pair
-            node = source
-            dest_idx = index_of[destination]
-            path = [node]
-            cost = 0.0
-            ttl = ttl_budget
-            carried: FrozenSet[int] = frozenset()
-            # Accumulated in locals and materialised once per outcome: same
-            # values the engine's per-decision accumulation produces (FCP
-            # decisions always carry both counters — explicit zeros included
-            # — so the keys appear exactly when at least one hop was decided).
-            spf_total = 0.0
-            failures_total = 0.0
-            status = None
-            drop_reason = None
-            while True:
-                if node == destination:
-                    status = DeliveryStatus.DELIVERED
-                    break
-                if ttl <= 0:
-                    status = DeliveryStatus.TTL_EXCEEDED
-                    drop_reason = "ttl expired"
-                    break
-                # --- FcpLogic.decide, inlined ---
-                spf_runs = 0
-                failures_added = 0
-                egress = None
-                for _attempt in range(attempts_bound):
-                    if carried:
-                        # Inlined hot path of _next_hop_indexed: both the SPF
-                        # table and the destination's first hop are usually
-                        # already memoized.
-                        table = spf_get((node, carried))
-                        if table is not None:
-                            egress = table[1].get(dest_idx, _UNRESOLVED)
-                            if egress is _UNRESOLVED:
-                                egress = next_hop_indexed(node, dest_idx, carried)
-                        else:
+
+        def decide(node: str, destination: str, ingress, carried) -> tuple:
+            spf_runs = 0
+            failures_added = 0
+            if carried is None:
+                carried = _NOTHING_CARRIED
+            for _attempt in range(attempts_bound):
+                if carried:
+                    # Inlined hot path of _next_hop_indexed: both the SPF
+                    # table and the destination's first hop are usually
+                    # already memoized.
+                    dest_idx = index_of[destination]
+                    table = spf_get((node, carried))
+                    if table is not None:
+                        egress = table[1].get(dest_idx, _UNRESOLVED)
+                        if egress is _UNRESOLVED:
                             egress = next_hop_indexed(node, dest_idx, carried)
-                        spf_runs += 1
                     else:
-                        entry = routing_entries[node].get(destination)
-                        egress = entry.egress if entry is not None else None
-                    if egress is None or not failed_mask & (1 << egress.edge_id):
-                        break
-                    # The carried set only grows on recorded failures, so the
-                    # frozenset is rebuilt here rather than per SPF lookup.
-                    carried = carried | {egress.edge_id}
-                    failures_added += 1
-                else:  # pragma: no cover - defensive, mirrors FcpLogic.decide
-                    raise ProtocolError(
-                        "FCP failed to converge on a next hop; graph state inconsistent"
-                    )
-                spf_total += spf_runs
-                failures_total += failures_added
-                if egress is None:
-                    status = DeliveryStatus.DROPPED
-                    drop_reason = "destination unreachable given carried failures"
+                        egress = next_hop_indexed(node, dest_idx, carried)
+                    spf_runs += 1
+                else:
+                    entry = routing_entries[node].get(destination)
+                    egress = entry.egress if entry is not None else None
+                if egress is None or not failed_mask & (1 << egress.edge_id):
                     break
-                cost += weight_of[egress.edge_id]
-                ttl -= 1
-                node = egress.head
-                path.append(node)
-            outcomes[pair] = ForwardingOutcome(
-                source=source,
-                destination=destination,
-                status=status,
-                path=path,
-                cost=cost,
-                hops=len(path) - 1,
-                drop_reason=drop_reason,
-                # Source != destination and the TTL budget is positive, so
-                # every walk decides at least once.
-                counters={
-                    "spf_computations": spf_total,
-                    "failures_recorded": failures_total,
-                },
-            )
-        return outcomes
+                # The carried set only grows on recorded failures, so the
+                # frozenset is rebuilt here rather than per SPF lookup.
+                carried = carried | {egress.edge_id}
+                failures_added += 1
+            else:  # pragma: no cover - defensive, mirrors FcpLogic.decide
+                raise ProtocolError(
+                    "FCP failed to converge on a next hop; graph state inconsistent"
+                )
+            code = _DECIDED + spf_runs * _SPF_RUN + failures_added * _FAILURE_RECORDED
+            if egress is None:
+                return None, "destination unreachable given carried failures", None, None, code
+            # FCP never reads the ingress; a link id keeps the kernel's loop
+            # watch cheap to hash, where a Dart hashes in Python.
+            edge_id = egress.edge_id
+            return edge_id, egress.head, weight_of[edge_id], carried or None, code
+
+        return walk_many(
+            pairs, self.default_ttl(), failed_mask, self.routing.lane, decide, _COUNTERS,
+            lane_code=_DECIDED,
+        )
 
     def header_overhead_bits(self, carried_failures: int = 1) -> int:
         """Header bits for a packet carrying ``carried_failures`` link identifiers."""

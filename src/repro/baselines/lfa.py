@@ -15,15 +15,22 @@ from __future__ import annotations
 from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.forwarding.engine import DeliveryStatus, ForwardingOutcome
+from repro.forwarding.engine import ForwardingOutcome
 from repro.forwarding.network_state import NetworkState
 from repro.forwarding.packets import Packet
 from repro.forwarding.router import ForwardingDecision, RouterLogic
 from repro.forwarding.scheme import ForwardingScheme
+from repro.forwarding.walk import Counters, walk_many
 from repro.graph.darts import Dart
 from repro.graph.multigraph import Graph
 from repro.graph.spcache import engine_for
 from repro.routing.tables import RoutingTables, cached_routing_tables
+
+
+#: The counters an LFA decision carries, as walk-kernel codes.
+_COUNTERS = Counters("lfa_activations", "failures_detected")
+_ACTIVATION = _COUNTERS.code(lfa_activations=1)
+_DETECTED = _COUNTERS.code(failures_detected=1)
 
 
 class LfaLogic(RouterLogic):
@@ -110,12 +117,10 @@ class LoopFreeAlternates(ForwardingScheme):
         pairs: Collection[tuple],
         failed_links: Iterable[int] = (),
     ) -> Dict[tuple, ForwardingOutcome]:
-        """Sweep fast path: walk primaries and precomputed alternates directly.
+        """Sweep fast path: :func:`~repro.forwarding.walk.walk_many` over the primaries.
 
-        Replicates :meth:`LfaLogic.decide` plus the hop-by-hop engine
-        bookkeeping in one flat loop — identical paths, costs, counters and
-        drop reasons (asserted by the fast-path equivalence tests).
-        :meth:`ForwardingScheme.deliver` still runs the real engine.
+        The routing lane, and :meth:`LfaLogic.decide` where a primary is down
+        or missing.  LFA headers carry nothing, so every state is ``None``.
         """
         state = self.check_query(pairs, failed_links)
         compiled = self._engine.compiled
@@ -123,85 +128,20 @@ class LoopFreeAlternates(ForwardingScheme):
         routing_entries = self.routing._entries
         alternates = self.alternates
         weight_of = compiled.edge_weight
-        ttl_budget = self.default_ttl()
-        outcomes: Dict[tuple, ForwardingOutcome] = {}
-        for pair in pairs:
-            source, destination = pair
-            node = source
-            path = [node]
-            cost = 0.0
-            ttl = ttl_budget
-            counters: Dict[str, float] = {}
-            outcome = None
-            while outcome is None:
-                if node == destination:
-                    outcome = ForwardingOutcome(
-                        source=source,
-                        destination=destination,
-                        status=DeliveryStatus.DELIVERED,
-                        path=path,
-                        cost=cost,
-                        hops=len(path) - 1,
-                        counters=counters,
-                    )
-                    break
-                if ttl <= 0:
-                    outcome = ForwardingOutcome(
-                        source=source,
-                        destination=destination,
-                        status=DeliveryStatus.TTL_EXCEEDED,
-                        path=path,
-                        cost=cost,
-                        hops=len(path) - 1,
-                        drop_reason="ttl expired",
-                        counters=counters,
-                    )
-                    break
-                # --- LfaLogic.decide, inlined ---
-                entry = routing_entries[node].get(destination)
-                if entry is None:
-                    outcome = ForwardingOutcome(
-                        source=source,
-                        destination=destination,
-                        status=DeliveryStatus.DROPPED,
-                        path=path,
-                        cost=cost,
-                        hops=len(path) - 1,
-                        drop_reason="no route to destination",
-                        counters=counters,
-                    )
-                    break
-                egress = entry.egress
-                if failed_mask & (1 << egress.edge_id):
-                    egress = None
-                    for alternate in alternates.get((node, destination), ()):
-                        if not failed_mask & (1 << alternate.edge_id):
-                            egress = alternate
-                            counters["lfa_activations"] = (
-                                counters.get("lfa_activations", 0.0) + 1
-                            )
-                            break
-                    if egress is None:
-                        counters["failures_detected"] = (
-                            counters.get("failures_detected", 0.0) + 1
-                        )
-                        outcome = ForwardingOutcome(
-                            source=source,
-                            destination=destination,
-                            status=DeliveryStatus.DROPPED,
-                            path=path,
-                            cost=cost,
-                            hops=len(path) - 1,
-                            drop_reason="no usable loop-free alternate",
-                            counters=counters,
-                        )
-                        break
-                cost += weight_of[egress.edge_id]
-                ttl -= 1
-                node = egress.head
-                path.append(node)
-            outcomes[pair] = outcome
-        return outcomes
+
+        def decide(node: str, destination: str, ingress, _state) -> tuple:
+            # Called only where the primary is down or missing.
+            if destination not in routing_entries[node]:
+                return None, "no route to destination", None, None, 0
+            for alternate in alternates.get((node, destination), ()):
+                if not failed_mask & (1 << alternate.edge_id):
+                    return (alternate, alternate.head, weight_of[alternate.edge_id], None,
+                            _ACTIVATION)
+            return None, "no usable loop-free alternate", None, None, _DETECTED
+
+        return walk_many(
+            pairs, self.default_ttl(), failed_mask, self.routing.lane, decide, _COUNTERS
+        )
 
     def header_overhead_bits(self) -> int:
         """LFA needs no header changes."""

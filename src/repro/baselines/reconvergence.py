@@ -13,14 +13,20 @@ from __future__ import annotations
 from typing import Collection, Dict, Iterable, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.forwarding.engine import DeliveryStatus, ForwardingOutcome
+from repro.forwarding.engine import ForwardingOutcome
 from repro.forwarding.network_state import NetworkState
 from repro.forwarding.packets import Packet
 from repro.forwarding.router import ForwardingDecision, RouterLogic
 from repro.forwarding.scheme import ForwardingScheme
+from repro.forwarding.walk import Counters, Lane, walk_many
 from repro.graph.darts import Dart
 from repro.graph.multigraph import Graph
 from repro.graph.spcache import ShortestPathEngine, engine_for
+
+
+#: A re-converged forward carries ``spf_computations=0``; a drop carries nothing.
+_COUNTERS = Counters("spf_computations")
+_FORWARDED = _COUNTERS.code(spf_computations=0)
 
 
 class ReconvergedLogic(RouterLogic):
@@ -69,6 +75,13 @@ class Reconvergence(ForwardingScheme):
         # Resolved once: deliver_many runs once per scenario and the
         # signature hash behind engine_for is not free at sweep scale.
         self._engine = engine_for(graph)
+        # A tree's parent pointer ``(towards, edge_id)`` -> its lane hop.
+        names = self._engine.compiled.names
+        self._lane_hops: Dict[Tuple[int, int], Tuple[str, int, float]] = {
+            (end, edge_id): (names[end], 1 << edge_id, weight)
+            for edge_id, (u, v, weight) in self._engine.compiled.edge_table.items()
+            for end in (u, v)
+        }
 
     def build_logic(self, state: NetworkState) -> RouterLogic:
         # Lazy per destination: one deliver pays for one (usually repaired)
@@ -80,89 +93,30 @@ class Reconvergence(ForwardingScheme):
         pairs: Collection[tuple],
         failed_links: Iterable[int] = (),
     ) -> Dict[tuple, ForwardingOutcome]:
-        """Sweep fast path: walk the converged trees directly.
+        """Sweep fast path: :func:`~repro.forwarding.walk.walk_many` over converged trees.
 
-        Re-converged forwarding is a pure next-hop walk of the converged
-        trees, so the generic hop-by-hop engine adds only constant overhead
-        per hop.  This override produces outcomes field-for-field identical
-        to the engine (same paths, same hop-order cost summation, same
-        counters and drop reasons — asserted by the fast-path equivalence
-        tests); :meth:`ForwardingScheme.deliver` still runs the real engine
-        and remains the reference implementation.
+        Each destination's lane is the engine's memoized tree rooted at it on
+        the failed map (the trees :class:`ReconvergedLogic` reads); the
+        decision only drops a packet whose destination is unreachable.
         """
         state = self.check_query(pairs, failed_links)
         engine = self._engine
         excluded = state.failed_edges
         compiled = engine.compiled
         names = compiled.names
-        index_of = compiled.index
-        # One memoized SSSP tree per destination queried, the same trees
-        # ReconvergedLogic reads.  The walk runs in node-index space; names
-        # only materialise into the outcome's path list.
-        trees: Dict[str, Dict] = {}
-        weight_of = compiled.edge_weight
-        ttl_budget = self.default_ttl()
-        delivered = DeliveryStatus.DELIVERED
-        outcomes: Dict[tuple, ForwardingOutcome] = {}
-        for source, destination in pairs:
-            node = index_of[source]
-            target = index_of[destination]
-            parent = trees.get(destination)
-            if parent is None:
-                parent = engine.sssp_tree(destination, excluded)[1]
-                trees[destination] = parent
-            path = [source]
-            cost = 0.0
-            ttl = ttl_budget
-            outcome = None
-            while True:
-                if node == target:
-                    outcome = ForwardingOutcome(
-                        source=source,
-                        destination=destination,
-                        status=delivered,
-                        path=path,
-                        cost=cost,
-                        hops=len(path) - 1,
-                        # Every hop's decision carries spf_computations=0 and
-                        # the engine accumulates explicit zeros, so the key
-                        # appears exactly when at least one hop was decided:
-                        # always here, as the source is not the destination.
-                        counters={"spf_computations": 0.0},
-                    )
-                    break
-                if ttl <= 0:
-                    outcome = ForwardingOutcome(
-                        source=source,
-                        destination=destination,
-                        status=DeliveryStatus.TTL_EXCEEDED,
-                        path=path,
-                        cost=cost,
-                        hops=len(path) - 1,
-                        drop_reason="ttl expired",
-                        counters={"spf_computations": 0.0} if len(path) > 1 else {},
-                    )
-                    break
-                hop = parent.get(node)
-                if hop is None:
-                    outcome = ForwardingOutcome(
-                        source=source,
-                        destination=destination,
-                        status=DeliveryStatus.DROPPED,
-                        path=path,
-                        cost=cost,
-                        hops=len(path) - 1,
-                        drop_reason="destination unreachable after re-convergence",
-                        counters={"spf_computations": 0.0} if len(path) > 1 else {},
-                    )
-                    break
-                towards, edge_id = hop
-                cost += weight_of[edge_id]
-                ttl -= 1
-                node = towards
-                path.append(names[node])
-            outcomes[(source, destination)] = outcome
-        return outcomes
+        lane_hops = self._lane_hops
+
+        def lane_of(destination: str) -> Lane:
+            parent = engine.sssp_tree(destination, excluded)[1]
+            return {names[node]: lane_hops[hop] for node, hop in parent.items()}
+
+        def decide(node: str, destination: str, ingress, _state) -> tuple:
+            return None, "destination unreachable after re-convergence", None, None, 0
+
+        return walk_many(
+            pairs, self.default_ttl(), compiled.exclusion_mask(excluded), lane_of, decide,
+            _COUNTERS, lane_code=_FORWARDED,
+        )
 
     def header_overhead_bits(self) -> int:
         """Re-convergence needs no extra header bits."""

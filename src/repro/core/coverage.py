@@ -1,8 +1,10 @@
 """Repair-coverage analysis.
 
 The paper's headline claim is that PR "can guarantee full repair coverage for
-any number of failures, as long as the network remains connected".  This
-module measures that claim empirically for any scheme: enumerate (or sample)
+any number of failures, as long as the network remains connected".  Measured
+here, it holds on planar maps, while embeddings of genus >= 1 can loop (see
+:mod:`repro.core.protocol`).  This module measures the claim empirically for
+any scheme: enumerate (or sample)
 failure scenarios, send a packet between every ordered pair of routers that
 is still connected, and classify the outcome.  The sending and accounting is
 the campaign cell's measurement pass in ``"full"`` coverage mode

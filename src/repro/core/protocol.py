@@ -7,8 +7,12 @@ Two router logics are provided:
   networks but, as the paper shows with Figure 1(c), can loop forever under
   some multi-failure combinations.
 * :class:`PacketRecyclingLogic` — the full protocol with the
-  decreasing-distance termination condition of Section 4.3, which recovers
-  from *any* combination of link failures that leaves the network connected.
+  decreasing-distance termination condition of Section 4.3.  The paper
+  claims recovery from any combination of link failures that leaves the
+  network connected.  As measured here, that holds on every planar map
+  tested (embedded on the sphere), but an embedding of genus >= 1 can loop:
+  on K3,3, embedded on the torus, 72 of the 1,080 dual-failure attempts
+  expire their TTL (``tests/baselines/test_fastpath_equivalence.py``).
 
 Both logics make strictly local decisions: the only inputs of a decision are
 the failure state of the router's own interfaces, the precomputed

@@ -13,13 +13,22 @@ from repro.core.protocol import PacketRecyclingLogic, SimplePacketRecyclingLogic
 from repro.core.tables import CycleFollowingTables
 from repro.embedding.builder import CellularEmbedding, embed
 from repro.errors import NoPathExists, ProtocolError
-from repro.forwarding.engine import DeliveryStatus, ForwardingOutcome
+from repro.forwarding.engine import ForwardingOutcome
 from repro.forwarding.network_state import NetworkState
 from repro.forwarding.router import RouterLogic
 from repro.forwarding.scheme import ForwardingScheme
+from repro.forwarding.walk import Counters, walk_many
 from repro.graph.multigraph import Graph
 from repro.routing.discriminator import DiscriminatorKind, discriminator_bits_required
 from repro.routing.tables import cached_routing_tables
+
+
+#: The counters a PR decision carries (``protocol.py``), as walk-kernel codes.
+_COUNTERS = Counters("failures_detected", "recycling_started", "cycle_following_hops")
+_CYCLE_HOP = _COUNTERS.code(cycle_following_hops=1)
+_DETECTED = _COUNTERS.code(failures_detected=1)
+_DETECTED_STARTING = _COUNTERS.code(failures_detected=1, recycling_started=1)
+_DETECTED_CYCLING = _COUNTERS.code(failures_detected=1, cycle_following_hops=1)
 
 
 class PacketRecycling(ForwardingScheme):
@@ -74,10 +83,11 @@ class PacketRecycling(ForwardingScheme):
 
         Ingress darts are globally unique, so both three-column tables of
         every router flatten into two lists indexed by dart code (the dart's
-        position in ``darts``).  An entry is the successor's ``(code, edge
-        bitmask, weight, head)``, so one index answers both "where next" and
-        "what does that hop cost"; ``cycle_next`` holds ``None`` for a dart
-        without a cycle-following row.
+        position in ``darts``).  An entry is the successor's ``(head, edge
+        bitmask, weight, code)``, the walk kernel's follow-hop layout, so one
+        index answers both "where next" and "what does that hop cost";
+        ``cycle_next`` holds ``None`` for a dart without a cycle-following
+        row.
         """
         if self._flat is None:
             darts = self.graph.darts()
@@ -85,7 +95,7 @@ class PacketRecycling(ForwardingScheme):
             weight_of = {edge.edge_id: edge.weight for edge in self.graph.edges()}
 
             def step(dart) -> tuple:
-                return (code_of[dart], 1 << dart.edge_id, weight_of[dart.edge_id], dart.head)
+                return (dart.head, 1 << dart.edge_id, weight_of[dart.edge_id], code_of[dart])
 
             cycle_next: List[Optional[tuple]] = [None] * len(darts)
             for node in self.graph.nodes():
@@ -102,241 +112,68 @@ class PacketRecycling(ForwardingScheme):
         pairs: Collection[tuple],
         failed_links: Iterable[int] = (),
     ) -> Dict[tuple, ForwardingOutcome]:
-        """Sweep fast path: run the PR forwarding loop without the engine.
+        """Sweep fast path: :func:`~repro.forwarding.walk.walk_many` over flat tables.
 
-        Replicates :class:`~repro.core.protocol.PacketRecyclingLogic` (or the
-        1-bit variant) plus the hop-by-hop engine bookkeeping in one flat
-        loop over table lookups — identical paths, costs, counters, drop
-        reasons and header evolution (asserted by the fast-path equivalence
-        tests).  :meth:`ForwardingScheme.deliver` still runs the real engine
-        and remains the reference implementation.
-
-        Two exact shortcuts skip walking what is already determined:
-
-        * **Shared continuations.**  A normal-mode decision (PR bit clear at
-          the top of a hop) reads only the routing entry of ``(node,
-          destination)`` and the failure set, never the ingress or the
-          header, so within one call the rest of the walk from there is the
-          same for every packet.  Walks that end delivered or dropped donate
-          their suffix from each such state; a later walk reaching one takes
-          it when its hops so far plus the suffix fit the TTL, replaying the
-          suffix weights hop by hop so the float cost is unchanged.
-        * **Loop fast-forward.**  The walk is a deterministic automaton over
-          (egress, DD value) right after each failure-detecting decision, and
-          every forwarding loop passes through one.  When such a state
-          recurs, whole rounds of the cycle are appended at once (counters
-          scaled by the round count) and the loop walks the last partial
-          round to TTL expiry as usual.
+        The routing lane, the cycle-following column as the follow table,
+        and the rest of :class:`~repro.core.protocol.PacketRecyclingLogic`
+        (or the 1-bit variant) as the decision.  The state is ``None`` while
+        the PR bit is clear, else the DD value (``True`` for the 1-bit
+        variant); the ingress is a dart code.
         """
         state = self.check_query(pairs, failed_links)
         failed_mask = self.routing._engine.compiled.exclusion_mask(state.failed_edges)
         routing_entries = self.routing._entries
         darts, code_of, cycle_next, avoid_next, degree_of, weight_of = self._flat_tables()
-        ttl_budget = self.default_ttl()
         simple = self._walk_simple
-        delivered_status = DeliveryStatus.DELIVERED
-        # destination -> {node: (path, weights, index, status, drop_reason,
-        # detected, recycled, cycle_hops)}: the donor walk's path from
-        # ``path[index] == node`` on, its hop weights ``weights[index:]``,
-        # its end and the counter deltas of that suffix.
-        continuations: Dict[str, Dict[str, tuple]] = {}
-        outcomes: Dict[tuple, ForwardingOutcome] = {}
-        for pair in pairs:
-            source, destination = pair
-            shared = continuations.get(destination)
-            if shared is None:
-                shared = continuations[destination] = {}
-            node = source
-            ingress = None
-            pr_bit = False
-            dd_value: Optional[float] = None
-            path = [node]
-            weights: list = []
-            cost = 0.0
-            ttl = ttl_budget
-            n_detected = 0
-            n_recycled = 0
-            n_cycle_hops = 0
-            status = None
-            drop_reason = None
-            egress = None
-            # (path index, counters) at every normal-mode hop top: the
-            # states this walk donates if it ends delivered or dropped.
-            marks: list = []
-            # (egress, dd_value) -> (path length, counters) right after each
-            # failure-detecting decision; None once fast-forwarded.
-            detections: Optional[Dict[tuple, tuple]] = {}
-            while True:
-                if node == destination:
-                    status = delivered_status
-                    break
-                if ttl <= 0:
-                    status = DeliveryStatus.TTL_EXCEEDED
-                    drop_reason = "ttl expired"
-                    break
-                if not pr_bit:
-                    donor = shared.get(node)
-                    if donor is not None:
-                        (d_path, d_weights, at, d_status, d_reason,
-                         d_detected, d_recycled, d_cycle_hops) = donor
-                        suffix_hops = len(d_path) - 1 - at
-                        if suffix_hops < ttl or (
-                            suffix_hops == ttl and d_status is delivered_status
-                        ):
-                            path += d_path[at + 1:]
-                            suffix_weights = d_weights[at:]
-                            for hop_weight in suffix_weights:
-                                cost += hop_weight
-                            weights += suffix_weights
-                            n_detected += d_detected
-                            n_recycled += d_recycled
-                            n_cycle_hops += d_cycle_hops
-                            status = d_status
-                            drop_reason = d_reason
-                            break
-                    marks.append((len(path) - 1, n_detected, n_recycled, n_cycle_hops))
-                # --- the router's decision (protocol.py, inlined) ---
-                detected = False
-                while True:
-                    if not pr_bit:
-                        # _route_normally
-                        entry = routing_entries[node].get(destination)
-                        if entry is None:
-                            status = DeliveryStatus.DROPPED
-                            drop_reason = "no route to destination in routing table"
-                            break
-                        routed = entry.egress
-                        if not failed_mask & (1 << routed.edge_id):
-                            hop_weight = weight_of[routed.edge_id]
-                            hop_head = routed.head
-                            egress = None  # never read: the next hop is normal
-                            break  # plain shortest-path forward, no counters
-                        # _start_recycling: mark the header, then failure
-                        # avoidance from the failed egress.
-                        pr_bit = True
-                        dd_value = None if simple else entry.discriminator
-                        candidate = code_of[routed]
-                        backup = None
-                        for _attempt in range(degree_of[node]):
-                            candidate, edge_bit, hop_weight, hop_head = avoid_next[candidate]
-                            if not failed_mask & edge_bit:
-                                backup = candidate
-                                break
-                        n_detected += 1
-                        if backup is None:
-                            status = DeliveryStatus.DROPPED
-                            drop_reason = "all interfaces failed at the detecting router"
-                            break
-                        n_recycled += 1
-                        egress = backup
-                        detected = True
-                        break
-                    # _cycle_follow
-                    cycle_step = cycle_next[ingress]
-                    if cycle_step is None:  # pragma: no cover - mirrors row_for_ingress
-                        raise ProtocolError(
-                            f"router {node!r} has no cycle-following row for "
-                            f"ingress {darts[ingress]!r}"
-                        )
-                    outgoing, edge_bit, hop_weight, hop_head = cycle_step
-                    if not failed_mask & edge_bit:
-                        n_cycle_hops += 1
-                        egress = outgoing
-                        break
-                    if simple:
-                        # Section 4.2 termination: resume shortest-path routing.
-                        pr_bit = False
-                        dd_value = None
-                        continue
+
+        def decide(node: str, destination: str, ingress: Optional[int], dd_value) -> tuple:
+            if dd_value is not None:
+                # _cycle_follow, reached when the cycle-following link is down.
+                cycle_step = cycle_next[ingress]
+                if cycle_step is None:  # pragma: no cover - mirrors row_for_ingress
+                    raise ProtocolError(
+                        f"router {node!r} has no cycle-following row for "
+                        f"ingress {darts[ingress]!r}"
+                    )
+                if not simple:
                     entry = routing_entries[node].get(destination)
                     if entry is None:
                         raise NoPathExists(node, destination)
-                    if entry.discriminator < dd_value:
-                        # Section 4.3 termination: strictly closer than the
-                        # marking router — resume shortest-path routing.
-                        pr_bit = False
-                        dd_value = None
-                        continue
-                    candidate = outgoing
-                    backup = None
-                    for _attempt in range(degree_of[node]):
-                        candidate, edge_bit, hop_weight, hop_head = avoid_next[candidate]
-                        if not failed_mask & edge_bit:
-                            backup = candidate
-                            break
-                    n_detected += 1
-                    if backup is None:
-                        status = DeliveryStatus.DROPPED
-                        drop_reason = "all interfaces failed while cycle following"
-                        break
-                    n_cycle_hops += 1
-                    egress = backup
-                    detected = True
-                    break
-                if status is not None:
-                    break
-                if detected and detections is not None:
-                    state_key = (egress, dd_value)
-                    seen = detections.get(state_key)
-                    if seen is None:
-                        detections[state_key] = (
-                            len(path), n_detected, n_recycled, n_cycle_hops
+                    if not entry.discriminator < dd_value:
+                        # A further failure met while cycle following.
+                        return avoid(
+                            node, cycle_step[3], dd_value, _DETECTED_CYCLING,
+                            "all interfaces failed while cycle following",
                         )
-                    else:
-                        # The walk is back in a state it left ``period`` hops
-                        # ago: it repeats that cycle until the TTL runs out.
-                        # Append every whole round that still leaves the
-                        # pending hop within budget, then walk on.
-                        start, det0, rec0, cyc0 = seen
-                        period = len(path) - start
-                        rounds = (ttl - 1) // period
-                        cycle_nodes = path[start:]
-                        cycle_weights = weights[start - 1:]
-                        for _round in range(rounds):
-                            path += cycle_nodes
-                            weights += cycle_weights
-                            for cycle_weight in cycle_weights:
-                                cost += cycle_weight
-                        ttl -= rounds * period
-                        n_detected += rounds * (n_detected - det0)
-                        n_recycled += rounds * (n_recycled - rec0)
-                        n_cycle_hops += rounds * (n_cycle_hops - cyc0)
-                        detections = None
-                # --- hop bookkeeping (engine, inlined) ---
-                cost += hop_weight
-                weights.append(hop_weight)
-                ttl -= 1
-                ingress = egress
-                node = hop_head
-                path.append(hop_head)
-            if status is not DeliveryStatus.TTL_EXCEEDED:
-                for at, det0, rec0, cyc0 in marks:
-                    marked = path[at]
-                    if marked not in shared:
-                        shared[marked] = (
-                            path, weights, at, status, drop_reason,
-                            n_detected - det0, n_recycled - rec0, n_cycle_hops - cyc0,
-                        )
-            # Engine equivalence: a counter key exists exactly when at least
-            # one decision carried it (PR decisions never carry zeros).
-            counters: Dict[str, float] = {}
-            if n_detected:
-                counters["failures_detected"] = float(n_detected)
-            if n_recycled:
-                counters["recycling_started"] = float(n_recycled)
-            if n_cycle_hops:
-                counters["cycle_following_hops"] = float(n_cycle_hops)
-            outcomes[pair] = ForwardingOutcome(
-                source=source,
-                destination=destination,
-                status=status,
-                path=path,
-                cost=cost,
-                hops=len(path) - 1,
-                drop_reason=drop_reason,
-                counters=counters,
+                # Termination (Section 4.2: the cycle-following link is down;
+                # Section 4.3: strictly closer than the marking router):
+                # resume shortest-path routing.
+            # _route_normally
+            entry = routing_entries[node].get(destination)
+            if entry is None:
+                return None, "no route to destination in routing table", None, None, 0
+            routed = entry.egress
+            if not failed_mask & (1 << routed.edge_id):
+                return code_of[routed], routed.head, weight_of[routed.edge_id], None, 0
+            # _start_recycling: mark the header, then failure avoidance from
+            # the failed egress.
+            return avoid(
+                node, code_of[routed], True if simple else entry.discriminator,
+                _DETECTED_STARTING, "all interfaces failed at the detecting router",
             )
-        return outcomes
+
+        def avoid(node: str, failed: int, dd_value, code: int, isolated: str) -> tuple:
+            """Failure avoidance from the failed dart code ``failed``."""
+            for _attempt in range(degree_of[node]):
+                head, edge_bit, hop_weight, failed = avoid_next[failed]
+                if not failed_mask & edge_bit:
+                    return failed, head, hop_weight, dd_value, code
+            return None, isolated, None, None, _DETECTED
+
+        return walk_many(
+            pairs, self.default_ttl(), failed_mask, self.routing.lane, decide, _COUNTERS,
+            follow=cycle_next, follow_code=_CYCLE_HOP,
+        )
 
     # ------------------------------------------------------------------
     # overhead accounting (Section 6)

@@ -15,6 +15,9 @@ would be:
   and records the outcome.
 * :mod:`~repro.forwarding.scheme` — the `ForwardingScheme` base class shared
   by Packet Re-cycling and every baseline.
+* :mod:`~repro.forwarding.walk` — the walk kernel of the schemes'
+  ``deliver_many`` fast paths: TTL, path, cost, counters, continuation
+  sharing and loop fast-forward around a scheme's per-hop decision.
 """
 
 from repro.forwarding.headers import DscpCodec, PacketHeader

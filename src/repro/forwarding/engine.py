@@ -115,57 +115,28 @@ class HopByHopEngine:
         ingress: Optional[Dart] = None
         path = [node]
         cost = 0.0
-        hops = 0
         counters: Dict[str, float] = {}
-
+        drop_reason: Optional[str] = None
         while True:
             if node == packet.destination:
-                return ForwardingOutcome(
-                    source=packet.source,
-                    destination=packet.destination,
-                    status=DeliveryStatus.DELIVERED,
-                    path=path,
-                    cost=cost,
-                    hops=hops,
-                    counters=counters,
-                )
+                status = DeliveryStatus.DELIVERED
+                break
             if packet.header.ttl <= 0:
-                return ForwardingOutcome(
-                    source=packet.source,
-                    destination=packet.destination,
-                    status=DeliveryStatus.TTL_EXCEEDED,
-                    path=path,
-                    cost=cost,
-                    hops=hops,
-                    drop_reason="ttl expired",
-                    counters=counters,
-                )
+                status = DeliveryStatus.TTL_EXCEEDED
+                drop_reason = "ttl expired"
+                break
 
             decision = self.logic.decide(node, ingress, packet, self.state)
             for name, value in decision.counters.items():
                 counters[name] = counters.get(name, 0.0) + value
 
             if decision.action is Action.DROP:
-                return ForwardingOutcome(
-                    source=packet.source,
-                    destination=packet.destination,
-                    status=DeliveryStatus.DROPPED,
-                    path=path,
-                    cost=cost,
-                    hops=hops,
-                    drop_reason=decision.drop_reason,
-                    counters=counters,
-                )
+                status = DeliveryStatus.DROPPED
+                drop_reason = decision.drop_reason
+                break
             if decision.action is Action.DELIVER:
-                return ForwardingOutcome(
-                    source=packet.source,
-                    destination=packet.destination,
-                    status=DeliveryStatus.DELIVERED,
-                    path=path,
-                    cost=cost,
-                    hops=hops,
-                    counters=counters,
-                )
+                status = DeliveryStatus.DELIVERED
+                break
 
             egress = decision.egress
             assert egress is not None  # guaranteed by ForwardingDecision
@@ -181,11 +152,20 @@ class HopByHopEngine:
                 )
 
             cost += graph.weight(egress.edge_id)
-            hops += 1
             packet.header.ttl -= 1
             ingress = egress
             node = egress.head
             path.append(node)
+        return ForwardingOutcome(
+            source=packet.source,
+            destination=packet.destination,
+            status=status,
+            path=path,
+            cost=cost,
+            hops=len(path) - 1,
+            drop_reason=drop_reason,
+            counters=counters,
+        )
 
     def forward(self, source: str, destination: str, ttl: int = 255, size_bytes: int = 1000) -> ForwardingOutcome:
         """Convenience wrapper creating the packet and forwarding it."""

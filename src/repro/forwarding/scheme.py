@@ -4,12 +4,18 @@ A scheme owns whatever per-router state it precomputes offline (routing
 tables, cycle-following tables, LFA candidates, ...) and knows how to build
 the :class:`~repro.forwarding.router.RouterLogic` that drives packets at
 forwarding time.  The CLI and the daemon send single packets through
-:meth:`ForwardingScheme.deliver`; campaigns send one per pair and failure set
-through :meth:`ForwardingScheme.deliver_many`, whose flat-walk overrides must
-match the engine-driven implementation here.  Both entry points, overrides
-included, start with :meth:`ForwardingScheme.check_query`, so a query that
-names a router or link the topology does not have is an error, never a
-dropped packet.
+:meth:`ForwardingScheme.deliver`, which runs the hop-by-hop engine.
+Campaigns send one per pair and failure set through
+:meth:`ForwardingScheme.deliver_many`.  Here it runs the engine too, and it
+stays the reference.  A scheme with a fast path overrides it with one call
+of the walk kernel (:func:`repro.forwarding.walk.walk_many`), supplying only
+its per-hop decision: a lane table per destination, an optional follow
+table and a ``decide`` function over (node, destination, ingress, state).
+The kernel does the rest, so the override's outcomes must equal the
+engine's field for field: status, path, hop-order cost, hop count, drop
+reason and counters.  Both entry points, overrides included, start with
+:meth:`ForwardingScheme.check_query`, so a query that names a router or
+link the topology does not have is an error, never a dropped packet.
 """
 
 from __future__ import annotations
@@ -114,10 +120,12 @@ class ForwardingScheme:
     ) -> Dict[tuple, ForwardingOutcome]:
         """Deliver one packet per ``(source, destination)`` pair under one failure set.
 
-        The network state and router logic are built once and reused, which
-        is what makes the full-mesh sweeps of Figure 2 affordable.  The
-        whole query is checked first (:meth:`check_query`), so ``pairs`` is
-        read twice and must be a collection, not a one-shot iterator.
+        The network state and router logic are built once and reused, and
+        every packet goes through the hop-by-hop engine: the reference for
+        the fast-path overrides, which walk the same packets with
+        :func:`~repro.forwarding.walk.walk_many`.  The whole query is
+        checked first (:meth:`check_query`), so ``pairs`` is read twice and
+        must be a collection, not a one-shot iterator.
         """
         state = self.check_query(pairs, failed_links)
         logic = self.build_logic(state)

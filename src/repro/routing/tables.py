@@ -64,6 +64,7 @@ class RoutingTables:
         self._entries: Dict[str, Dict[str, RoutingEntry]] = {
             node: {} for node in graph.nodes()
         }
+        self._lanes: Dict[str, Dict[str, Tuple[str, int, float]]] = {}
         self._build()
 
     @property
@@ -152,6 +153,23 @@ class RoutingTables:
         if node == destination:
             return 0.0
         return self.entry(node, destination).discriminator
+
+    def lane(self, destination: str) -> Dict[str, Tuple[str, int, float]]:
+        """Every router's table forward toward ``destination``, as a walk lane.
+
+        ``node -> (next hop, egress link bitmask, link weight)`` for every
+        router with a route (see :mod:`repro.forwarding.walk`); built on the
+        first request for the destination, then memoized.
+        """
+        lane = self._lanes.get(destination)
+        if lane is None:
+            weight_of = self._engine.compiled.edge_weight
+            lane = self._lanes[destination] = {
+                node: (entry.next_hop, 1 << entry.egress.edge_id, weight_of[entry.egress.edge_id])
+                for node, entries in self._entries.items()
+                if (entry := entries.get(destination)) is not None
+            }
+        return lane
 
     def table_of(self, node: str) -> List[RoutingEntry]:
         """All routing entries of one router, sorted by destination."""

@@ -97,16 +97,13 @@ def load_topology(spec: str) -> Graph:
     parameterized synthetic families (``waxman:size=40,seed=3``) and the
     committed zoo snapshots (``nsfnet1991``); anything else is treated as a
     path to a GraphML or edge-list file.  An entry that is neither raises
-    :class:`~repro.errors.TopologyError` (see ``corpus.missing_topology``).
+    :class:`~repro.errors.TopologyError` (see ``corpus.topology_file_stat``).
     """
     parsed = corpus.try_parse_spec(spec)
     if parsed is not None:
         key: Tuple = ("corpus", parsed.canonical)
     else:
-        try:
-            stat = os.stat(spec)
-        except FileNotFoundError:
-            raise corpus.missing_topology(spec) from None
+        stat = corpus.topology_file_stat(spec)
         key = ("file", spec, stat.st_mtime_ns, stat.st_size)
     graph = _TOPOLOGY_CACHE.get(key)
     if graph is None:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from stat import S_ISDIR
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import TopologyError
@@ -191,16 +192,24 @@ def _unknown_family(name: str) -> TopologyError:
     return TopologyError(f"unknown topology {name!r}; available: {', '.join(family_names())}")
 
 
-def missing_topology(text: str) -> TopologyError:
-    """The error for an entry that is neither a registered family nor a file.
+def topology_file_stat(text: str) -> os.stat_result:
+    """``os.stat`` of an entry that is not a registered family, as a topology file.
 
-    An entry that looks like a path (it has a suffix or a path separator)
-    names the missing file; a bare name gets :func:`get_family`'s
-    unknown-topology message with the registered families.
+    An entry that does not exist raises :class:`~repro.errors.TopologyError`:
+    one that looks like a path (it has a suffix or a path separator) names
+    the missing file, and a bare name gets :func:`get_family`'s
+    unknown-topology message with the registered families.  A directory
+    raises one naming it.
     """
-    if Path(text).suffix or "/" in text or os.sep in text:
-        return TopologyError(f"topology file {text!r} does not exist")
-    return _unknown_family(text)
+    try:
+        stat = os.stat(text)
+    except FileNotFoundError:
+        if Path(text).suffix or "/" in text or os.sep in text:
+            raise TopologyError(f"topology file {text!r} does not exist") from None
+        raise _unknown_family(text) from None
+    if S_ISDIR(stat.st_mode):
+        raise TopologyError(f"topology {text!r} is a directory, not a topology file")
+    return stat
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +278,7 @@ def build_topology(text: str) -> Graph:
     spec = try_parse_spec(text)
     if spec is not None:
         return spec.build()
-    if not os.path.exists(text):
-        raise missing_topology(text)
+    topology_file_stat(text)
     return load_topology_file(text)
 
 

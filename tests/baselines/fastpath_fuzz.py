@@ -1,6 +1,7 @@
 """Differential fuzzer: scheme ``deliver_many`` fast paths vs. the engine.
 
-Compares each scheme's flat ``deliver_many`` walk with the generic
+Compares each scheme's ``deliver_many`` fast path (one walk kernel,
+:func:`repro.forwarding.walk.walk_many`, for all five) with the generic
 :meth:`ForwardingScheme.deliver_many`, which drives the hop-by-hop engine
 and is the reference, over seeded 1–12-link failure sets and every ordered
 pair of nodes.  Outcomes must agree field for field: status, path, cost

@@ -1,10 +1,11 @@
 """Fast-path ``deliver_many`` overrides vs. the hop-by-hop engine.
 
 Re-convergence, FCP, LFA and both Packet Re-cycling variants override
-``deliver_many`` with flat walks for sweep speed.  PR shares walk
-continuations within one call and fast-forwards forwarding loops to TTL
-expiry, and FCP builds a carried-set SPF tree only for destinations whose
-route the carried links can change.  ``ForwardingScheme.deliver_many`` —
+``deliver_many`` with one call of the walk kernel
+(:func:`repro.forwarding.walk.walk_many`) for sweep speed.  The kernel
+shares walk continuations within one call and fast-forwards forwarding
+loops to TTL expiry for every scheme, and FCP builds a carried-set SPF tree
+only for destinations whose route the carried links can change.  ``ForwardingScheme.deliver_many`` —
 the generic implementation driving the real :class:`HopByHopEngine` —
 remains the reference; every override must produce outcomes that are
 field-for-field identical: status, path, hop-order cost summation, hop
@@ -16,6 +17,7 @@ deep-failure fuzzer behind the slice test below lives in
 ``fastpath_fuzz.py``.
 """
 
+import itertools
 import random
 
 import pytest
@@ -24,11 +26,13 @@ from repro.baselines.fcp import FailureCarryingPackets, FcpLogic
 from repro.baselines.lfa import LoopFreeAlternates
 from repro.baselines.reconvergence import Reconvergence
 from repro.core.scheme import PacketRecycling, SimplePacketRecycling
+from repro.forwarding.engine import DeliveryStatus
 from repro.forwarding.network_state import NetworkState
 from repro.forwarding.scheme import ForwardingScheme
 from repro.graph.spcache import engine_for
 from repro.routing.discriminator import DiscriminatorKind
 from repro.topologies.corpus import build_topology, parse_topology_spec, topology_set
+from repro.topologies.generators import k5_graph, k33_graph
 from tests.baselines.fastpath_fuzz import SCHEMES as FUZZ_SCHEMES
 from tests.baselines.fastpath_fuzz import fuzz_topology, outcome_fields, reference_first_hops
 
@@ -142,6 +146,81 @@ def test_deep_failure_slice_matches_engine(scheme_key):
     assert failure is None, failure
     if scheme_key.startswith("pr"):
         assert expiries[scheme_key] > 0, expiries
+
+
+#: TTL expiries over every dual link failure and every ordered pair, with
+#: PR embedded from seed 0 (K3,3: 36 failure sets x 30 pairs = 1,080
+#: attempts; K5: 45 x 20 = 900).  K3,3 embeds on the torus, and PR loops
+#: there: with a0-b0 and a1-b1 failed, the packet a0 -> a1 goes round
+#: a0 b1 a2 b2 a0 ... until its TTL expires.
+KURATOWSKI_EXPIRIES = {
+    ("k33", "pr"): 72,
+    ("k33", "pr-1bit"): 60,
+    ("k33", "fcp"): 0,
+    ("k33", "lfa"): 0,
+    ("k33", "reconvergence"): 0,
+    ("k5", "pr"): 16,
+    ("k5", "pr-1bit"): 14,
+    ("k5", "fcp"): 0,
+    ("k5", "lfa"): 10,
+    ("k5", "reconvergence"): 0,
+}
+
+SEED0_FACTORIES = {
+    **SCHEME_FACTORIES,
+    "pr": lambda graph: PacketRecycling(graph, embedding_seed=0),
+    "pr-1bit": lambda graph: SimplePacketRecycling(graph, embedding_seed=0),
+}
+
+
+@pytest.mark.parametrize("scheme_key", sorted(SEED0_FACTORIES))
+@pytest.mark.parametrize("graph_factory", [k33_graph, k5_graph], ids=["k33", "k5"])
+def test_every_dual_failure_of_the_kuratowski_graphs(graph_factory, scheme_key):
+    """Every dual failure of K3,3 and K5, every ordered pair: fast == engine.
+
+    The minimal non-planar graphs are where PR loops, so this exhaustive
+    case runs the loop fast-forward on shared suffixes; the expiry counts
+    pin the characterisation of PR's multi-failure coverage beyond planar
+    embeddings.
+    """
+    graph = graph_factory()
+    scheme = SEED0_FACTORIES[scheme_key](graph)
+    nodes = graph.nodes()
+    pairs = [(u, v) for u in nodes for v in nodes if u != v]
+    expiries = 0
+    for failed in itertools.combinations(graph.edge_ids(), 2):
+        fast = scheme.deliver_many(pairs, failed_links=failed)
+        reference = ForwardingScheme.deliver_many(scheme, pairs, failed_links=failed)
+        assert_outcomes_identical(fast, reference, failed)
+        expiries += sum(
+            1 for outcome in fast.values() if outcome.status is DeliveryStatus.TTL_EXCEEDED
+        )
+    assert expiries == KURATOWSKI_EXPIRIES[(graph.name, scheme_key)]
+
+
+@pytest.mark.parametrize("scheme_key", sorted(SCHEME_FACTORIES))
+def test_outcomes_do_not_depend_on_pair_order(scheme_key):
+    """A shuffled ``pairs`` gives the same outcome for every pair.
+
+    Continuation sharing lets a walk take a suffix an earlier walk of the
+    same call donated, so the order of ``pairs`` decides who walks and who
+    takes; Teleglobe with 10 failed links makes long shared suffixes and
+    forwarding loops.
+    """
+    graph = build_topology("teleglobe")
+    scheme = SCHEME_FACTORIES[scheme_key](graph)
+    nodes = graph.nodes()
+    pairs = [(u, v) for u in nodes for v in nodes if u != v]
+    edge_ids = graph.edge_ids()
+    rng = random.Random(f"pair-order-{scheme_key}")
+    for _round in range(5):
+        failed = tuple(sorted(rng.sample(edge_ids, 10)))
+        shuffled = list(pairs)
+        rng.shuffle(shuffled)
+        ordered = scheme.deliver_many(pairs, failed_links=failed)
+        assert_outcomes_identical(
+            scheme.deliver_many(shuffled, failed_links=failed), ordered, (_round, failed)
+        )
 
 
 def _reweighted(name, weights):

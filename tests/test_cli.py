@@ -37,6 +37,21 @@ class TestTopologyCommand:
         assert len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", [["topology"], ["topologies", "show"]])
+    def test_directory_topology_is_a_one_line_error(self, command, tmp_path):
+        (tmp_path / "nets").mkdir()
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *command, "nets"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr == "topology 'nets' is a directory, not a topology file\n"
+        assert "Traceback" not in result.stderr
+
     def test_file_topology(self, tmp_path, capsys):
         path = tmp_path / "net.topo"
         path.write_text("a b 1\nb c 1\nc a 1\n")

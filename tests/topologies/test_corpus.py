@@ -1,6 +1,8 @@
 """Tests for the topology corpus: families, specs, sets and validation."""
 
 import hashlib
+import os
+import re
 import subprocess
 import sys
 
@@ -188,6 +190,14 @@ class TestFamilyLookup:
     def test_missing_file_is_a_typed_error_naming_the_path(self, load, missing):
         with pytest.raises(TopologyError, match=f"topology file '{missing}' does not exist"):
             load(missing)
+
+    @pytest.mark.parametrize("load", [corpus.build_topology, load_topology])
+    def test_directory_is_a_typed_error_naming_it(self, load, tmp_path):
+        directory = str(tmp_path / "nets")
+        os.mkdir(directory)
+        message = f"topology '{directory}' is a directory, not a topology file"
+        with pytest.raises(TopologyError, match=re.escape(message)):
+            load(directory)
 
     def test_build_topology_builds_parameterized_family_defaults(self):
         graph = corpus.build_topology("fat-tree")
