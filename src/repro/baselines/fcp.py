@@ -13,7 +13,7 @@ Section 6 holds against FCP.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, FrozenSet, Iterable, Optional
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.forwarding.engine import ForwardingOutcome
@@ -29,11 +29,13 @@ from repro.graph.spcache import _LruDict, engine_for
 from repro.routing.tables import RoutingTables, cached_routing_tables
 
 #: Bound of the per-scheme SPF table memo: one entry per distinct
-#: (router, carried failure set) the sweep's packets ever present.
+#: (router, carried failure set) the sweep's packets ever present.  An entry
+#: is a flat first-hop list that pins no tree, so an eviction costs at most a
+#: repaired tree the next time the entry is needed.
 _SPF_TABLE_CACHE = 16384
 
 #: Sentinel distinguishing "destination not resolved yet" from the cached
-#: ``None`` of an unreachable destination in the lazy first-hop tables.
+#: ``None`` of an unreachable destination in the first-hop lists.
 _UNRESOLVED = object()
 
 _NOTHING_CARRIED: FrozenSet[int] = frozenset()
@@ -46,6 +48,41 @@ _SPF_RUN = _COUNTERS.unit("spf_computations")
 _FAILURE_RECORDED = _COUNTERS.unit("failures_recorded")
 
 
+def _resolve(
+    first_hops: List,
+    parent: Dict[int, Tuple[int, int]],
+    root_idx: int,
+    root_darts: Dict[int, Dart],
+    destinations: Iterable[int],
+) -> None:
+    """Resolve each still-unresolved destination of ``first_hops`` on ``parent``.
+
+    A destination absent from ``parent`` (the root, or unreachable) gets
+    ``None``.  Any other walks its parent chain up to the root's direct
+    child, or to a node already resolved, and every node on the chain gets
+    the first hop found.
+    """
+    for dest_idx in destinations:
+        if first_hops[dest_idx] is not _UNRESOLVED:
+            continue
+        if dest_idx not in parent:
+            first_hops[dest_idx] = None
+            continue
+        chain = []
+        walk = dest_idx
+        egress = _UNRESOLVED
+        while egress is _UNRESOLVED:
+            chain.append(walk)
+            towards, edge_id = parent[walk]
+            if towards == root_idx:
+                egress = root_darts[edge_id]
+            else:
+                walk = towards
+                egress = first_hops[walk]
+        for link in chain:
+            first_hops[link] = egress
+
+
 class FcpLogic(RouterLogic):
     """Per-router FCP forwarding behaviour."""
 
@@ -56,8 +93,8 @@ class FcpLogic(RouterLogic):
         graph: Graph,
         routing: RoutingTables,
         state: NetworkState,
-        # (node, carried failure set) -> [parent tree or None, lazily filled
-        # destination -> first-hop dart table]; see _next_hop_indexed.
+        # (node, carried failure set) -> first-hop list by destination
+        # index; see _next_hop_indexed.
         spf_cache: _LruDict,
     ) -> None:
         self.graph = graph
@@ -71,8 +108,18 @@ class FcpLogic(RouterLogic):
         # every logic it builds: the key already pins the failure set, so a
         # table computed under one scenario is equally valid under any other,
         # and repeated (hop, carried-set) combinations across scenarios become
-        # dictionary hits instead of full Dijkstra runs.
+        # list lookups instead of full Dijkstra runs.
         self._spf_cache = spf_cache
+        # node -> link id -> the dart leaving node on it: the one egress
+        # object every first-hop list entry of that router shares.
+        darts = self._engine.consumer_cache.get_or_none(("fcp-egress",))
+        if darts is None:
+            darts = {
+                node: {dart.edge_id: dart for dart in graph.darts_out(node)}
+                for node in graph.nodes()
+            }
+            self._engine.consumer_cache.put(("fcp-egress",), darts)
+        self._egress_darts = darts
 
     def _next_hop_given_failures(
         self, node: str, destination: str, failures: FrozenSet[int]
@@ -85,57 +132,43 @@ class FcpLogic(RouterLogic):
     ) -> Optional[Dart]:
         """Same as :meth:`_next_hop_given_failures`, destination pre-indexed.
 
-        The SPF tables are kept in node-index space.  A ``(router, carried
-        set)`` entry is ``[tree or None, first_hops]``: the tree under the
-        carried set is built only when a destination needs it.  On a
-        ``repair_safe`` graph a destination whose failure-free path from the
-        router avoids every carried link keeps its distance and tie-broken
-        parent chain under the carried set (the property incremental repair
-        relies on), so its first hop is read off the failure-free tree.
+        A ``(router, carried set)`` entry is a flat list indexed by
+        destination index: the egress dart, ``None`` when unreachable, or
+        ``_UNRESOLVED``.  It pins no tree.  On a ``repair_safe`` graph a
+        destination whose failure-free path from the router avoids every
+        carried link keeps its distance and tie-broken parent chain under
+        the carried set (the property incremental repair relies on), so its
+        first hop is read off the failure-free tree.  The first destination
+        whose path crosses a carried link (every destination, off
+        ``repair_safe``) asks the engine for the carried-set tree, and one
+        pass resolves every destination still unresolved from it; resolving
+        an unaffected one from either tree gives the same first hop, so the
+        entry never needs the tree again.
         """
         engine = self._engine
         compiled = engine.compiled
         cache_key = (node, failures)
-        table = self._spf_cache.get_or_none(cache_key)
-        if table is None:
-            table = [None, {}]
-            self._spf_cache.put(cache_key, table)
-        first_hops = table[1]
-        try:
-            return first_hops[dest_idx]
-        except KeyError:
-            pass
+        first_hops = self._spf_cache.get_or_none(cache_key)
+        if first_hops is None:
+            first_hops = [_UNRESOLVED] * len(compiled.names)
+            self._spf_cache.put(cache_key, first_hops)
+        egress = first_hops[dest_idx]
+        if egress is not _UNRESOLVED:
+            return egress
         _dist, parent, path_masks = engine._repair_base_for(node)
-        node_idx = compiled.index[node]
+        # The router itself (mask 0) and a destination the failure-free tree
+        # cannot reach (no mask) stay so under any carried set.
         path_mask = path_masks.get(dest_idx)
-        if dest_idx != node_idx and path_mask is not None and (
+        destinations: Iterable[int] = (dest_idx,)
+        if path_mask and (
             not compiled.repair_safe or path_mask & compiled.exclusion_mask(failures)
         ):
-            # The carried links may reroute this destination.
-            if table[0] is None:
-                table[0] = engine.sssp_tree(node, failures)[1]
-            parent = table[0]
-        if dest_idx == node_idx or dest_idx not in parent:
-            # The router itself, or unreachable (a destination unreachable
-            # without failures stays so with them).
-            egress: Optional[Dart] = None
-        else:
-            # Walk the parent chain up to the root's direct child; memoize
-            # the first hop of every node on the chain on the way back.
-            chain = []
-            walk = dest_idx
-            while walk not in first_hops:
-                towards, edge_id = parent[walk]
-                if towards == node_idx:
-                    first_hops[walk] = self.graph.dart(edge_id, node)
-                    break
-                chain.append(walk)
-                walk = towards
-            egress = first_hops[walk]
-            for link in chain:
-                first_hops[link] = egress
-        first_hops[dest_idx] = egress
-        return egress
+            # The carried links may reroute this destination: resolve every
+            # destination still unresolved from the carried-set tree.
+            parent = engine.sssp_tree(node, failures)[1]
+            destinations = range(len(first_hops))
+        _resolve(first_hops, parent, compiled.index[node], self._egress_darts[node], destinations)
+        return first_hops[dest_idx]
 
     def decide(
         self,
@@ -187,8 +220,8 @@ class FailureCarryingPackets(ForwardingScheme):
         engine = engine_for(graph)
         self._engine = engine
         # Shared across every FCP instance of this topology content in this
-        # process: SPF tables are keyed by the carried failure set, so they
-        # stay valid across scenarios, cells and campaign re-runs.
+        # process: first-hop lists are keyed by the carried failure set, so
+        # they stay valid across scenarios, cells and campaign re-runs.
         self._spf_cache = engine.consumer_cache.get_or_none(("fcp-spf",))
         if self._spf_cache is None:
             self._spf_cache = _LruDict(_SPF_TABLE_CACHE)
@@ -226,16 +259,13 @@ class FailureCarryingPackets(ForwardingScheme):
                 carried = _NOTHING_CARRIED
             for _attempt in range(attempts_bound):
                 if carried:
-                    # Inlined hot path of _next_hop_indexed: both the SPF
-                    # table and the destination's first hop are usually
-                    # already memoized.
+                    # Inlined hot path of _next_hop_indexed: both the
+                    # first-hop list and the destination's entry in it are
+                    # usually already memoized.
                     dest_idx = index_of[destination]
-                    table = spf_get((node, carried))
-                    if table is not None:
-                        egress = table[1].get(dest_idx, _UNRESOLVED)
-                        if egress is _UNRESOLVED:
-                            egress = next_hop_indexed(node, dest_idx, carried)
-                    else:
+                    first_hops = spf_get((node, carried))
+                    egress = _UNRESOLVED if first_hops is None else first_hops[dest_idx]
+                    if egress is _UNRESOLVED:
                         egress = next_hop_indexed(node, dest_idx, carried)
                     spf_runs += 1
                 else:

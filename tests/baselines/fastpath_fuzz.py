@@ -11,16 +11,17 @@ sets, and one round in three runs under a small TTL budget so that walks
 end exactly at the TTL boundary.  A mismatch is shrunk to a minimal
 failed-link set before it is reported.
 
-FCP's fast path and the engine read the same carried-set first-hop tables,
+FCP's fast path and the engine read the same carried-set first-hop lists,
 so comparing the two cannot catch a wrong entry there.  After every FCP
-round, each first hop the tables gained is also checked against the
-reference :func:`~repro.graph.shortest_paths.dijkstra` on the map minus the
-carried links.  Re-convergence has the same gap: its fast path and its
-router logic read the same memoized post-failure trees.  After every
-re-convergence round, each outcome is checked against ``dijkstra`` on the
-map minus the failed links: a delivered packet's cost is the distance, a
-dropped packet's destination is unreachable, and a TTL expiry happens only
-on a reachable destination.
+round, each first hop the lists resolved since the last check (from the
+failure-free tree or in one pass over the carried-set tree) is also checked
+against the reference :func:`~repro.graph.shortest_paths.dijkstra` on the
+map minus the carried links.  Re-convergence has the same gap: its fast
+path and its router logic read the same memoized post-failure trees.  After
+every re-convergence round, each outcome is checked against ``dijkstra`` on
+the map minus the failed links: a delivered packet's cost is the distance,
+a dropped packet's destination is unreachable, and a TTL expiry happens
+only on a reachable destination.
 
 Not collected by pytest (the file name has no ``test_`` prefix); the tier-1
 slice lives in ``test_fastpath_equivalence.py`` and the full run is::
@@ -40,7 +41,7 @@ import sys
 import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.baselines.fcp import FailureCarryingPackets
+from repro.baselines.fcp import _UNRESOLVED, FailureCarryingPackets
 from repro.baselines.lfa import LoopFreeAlternates
 from repro.baselines.reconvergence import Reconvergence
 from repro.core.scheme import PacketRecycling, SimplePacketRecycling
@@ -122,19 +123,25 @@ def fcp_table_error(
 ) -> Optional[str]:
     """The first FCP carried-set first hop that differs from the reference SPF.
 
-    Checks every ``(router, carried set, destination)`` entry of the
-    scheme's SPF tables not yet in ``checked`` (and adds it there).
+    Checks every resolved ``(router, carried set, destination)`` entry of
+    the scheme's first-hop lists not yet in ``checked`` (and adds it there):
+    a dart must be the reference first hop, ``None`` must mean the router
+    itself or an unreachable destination.
     """
     graph = scheme.graph
     names = engine_for(graph).compiled.names
-    for (node, carried), (_tree, first_hops) in list(scheme._spf_cache.items()):
-        fresh = [dest_idx for dest_idx in first_hops if (node, carried, dest_idx) not in checked]
+    for (node, carried), first_hops in list(scheme._spf_cache.items()):
+        fresh = [
+            dest_idx
+            for dest_idx, hop in enumerate(first_hops)
+            if hop is not _UNRESOLVED and (node, carried, dest_idx) not in checked
+        ]
         if not fresh:
             continue
         expected = reference_first_hops(graph, node, carried)
         for dest_idx in fresh:
             checked.add((node, carried, dest_idx))
-            want = expected.get(names[dest_idx]) if dest_idx >= 0 else None
+            want = expected.get(names[dest_idx])
             if first_hops[dest_idx] != want:
                 return (
                     f"{graph.name} fcp first hop {node} -> {names[dest_idx]} carrying "

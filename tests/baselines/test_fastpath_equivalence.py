@@ -4,15 +4,16 @@ Re-convergence, FCP, LFA and both Packet Re-cycling variants override
 ``deliver_many`` with one call of the walk kernel
 (:func:`repro.forwarding.walk.walk_many`) for sweep speed.  The kernel
 shares walk continuations within one call and fast-forwards forwarding
-loops to TTL expiry for every scheme, and FCP builds a carried-set SPF tree
-only for destinations whose route the carried links can change.  ``ForwardingScheme.deliver_many`` —
-the generic implementation driving the real :class:`HopByHopEngine` —
-remains the reference; every override must produce outcomes that are
-field-for-field identical: status, path, hop-order cost summation, hop
-count, drop reason and accounting counters.  Randomized over the whole
-topology corpus plus the three ISP maps, failure sets and pair subsets,
-with repeated rounds per scheme instance so warm per-instance caches are
-exercised as hard as cold ones.  The seeded
+loops to TTL expiry for every scheme, and FCP asks for a carried-set SPF
+tree only once a destination's route can change under the carried links,
+resolving its whole first-hop list from it.
+``ForwardingScheme.deliver_many`` — the generic implementation driving the
+real :class:`HopByHopEngine` — remains the reference; every override must
+produce outcomes that are field-for-field identical: status, path,
+hop-order cost summation, hop count, drop reason and accounting counters.
+Randomized over the whole topology corpus plus the three ISP maps, failure
+sets and pair subsets, with repeated rounds per scheme instance so warm
+per-instance caches are exercised as hard as cold ones.  The seeded
 deep-failure fuzzer behind the slice test below lives in
 ``fastpath_fuzz.py``.
 """
@@ -22,19 +23,25 @@ import random
 
 import pytest
 
-from repro.baselines.fcp import FailureCarryingPackets, FcpLogic
+from repro.baselines.fcp import _UNRESOLVED, FailureCarryingPackets, FcpLogic
 from repro.baselines.lfa import LoopFreeAlternates
 from repro.baselines.reconvergence import Reconvergence
 from repro.core.scheme import PacketRecycling, SimplePacketRecycling
 from repro.forwarding.engine import DeliveryStatus
 from repro.forwarding.network_state import NetworkState
 from repro.forwarding.scheme import ForwardingScheme
-from repro.graph.spcache import engine_for
+from repro.graph.darts import Dart
+from repro.graph.spcache import _LruDict, engine_for
 from repro.routing.discriminator import DiscriminatorKind
 from repro.topologies.corpus import build_topology, parse_topology_spec, topology_set
 from repro.topologies.generators import k5_graph, k33_graph
 from tests.baselines.fastpath_fuzz import SCHEMES as FUZZ_SCHEMES
-from tests.baselines.fastpath_fuzz import fuzz_topology, outcome_fields, reference_first_hops
+from tests.baselines.fastpath_fuzz import (
+    fcp_table_error,
+    fuzz_topology,
+    outcome_fields,
+    reference_first_hops,
+)
 
 SCHEME_FACTORIES = {
     "reconvergence": lambda graph: Reconvergence(graph),
@@ -241,13 +248,16 @@ def _reweighted(name, weights):
     ids=["repair-safe", "inexact-weights"],
 )
 def test_fcp_first_hops_match_reference_dijkstra(graph_factory, repair_safe):
-    """FCP's lazily resolved carried-set first hops equal a reference SPF.
+    """FCP's carried-set first-hop lists equal a reference SPF.
 
-    On a ``repair_safe`` graph most destinations are answered from the
-    failure-free tree without building the carried-set tree; on inexact
-    weights every destination goes through the tree.  Both must match the
-    reference :func:`~repro.graph.shortest_paths.dijkstra` on the map minus
-    the carried links, and the fast path must still match the engine end to
+    On a ``repair_safe`` graph a destination the carried links cannot
+    reroute is answered from the failure-free tree without building the
+    carried-set tree; the first one they can reroute (on inexact weights,
+    the first destination asked for) resolves the whole list from that
+    tree.  Every first hop asked for, and every other one the lists
+    resolved on the way, must match the reference
+    :func:`~repro.graph.shortest_paths.dijkstra` on the map minus the
+    carried links, and the fast path must still match the engine end to
     end.
     """
     graph = graph_factory()
@@ -264,9 +274,48 @@ def test_fcp_first_hops_match_reference_dijkstra(graph_factory, repair_safe):
             got = logic._next_hop_given_failures(node, destination, carried)
             expected = reference_first_hops(graph, node, carried).get(destination)
             assert got == expected, (node, destination, sorted(carried))
+    assert fcp_table_error(scheme, set()) is None
     pairs = [(u, v) for u in nodes for v in nodes if u != v]
     for _round in range(3):
         failed = tuple(sorted(rng.sample(edge_ids, rng.randint(2, 8))))
         fast = scheme.deliver_many(pairs, failed_links=failed)
         reference = ForwardingScheme.deliver_many(scheme, pairs, failed_links=failed)
         assert_outcomes_identical(fast, reference, (repair_safe, failed))
+    assert fcp_table_error(scheme, set()) is None
+
+
+@pytest.mark.parametrize(
+    "graph_factory",
+    [lambda: build_topology("geant"), lambda: _reweighted("geant", (0.1, 0.2))],
+    ids=["repair-safe", "inexact-weights"],
+)
+def test_fcp_first_hops_need_no_cached_tree(graph_factory):
+    """FCP stays exact when the trees it resolved from are gone.
+
+    A first-hop list keeps no tree, so neither dropping every tree from the
+    engine's SSSP memo between calls nor evicting lists from a two-entry
+    FCP memo may change an outcome, and no memo entry may hold a tree.
+    """
+    graph = graph_factory()
+    engine = engine_for(graph)
+    scheme = FailureCarryingPackets(graph)
+    nodes = graph.nodes()
+    pairs = [(u, v) for u in nodes for v in nodes if u != v]
+    edge_ids = graph.edge_ids()
+    rng = random.Random("fcp-no-cached-tree")
+    for memo in ("sssp-cleared", "fcp-maxsize-2"):
+        if memo == "fcp-maxsize-2":
+            scheme._spf_cache = _LruDict(2)
+        for _round in range(3):
+            failed = tuple(sorted(rng.sample(edge_ids, rng.randint(2, 8))))
+            engine._tree.clear()
+            fast = scheme.deliver_many(pairs, failed_links=failed)
+            engine._tree.clear()
+            reference = ForwardingScheme.deliver_many(scheme, pairs, failed_links=failed)
+            assert_outcomes_identical(fast, reference, (memo, failed))
+            for first_hops in scheme._spf_cache.values():
+                assert type(first_hops) is list
+                assert all(
+                    hop is None or hop is _UNRESOLVED or type(hop) is Dart for hop in first_hops
+                ), first_hops
+    assert scheme._spf_cache.evictions > 0
