@@ -16,7 +16,7 @@ measured loss fraction to the OC-192 rates quoted by the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.baselines.noprotection import NoProtection
@@ -53,31 +53,33 @@ def convergence_behaviours(
     updated_at: Mapping[str, float],
     detected_at: float,
     embedding_seed: int = 7,
+    failure_time: float = 0.0,
 ) -> Dict[str, SchemeForwarder]:
-    """The experiment's three behaviours over the map without ``failed_edge``.
+    """The experiment's three behaviours around the failure of ``failed_edge``.
 
-    Every router forwards on the stale tables (the NoProtection logic) until
-    it either installs its re-converged FIB (``updated_at``) or, with PR,
-    the failure is detected (``detected_at``).
+    Before ``failure_time`` every router forwards on the intact map.  From
+    then on the link is dead, and every router forwards on the stale tables
+    (the NoProtection logic) until it either installs its re-converged FIB
+    (``updated_at``) or, with PR, the failure is detected (``detected_at``).
     """
+    no_protection = NoProtection(graph)
+    intact_state = NetworkState(graph)
+    intact = (no_protection.build_logic(intact_state), intact_state)
     failed_state = NetworkState(graph, [failed_edge])
-    stale = NoProtection(graph).build_logic(failed_state)
-    return {
-        "no-protection": SchemeForwarder("no-protection", failed_state, stale, stale),
-        "re-convergence": SchemeForwarder(
-            "re-convergence",
-            failed_state,
-            stale,
-            Reconvergence(graph).build_logic(failed_state),
-            updated_at,
-        ),
-        "Packet Re-cycling": SchemeForwarder(
-            "Packet Re-cycling",
-            failed_state,
-            stale,
+    stale = no_protection.build_logic(failed_state)
+    afters = {
+        "no-protection": (stale, 0.0),
+        "re-convergence": (Reconvergence(graph).build_logic(failed_state), updated_at),
+        "Packet Re-cycling": (
             PacketRecycling(graph, embedding_seed=embedding_seed).build_logic(failed_state),
             detected_at,
         ),
+    }
+    return {
+        name: SchemeForwarder(
+            name, failed_state, stale, after, switch_at, intact, failure_time
+        )
+        for name, (after, switch_at) in afters.items()
     }
 
 
@@ -99,8 +101,10 @@ def convergence_loss_experiment(
     """Run the convergence-loss comparison for one flow and one link failure.
 
     The failed link defaults to the middle link of the flow's shortest
-    path.  The flow runs on the intact map until ``failure_time``; from then
-    on three behaviours are simulated, each from the schemes' router logic:
+    path.  Each behaviour is one simulation over ``[0, duration)``: every
+    router forwards on the intact map until ``failure_time``, so a packet
+    still upstream of the link at that instant meets the dead link.  From
+    then on the three behaviours differ, each from the schemes' router logic:
 
     * ``no-protection`` — the NoProtection logic (stale tables) throughout,
       the upper bound on loss;
@@ -128,35 +132,18 @@ def convergence_loss_experiment(
     timeline = reconvergence_model.convergence_delay(graph, failed_edge, failure_time)
     link_model = link_model or LinkModel()
 
-    def window(start: float, end: float) -> TrafficFlow:
-        return TrafficFlow(source, destination, rate_pps, 1000, start, end)
-
-    # Before the failure every behaviour forwards on the intact map, so the
-    # window [0, failure_time) is simulated once and each behaviour's
-    # post-failure run continues its report.
-    intact = NetworkState(graph)
-    intact_logic = no_protection.build_logic(intact)
-    intact_run = PacketLevelSimulator(
-        graph, SchemeForwarder("intact", intact, intact_logic, intact_logic), link_model
-    )
-    if failure_time > 0.0:
-        intact_run.add_flow(window(0.0, failure_time))
-    intact_report = intact_run.run()
-
     behaviours = convergence_behaviours(
         graph,
         failed_edge,
         timeline.updated_at,
         failure_time + detection_delay,
         embedding_seed,
+        failure_time,
     )
     reports: Dict[str, SimulationReport] = {}
     for name, forwarder in behaviours.items():
         simulator = PacketLevelSimulator(graph, forwarder, link_model)
-        simulator.report = replace(
-            intact_report, forwarder=name, drop_times=list(intact_report.drop_times)
-        )
-        simulator.add_flow(window(failure_time, duration))
+        simulator.add_flow(TrafficFlow(source, destination, rate_pps, 1000, 0.0, duration))
         reports[name] = simulator.run()
 
     outage_by_behaviour = {

@@ -23,9 +23,10 @@ A cell measures through the same pass as the library experiments
 :func:`repro.metrics.stretch.measure_context`); the executor adds the scenario
 generation, the offline stage, the telemetry spans and the payload layout.
 
-Records are flushed to the store in cell order (a completed record waits
-until every earlier cell has completed), so a campaign produced by a
-parallel run is record-for-record comparable with a serial one.
+Records reach the store as their cells complete, so a parallel run appends
+them in completion order.  Every store reader orders by cell index, and the
+handle lists its records in cell order, so a campaign produced by a parallel
+run is record-for-record comparable with a serial one.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
+from contextlib import closing
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import telemetry
 from repro.baselines.fcp import FailureCarryingPackets
@@ -390,7 +392,7 @@ def _run_cell_attempts(
 
     Each attempt runs inside :func:`~repro.runner.policy.collector_paused`.
     This is the one site that pauses the collector, and it covers the
-    serial loop, pool workers and the daemon's job worker.  The pause wraps
+    serial dispatch, pool workers and the daemon's job worker.  The pause wraps
     ``run_with_timeout`` so a timed-out attempt releases it at once, even
     while an abandoned body thread still runs; the backoff sleep and the
     time between cells run with the collector as it was.
@@ -452,6 +454,146 @@ def _run_cell_chunk(
         base_attempts[0] if base_attempts else 0,
     )
     return outcomes
+
+
+#: One disposed cell: ``(cell, status, payload, info)`` with the envelope of
+#: :func:`_run_cell_attempts`.  The pool's give-up is the one outcome
+#: without a cell; its payload is the campaign's error.
+Outcome = Tuple[Optional[CampaignCell], str, Any, Dict[str, int]]
+_Group = Tuple[List[CampaignCell], List[int]]
+
+
+def _pool_outcomes(
+    pending: List[CampaignCell],
+    workers: int,
+    cache_dir: Optional[str],
+    policy: ExecutionPolicy,
+    fault_counters: Dict[str, int],
+) -> Iterator[Outcome]:
+    """Run cells on a process pool, yielding each chunk's outcomes as it completes.
+
+    Chunked dispatch: one future per chunk of (topology-grouped) cells
+    instead of one per cell, with per-worker persistent engine reuse across
+    a chunk.  Outcomes come out in completion order.  A worker crash is
+    recovered here: the pool is rebuilt (``faults/pool_rebuilds``), a
+    crash-attributed cell is retried or comes out as a
+    :class:`~repro.errors.WorkerCrashError` outcome, and past
+    ``policy.max_pool_rebuilds`` every unresolved cell comes out as one,
+    followed by the give-up outcome.  Closing the generator shuts the pool
+    down.
+    """
+    chunks = chunk_cells(pending, workers)
+    active_topologies = tuple(dict.fromkeys(cell.topology for cell in pending))
+
+    def make_pool() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=min(workers, len(chunks)),
+            initializer=_worker_init,
+            initargs=(active_topologies, telemetry.enabled()),
+        )
+
+    def submit(pool: ProcessPoolExecutor, group: _Group):
+        return pool.submit(_run_cell_chunk, group[0], cache_dir, policy, group[1])
+
+    def harvest(futures, crashed_groups: List[_Group]) -> Iterator[Outcome]:
+        for future in futures:
+            group = in_flight.pop(future)
+            try:
+                envelopes = future.result()
+            except BrokenProcessPool:
+                crashed_groups.append(group)
+                continue
+            for cell, (status, payload, info) in zip(group[0], envelopes):
+                yield cell, status, payload, info
+
+    # Two dispatch regimes.  Normal: every chunk in flight at once.
+    # Recovery (after a pool crash): the doomed groups re-dispatch ONE
+    # AT A TIME — `BrokenProcessPool` dooms every in-flight future, so
+    # solo dispatch is the only way to attribute a crash to a group,
+    # and a crashing multi-cell group bisects down to the poison cell.
+    normal_queue: deque = deque((list(chunk), [0] * len(chunk)) for chunk in chunks)
+    recovery_queue: deque = deque()
+    in_flight: Dict[Any, _Group] = {}
+    rebuilds = 0
+    pool = make_pool()
+    try:
+        while normal_queue or recovery_queue or in_flight:
+            crashed_groups: List[_Group] = []
+            try:
+                if recovery_queue:
+                    if not in_flight:
+                        group = recovery_queue.popleft()
+                        in_flight[submit(pool, group)] = group
+                else:
+                    while normal_queue:
+                        group = normal_queue.popleft()
+                        in_flight[submit(pool, group)] = group
+            except BrokenProcessPool:
+                # The pool died between submissions (e.g. an initializer
+                # crash); the unsubmitted group is doomed-by-association.
+                crashed_groups.append(group)
+            if in_flight and not crashed_groups:
+                finished, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
+                yield from harvest(finished, crashed_groups)
+            if not crashed_groups:
+                continue
+            # A worker died.  Every in-flight future of a broken pool
+            # completes immediately: harvest the ones that finished
+            # before the crash, doom the rest.
+            if in_flight:
+                wait(set(in_flight))
+                yield from harvest(list(in_flight), crashed_groups)
+            rebuilds += 1
+            fault_counters["faults/pool_rebuilds"] += 1
+            if rebuilds > policy.max_pool_rebuilds:
+                # Give up like any other failure: the unresolved cells
+                # fail, and the campaign is finalized before the error is
+                # raised.
+                unresolved = [(group, 1) for group in crashed_groups]
+                unresolved += [(group, 0) for group in recovery_queue]
+                unresolved += [(group, 0) for group in normal_queue]
+                for (group_cells, bases), crashed in unresolved:
+                    for cell, base in zip(group_cells, bases):
+                        error = WorkerCrashError(
+                            f"worker pool gave up before cell {cell.cell_id} completed"
+                        )
+                        yield cell, "error", error, {"attempts": base + crashed}
+                gave_up = ExperimentError(
+                    f"worker pool died {rebuilds} times; giving up"
+                    f" (max_pool_rebuilds={policy.max_pool_rebuilds})"
+                )
+                yield None, "error", gave_up, {}
+                return
+            pool.shutdown(wait=False)
+            pool = make_pool()
+            if len(crashed_groups) == 1 and len(crashed_groups[0][0]) == 1:
+                # Solo dispatch of a single cell crashed: definitive
+                # attribution.  The crash consumes one retry attempt.
+                [poison], [base] = crashed_groups[0]
+                attempt = base + 1
+                if attempt <= policy.max_retries:
+                    fault_counters["faults/retries"] += 1
+                    time.sleep(policy.backoff_seconds(poison.cell_id, attempt))
+                    recovery_queue.appendleft(([poison], [attempt]))
+                else:
+                    error = WorkerCrashError(
+                        f"worker process died while running cell"
+                        f" {poison.cell_id} (attempt {attempt})"
+                    )
+                    yield poison, "error", error, {"attempts": attempt}
+            else:
+                # Ambiguous: several groups were in flight.  Re-dispatch
+                # them solo, bisecting multi-cell groups so repeated
+                # crashes converge on the poison cell.
+                for group_cells, bases in crashed_groups:
+                    if len(group_cells) <= 1:
+                        recovery_queue.append((group_cells, bases))
+                    else:
+                        mid = (len(group_cells) + 1) // 2
+                        recovery_queue.append((group_cells[:mid], bases[:mid]))
+                        recovery_queue.append((group_cells[mid:], bases[mid:]))
+    finally:
+        pool.shutdown(wait=True)
 
 
 # ----------------------------------------------------------------------
@@ -649,7 +791,8 @@ def run_campaign(
         Skip cells whose ``cell_id`` already has a record in ``results``
         and reuse those records in the returned handle.
     progress:
-        Called as ``progress(cell, record, done, total)`` after each cell.
+        Called as ``progress(cell, record, done, total)`` after each cell's
+        record is stored, in completion order.
     policy:
         Fault-tolerance policy (retries, per-cell timeout, quarantine,
         pool-rebuild budget); ``None`` keeps the legacy semantics: no
@@ -692,228 +835,55 @@ def run_campaign(
             store.begin_campaign(campaign_id, spec.to_dict(), len(cells), workers)
 
     pending = [cell for cell in cells if cell.cell_id not in previous]
-    total = len(pending)
-    done = 0
-
-    def finish(cell: CampaignCell, record: Dict[str, Any]) -> None:
-        nonlocal done
-        done += 1
-        if store is not None:
-            store.append_record(campaign_id, record)
-        if progress is not None:
-            progress(cell, record, done, total)
 
     # Failure disposition: quarantine mode records the cell and moves on;
     # fail mode remembers the first error, which is re-raised only after
-    # the campaign has drained and its manifest is in the store.
+    # the campaign has drained and its manifest is in the store.  Cells are
+    # independent, so one failing cell never stops its siblings' records
+    # from being computed and appended, and a resumed run then only redoes
+    # the failed cells.  Bookkeeping is keyed by cell.index (unique by
+    # construction) rather than cell_id, which content-hashes the inputs
+    # and could in principle collide for equivalent cells.
     first_error: Optional[BaseException] = None
     quarantined: List[Dict[str, Any]] = []
-
-    def dispose_failure(cell: CampaignCell, exc: BaseException, attempts: int) -> None:
-        nonlocal first_error
-        if policy.quarantines:
-            fault_counters["faults/quarantined_cells"] += 1
-            quarantined.append(
-                {
-                    "cell_id": cell.cell_id,
-                    "index": cell.index,
-                    "topology": cell.topology,
-                    "scheme": cell.scheme,
-                    "scenario_family": cell.scenario.family,
-                    "seed": cell.seed,
-                    "error_type": type(exc).__name__,
-                    "error": str(exc),
-                    "attempts": attempts,
-                }
-            )
-        elif first_error is None:
-            first_error = exc
-
-    def fold_info(info: Dict[str, int]) -> None:
-        fault_counters["faults/retries"] += info.get("retries", 0)
-        fault_counters["faults/timeouts"] += info.get("timeouts", 0)
-
-    # Bookkeeping is keyed by cell.index (unique by construction) rather
-    # than cell_id, which content-hashes the inputs and could in principle
-    # collide for equivalent cells.
     new_records: Dict[int, Dict[str, Any]] = {}
     if workers <= 1 or len(pending) <= 1:
-        # Same failure semantics as the chunked parallel path below: cells
-        # are independent, so one failing cell must not stop its siblings'
-        # records from being computed and flushed — the first error is
-        # re-raised only after the campaign has drained, and a resumed run
-        # then only redoes the failed cells.
-        for cell in pending:
-            status, payload, info = _run_cell_attempts(cell, cache_str, policy)
-            fold_info(info)
-            if status == "error":
-                dispose_failure(cell, payload, info["attempts"])
-                continue
-            new_records[cell.index] = payload
-            finish(cell, payload)
+        outcomes: Iterator[Outcome] = (
+            (cell, *_run_cell_attempts(cell, cache_str, policy)) for cell in pending
+        )
     else:
-        # Chunked dispatch: one future per chunk of (topology-grouped) cells
-        # instead of one per cell, with per-worker persistent engine reuse
-        # across a chunk.  Records are still flushed to the store in cell
-        # order even though chunks complete out of order, so parallel and
-        # serial runs produce identical files.
-        # position -> (cell, record), or None for a failed cell (the flush
-        # loop skips the sentinel instead of stalling on the gap).
-        buffered: Dict[int, Optional[Tuple[CampaignCell, Dict[str, Any]]]] = {}
-        next_position = 0
-        positions = {cell.index: position for position, cell in enumerate(pending)}
-        chunks = chunk_cells(pending, workers)
-        active_topologies = tuple(dict.fromkeys(cell.topology for cell in pending))
-        max_workers = min(workers, len(chunks))
-
-        def make_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=_worker_init,
-                initargs=(active_topologies, telemetry.enabled()),
-            )
-
-        def flush_ready() -> None:
-            nonlocal next_position
-            while next_position in buffered:
-                ready = buffered.pop(next_position)
-                if ready is not None:
-                    finish(*ready)
-                next_position += 1
-
-        Group = Tuple[List[CampaignCell], List[int]]
-
-        def process_envelopes(group: Group, envelopes: List[Tuple]) -> None:
-            group_cells, bases = group
-            for cell, base, (status, payload, info) in zip(
-                group_cells, bases, envelopes
-            ):
-                fold_info(info)
-                if status == "error":
-                    # A sentinel keeps the in-order flush advancing past the
-                    # failed cell — completed records that sort after it
-                    # must still reach the store.
-                    buffered[positions[cell.index]] = None
-                    dispose_failure(cell, payload, info["attempts"])
-                    continue
+        outcomes = _pool_outcomes(pending, workers, cache_str, policy, fault_counters)
+    # closing(): a progress callback that raises (the daemon's JobCancelled)
+    # still runs the pool generator's shutdown.
+    with closing(outcomes):
+        for cell, status, payload, info in outcomes:
+            fault_counters["faults/retries"] += info.get("retries", 0)
+            fault_counters["faults/timeouts"] += info.get("timeouts", 0)
+            if status == "ok":
                 new_records[cell.index] = payload
-                buffered[positions[cell.index]] = (cell, payload)
-            flush_ready()
-
-        def submit(pool: ProcessPoolExecutor, group: Group):
-            return pool.submit(_run_cell_chunk, group[0], cache_str, policy, group[1])
-
-        # Two dispatch regimes.  Normal: every chunk in flight at once.
-        # Recovery (after a pool crash): the doomed groups re-dispatch ONE
-        # AT A TIME — `BrokenProcessPool` dooms every in-flight future, so
-        # solo dispatch is the only way to attribute a crash to a group,
-        # and a crashing multi-cell group bisects down to the poison cell.
-        normal_queue: deque = deque((list(chunk), [0] * len(chunk)) for chunk in chunks)
-        recovery_queue: deque = deque()
-        in_flight: Dict[Any, Group] = {}
-        rebuilds = 0
-        pool = make_pool()
-        try:
-            while normal_queue or recovery_queue or in_flight:
-                crashed_groups: List[Group] = []
-                broken = False
-                try:
-                    if recovery_queue:
-                        if not in_flight:
-                            group = recovery_queue.popleft()
-                            in_flight[submit(pool, group)] = group
-                    else:
-                        while normal_queue:
-                            group = normal_queue.popleft()
-                            in_flight[submit(pool, group)] = group
-                except BrokenProcessPool:
-                    # The pool died between submissions (e.g. an initializer
-                    # crash); the unsubmitted group is doomed-by-association.
-                    broken = True
-                    crashed_groups.append(group)
-                if in_flight and not broken:
-                    finished, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        group = in_flight.pop(future)
-                        try:
-                            process_envelopes(group, future.result())
-                        except BrokenProcessPool:
-                            broken = True
-                            crashed_groups.append(group)
-                if not broken:
-                    continue
-                # A worker died.  Every in-flight future of a broken pool
-                # completes immediately: harvest the ones that finished
-                # before the crash, doom the rest.
-                if in_flight:
-                    wait(set(in_flight))
-                    for future, group in list(in_flight.items()):
-                        try:
-                            process_envelopes(group, future.result())
-                        except BrokenProcessPool:
-                            crashed_groups.append(group)
-                    in_flight.clear()
-                rebuilds += 1
-                fault_counters["faults/pool_rebuilds"] += 1
-                if rebuilds > policy.max_pool_rebuilds:
-                    # Give up like any other failure: the unresolved cells
-                    # fail, completed records flush, and the campaign is
-                    # finalized below before the error is raised.
-                    unresolved = [(group, 1) for group in crashed_groups]
-                    unresolved += [(group, 0) for group in recovery_queue]
-                    unresolved += [(group, 0) for group in normal_queue]
-                    for (group_cells, bases), crashed in unresolved:
-                        for cell, base in zip(group_cells, bases):
-                            buffered[positions[cell.index]] = None
-                            dispose_failure(
-                                cell,
-                                WorkerCrashError(
-                                    f"worker pool gave up before cell"
-                                    f" {cell.cell_id} completed"
-                                ),
-                                base + crashed,
-                            )
-                    flush_ready()
-                    first_error = ExperimentError(
-                        f"worker pool died {rebuilds} times; giving up"
-                        f" (max_pool_rebuilds={policy.max_pool_rebuilds})"
-                    )
-                    break
-                pool.shutdown(wait=False)
-                pool = make_pool()
-                if len(crashed_groups) == 1 and len(crashed_groups[0][0]) == 1:
-                    # Solo dispatch of a single cell crashed: definitive
-                    # attribution.  The crash consumes one retry attempt.
-                    [poison], [base] = crashed_groups[0]
-                    attempt = base + 1
-                    if attempt <= policy.max_retries:
-                        fault_counters["faults/retries"] += 1
-                        time.sleep(policy.backoff_seconds(poison.cell_id, attempt))
-                        recovery_queue.appendleft(([poison], [attempt]))
-                    else:
-                        buffered[positions[poison.index]] = None
-                        dispose_failure(
-                            poison,
-                            WorkerCrashError(
-                                f"worker process died while running cell"
-                                f" {poison.cell_id} (attempt {attempt})"
-                            ),
-                            attempt,
-                        )
-                        flush_ready()
-                else:
-                    # Ambiguous: several groups were in flight.  Re-dispatch
-                    # them solo, bisecting multi-cell groups so repeated
-                    # crashes converge on the poison cell.
-                    for group_cells, bases in crashed_groups:
-                        if len(group_cells) <= 1:
-                            recovery_queue.append((group_cells, bases))
-                        else:
-                            mid = (len(group_cells) + 1) // 2
-                            recovery_queue.append((group_cells[:mid], bases[:mid]))
-                            recovery_queue.append((group_cells[mid:], bases[mid:]))
-        finally:
-            pool.shutdown(wait=True)
+                if store is not None:
+                    store.append_record(campaign_id, payload)
+                if progress is not None:
+                    progress(cell, payload, len(new_records), len(pending))
+            elif cell is None:
+                first_error = payload  # the pool gave up
+            elif policy.quarantines:
+                fault_counters["faults/quarantined_cells"] += 1
+                quarantined.append(
+                    {
+                        "cell_id": cell.cell_id,
+                        "index": cell.index,
+                        "topology": cell.topology,
+                        "scheme": cell.scheme,
+                        "scenario_family": cell.scenario.family,
+                        "seed": cell.seed,
+                        "error_type": type(payload).__name__,
+                        "error": str(payload),
+                        "attempts": info["attempts"],
+                    }
+                )
+            elif first_error is None:
+                first_error = payload
 
     ordered: List[Dict[str, Any]] = []
     executed_ids = set()

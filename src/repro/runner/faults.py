@@ -52,8 +52,10 @@ default 1), ``seed`` (hash seed for ``p < 1``), ``cells`` (``+``-separated
 cell-id prefixes to match), ``times`` (max fires per process), ``skip``
 (ignore the first N eligible hits, per process), ``max_attempt`` (fire only
 while ``attempt < max_attempt`` — a transient fault that retries cure), and
-``seconds`` (hang duration).  ``times``/``skip`` counters are per-process:
-deterministic for parent-side sites and for serial runs; parallel plans
+``seconds`` (hang duration).  ``times``/``skip`` counters are per-process
+and count hits in the order the process sees them, so they are
+deterministic only for serial runs: in a parallel run, parent-side sites
+such as ``store-append`` see cells in completion order.  Parallel plans
 should prefer ``cells=``/``max_attempt`` triggers, which are stateless.
 """
 

@@ -437,8 +437,8 @@ def chunk_cells(
     round trips of a parallel campaign, and keeping a topology's cells in
     one chunk lets the worker build that topology's graph and shortest-path
     engine once and reuse them across the whole chunk.  Chunks preserve cell
-    order (the executor's in-order flush logic is unchanged) and target
-    about ``workers * chunks_per_worker`` chunks so stragglers still
+    order within themselves (the executor disposes of outcomes as chunks
+    complete, in any order) and target about ``workers * chunks_per_worker`` chunks so stragglers still
     balance.  A chunk only crosses a topology boundary when the current
     group is still under the target size, and an oversized single-topology
     group is split rather than starving the pool.

@@ -149,17 +149,7 @@ class CampaignStore:
                 "SELECT seq FROM campaigns WHERE campaign_id = ?", (campaign_id,)
             ).fetchone()
             if row is None:
-                conn.execute(
-                    "INSERT INTO campaigns"
-                    " (campaign_id, spec_json, cells, workers, status)"
-                    " VALUES (?, ?, ?, ?, 'running')",
-                    (
-                        campaign_id,
-                        canonical_json(spec_dict) if spec_dict is not None else None,
-                        cells,
-                        workers,
-                    ),
-                )
+                self._insert_campaign(conn, campaign_id, spec_dict, cells, workers)
             elif spec_dict is not None:
                 conn.execute(
                     "UPDATE campaigns SET spec_json = ?, cells = ?, workers = ?,"
@@ -182,16 +172,27 @@ class CampaignStore:
         with schema.transaction(self.conn) as conn:
             self._delete_campaign_rows(conn, campaign_id)
             conn.execute("DELETE FROM campaigns WHERE campaign_id = ?", (campaign_id,))
-            conn.execute(
-                "INSERT INTO campaigns (campaign_id, spec_json, cells, workers, status)"
-                " VALUES (?, ?, ?, ?, 'running')",
-                (
-                    campaign_id,
-                    canonical_json(spec_dict) if spec_dict is not None else None,
-                    cells,
-                    workers,
-                ),
-            )
+            self._insert_campaign(conn, campaign_id, spec_dict, cells, workers)
+
+    @staticmethod
+    def _insert_campaign(
+        conn: sqlite3.Connection,
+        campaign_id: str,
+        spec_dict: Optional[Dict[str, Any]],
+        cells: Optional[int],
+        workers: Optional[int],
+    ) -> None:
+        """A new ``running`` campaign row (it takes the next seq)."""
+        conn.execute(
+            "INSERT INTO campaigns (campaign_id, spec_json, cells, workers, status)"
+            " VALUES (?, ?, ?, ?, 'running')",
+            (
+                campaign_id,
+                canonical_json(spec_dict) if spec_dict is not None else None,
+                cells,
+                workers,
+            ),
+        )
 
     @staticmethod
     def _delete_campaign_rows(conn: sqlite3.Connection, campaign_id: str) -> None:

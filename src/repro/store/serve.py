@@ -107,7 +107,7 @@ from repro.graph.spcache import ShortestPathEngine, engine_counter_totals, engin
 from repro.runner import faults
 from repro.runner.executor import build_scheme, load_topology
 from repro.runner.policy import ExecutionPolicy
-from repro.runner.spec import SCHEME_NAMES, CampaignSpec, EMBEDDING_SCHEMES
+from repro.runner.spec import CampaignSpec, EMBEDDING_SCHEMES
 from repro.store.database import CampaignStore, is_store_path, require_store_path
 from repro.store.jobs import ACTIVE_STATES, JobQueue, public_view
 from repro.store.query import parse_filter
@@ -284,10 +284,6 @@ class ServeSession:
         """The warm scheme and its graph's engine, both built on first use."""
         from repro.routing.discriminator import DiscriminatorKind
 
-        if scheme not in SCHEME_NAMES:
-            raise ExperimentError(
-                f"unknown scheme key {scheme!r}; available: {sorted(SCHEME_NAMES)}"
-            )
         kind = discriminator or DiscriminatorKind.HOP_COUNT.value
         key = (topology, scheme, kind)
         with self._lock:
@@ -318,9 +314,7 @@ class ServeSession:
             if worker is not None and not worker.stopped:
                 # The previous worker died without being asked to: restart
                 # and record the supervision event.
-                self.counters["serve/worker_restarts"] = (
-                    self.counters.get("serve/worker_restarts", 0) + 1
-                )
+                self.count("serve/worker_restarts")
             self._worker = JobWorker(self)
             self._worker.start()
 

@@ -142,9 +142,16 @@ def _oracle_cases(topology):
     return graph, flows, on_paths + rng.sample(graph.edge_ids(), 2)
 
 
-def _path_edges(tables, source, destination):
-    path = tables.shortest_path(source, destination)
-    return {tables.entry(node, destination).egress.edge_id for node in path[:-1]}
+def _seconds_to_link(graph, tables, source, destination, failed):
+    """Seconds from emission until a packet reaches ``failed``, or None if it never does."""
+    link = LinkModel()
+    elapsed = 0.0
+    for node in tables.shortest_path(source, destination)[:-1]:
+        edge_id = tables.entry(node, destination).egress.edge_id
+        if edge_id == failed:
+            return elapsed
+        elapsed += link.serialization_delay(1000) + link.propagation_delay(graph.weight(edge_id))
+    return None
 
 
 @pytest.mark.parametrize("topology", ["abilene", "geant", "teleglobe"])
@@ -158,10 +165,33 @@ def test_no_protection_drops_exactly_the_flows_crossing_the_failure(topology):
                 rate_pps=100.0, duration=1.0, failure_time=0.2,
             )
             report = result.reports["no-protection"]
-            crosses = failed in _path_edges(tables, source, destination)
-            # 20 packets before the failure, 80 after it.
+            reach = _seconds_to_link(graph, tables, source, destination, failed)
+            emissions = TrafficFlow(source, destination, 100.0, 1000, 0.0, 1.0).emission_times()
+            # Lost: every packet that reaches the link at or after the
+            # failure, including those emitted before it further upstream.
+            lost = 0 if reach is None else sum(1 for t in emissions if t + reach >= 0.2)
             assert report.packets_sent == 100
-            assert report.packets_dropped == (80 if crosses else 0), (source, destination, failed)
+            assert report.packets_dropped == lost, (source, destination, failed)
+
+
+def test_packet_upstream_at_the_failure_instant_is_lost_under_no_protection():
+    """A packet emitted before the failure that reaches the link after it is lost.
+
+    PT -> FI on GEANT crosses the DE-FR link two hops (10.0016 ms) after
+    the source.  At 1,000 pps the packets emitted at 190-199 ms are still
+    upstream when the link fails at 200 ms, so they meet the dead link.
+    """
+    result = convergence_loss_experiment(
+        build_topology("geant"), "PT", "FI", rate_pps=1000.0, duration=0.25, failure_time=0.2
+    )
+    assert result.failed_link == ("DE", "FR")
+    reach = 2 * (LinkModel().propagation_delay_s + LinkModel().serialization_delay(1000))
+    report = result.reports["no-protection"]
+    assert report.packets_sent == 250
+    upstream = [t for t in report.drop_times if t < 0.2 + reach]
+    assert upstream == pytest.approx([k / 1000 + reach for k in range(190, 200)], abs=1e-12)
+    assert report.packets_delivered == 190
+    assert report.packets_dropped == 60
 
 
 @pytest.mark.parametrize("topology", ["abilene", "geant", "teleglobe"])

@@ -1,10 +1,11 @@
 """Executor: determinism, parallel/serial parity, the store, resume."""
 
 import json
+import multiprocessing
 
 import pytest
 
-from repro.errors import ExperimentError, FailureScenarioError
+from repro.errors import ExperimentError, FailureScenarioError, JobCancelled
 from repro.graph.spcache import _ENGINES, engine_for
 from repro.runner.executor import (
     _TOPOLOGY_CACHE,
@@ -16,13 +17,15 @@ from repro.runner.executor import (
     run_campaign,
     run_cell,
 )
+from repro.runner import faults
+from repro.runner.policy import ExecutionPolicy
 from repro.runner.spec import CampaignSpec, ScenarioSpec
 from repro.store.database import CampaignStore
 from repro.store.jsonl import ResultStore
 from repro.store.migrate import migrate
 from repro.topologies.example import example_fig1
 
-from tests.store.conftest import keep_only, stored_records
+from tests.store.conftest import keep_only, pair_spec, stored_records
 
 
 def completed_ids(path, spec):
@@ -201,9 +204,9 @@ class TestDeterminism:
             results=tmp_path / "parallel.sqlite",
         )
         assert deterministic_part(serial.records) == deterministic_part(parallel.records)
-        # The stores are record-for-record comparable (records are flushed
-        # in cell order even when they complete out of order), and so are
-        # their JSONL exports, line for line.
+        # The stores are record-for-record comparable (records are appended
+        # in completion order, but every store reader orders by cell index),
+        # and so are their JSONL exports, line for line.
         exports = []
         for name in ("serial", "parallel"):
             migrate(tmp_path / f"{name}.sqlite", tmp_path / f"{name}.jsonl")
@@ -264,8 +267,8 @@ class TestChunkedDispatch:
         """A failed cell ordered before completed cells must not block them.
 
         With the failing multi-link scenario listed first, every completed
-        cell sorts *after* the failure — the in-order flush has to skip the
-        failed position instead of waiting forever for its record.
+        cell sorts *after* the failure; their records must still reach the
+        store, and a resumed run must redo only the failed cells.
         """
         spec = CampaignSpec(
             topologies=("fig1-example",),
@@ -310,6 +313,90 @@ class TestChunkedDispatch:
         assert deterministic_part(stored_records(serial, spec)) == deterministic_part(
             stored_records(parallel, spec)
         )
+
+    def test_out_of_order_completion_matches_serial(self, tmp_path, monkeypatch):
+        """Chunks that complete out of cell order leave what a serial run leaves.
+
+        The first cell hangs for a second, so the second chunk (the abilene
+        cells) completes first and its records reach the store first.  The
+        plan also retries one cell away and quarantines another, so the
+        fault accounting is compared too.
+        """
+        spec = pair_spec()
+        first, transient, _, poison = (cell.cell_id[:12] for cell in spec.cells())
+        monkeypatch.setenv(
+            faults.ENV_VAR,
+            f"site=cell-body,kind=hang,cells={first},seconds=1"
+            f";site=cell-body,kind=exception,cells={transient},max_attempt=1"
+            f";site=cell-body,kind=exception,cells={poison}",
+        )
+        faults.reload_from_env()
+        policy = ExecutionPolicy(
+            max_retries=1, on_error="quarantine", backoff_base_s=0.001, backoff_cap_s=0.01
+        )
+        runs = {}
+        for workers in (1, 2):
+            path = tmp_path / f"workers{workers}.sqlite"
+            calls = []
+            handle = run_campaign(
+                spec,
+                workers=workers,
+                results=path,
+                policy=policy,
+                progress=lambda cell, record, done, total: calls.append(
+                    (cell.cell_id, record["cell_id"], done, total)
+                ),
+            )
+            migrate(path, tmp_path / f"workers{workers}.jsonl")
+            runs[workers] = (handle, calls, path)
+        monkeypatch.delenv(faults.ENV_VAR)
+        faults.reload_from_env()
+
+        (serial, serial_calls, serial_path), (parallel, calls, path) = runs[1], runs[2]
+        assert calls[0][0] != spec.cells()[0].cell_id, "the hung chunk completed first"
+        executed = sorted(parallel.executed_cell_ids)
+        assert len(executed) == 3
+        assert sorted(cell_id for cell_id, _, _, _ in calls) == executed
+        assert all(cell_id == record_id for cell_id, record_id, _, _ in calls)
+        assert [(done, total) for _, _, done, total in calls] == [(1, 4), (2, 4), (3, 4)]
+        assert len(serial_calls) == len(calls)
+
+        expected = deterministic_part(serial.records)
+        assert len(expected) == 3
+        assert deterministic_part(parallel.records) == expected
+        assert deterministic_part(stored_records(path, spec)) == expected
+        assert deterministic_part(stored_records(serial_path, spec)) == expected
+        exports = [
+            ResultStore(tmp_path / f"workers{workers}.jsonl").load() for workers in (1, 2)
+        ]
+        assert deterministic_part(exports[1]) == deterministic_part(exports[0]) == expected
+
+        assert parallel.quarantined == serial.quarantined
+        assert [entry["cell_id"][:12] for entry in parallel.quarantined] == [poison]
+        assert parallel.fault_counters == serial.fault_counters == {
+            "faults/retries": 2,
+            "faults/quarantined_cells": 1,
+        }
+        with CampaignStore(path) as store, CampaignStore(serial_path) as serial_store:
+            assert store.load_quarantine(spec.spec_hash()) == serial_store.load_quarantine(
+                spec.spec_hash()
+            )
+
+    def test_raising_progress_callback_shuts_the_pool_down(self):
+        """A progress callback that raises (a cancelled job) stops the pool.
+
+        The exception's traceback keeps ``run_campaign``'s frame alive, so
+        the pool must be shut down before the exception leaves it.
+        """
+        spec = pair_spec()
+
+        def cancel(cell, record, done, total):
+            raise JobCancelled(f"cancelled after {done}/{total} cells")
+
+        with pytest.raises(JobCancelled) as excinfo:
+            run_campaign(spec, workers=2, progress=cancel)
+        assert multiprocessing.active_children() == []
+        assert "after 1/4" in str(excinfo.value)
 
     def test_worker_init_drops_stale_engines_keeps_active(self):
         stale = example_fig1()

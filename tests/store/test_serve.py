@@ -114,6 +114,19 @@ class TestSessionOps:
         assert "no-such-node" in response["error"]
         assert "baseline_cost" not in response
 
+    def test_unknown_scheme_is_an_error_answer_and_builds_nothing(self, session):
+        response = session.handle({
+            "op": "deliver",
+            "topology": "abilene",
+            "scheme": "nope",
+            "source": "Seattle",
+            "destination": "Atlanta",
+        })
+        assert response["ok"] is False
+        assert response["error_type"] == "ExperimentError"
+        assert "unknown scheme key 'nope'" in response["error"]
+        assert session._schemes == {}
+
     def test_errors_come_back_as_responses(self, session):
         response = session.handle({
             "op": "deliver",
@@ -509,6 +522,21 @@ class TestAsyncSubmit:
             assert response["ok"] is False
             assert response["error_type"] == "Overloaded"
             assert response["retry_after_s"] > 0
+        finally:
+            session.close()
+
+    def test_dead_worker_is_restarted_and_counted(self, tmp_path):
+        session = ServeSession(jobs_path=tmp_path / "jobs.sqlite")
+        try:
+            session.ensure_worker()
+            dead = session._worker
+            dead.stop()
+            dead.join(timeout=10)
+            dead.stopped = False  # as if it had died without being asked to
+            session.ensure_worker()
+            assert session._worker is not dead and session._worker.is_alive()
+            session.ensure_worker()  # a live worker is left alone
+            assert session.counters == {"serve/worker_restarts": 1}
         finally:
             session.close()
 
