@@ -103,7 +103,8 @@ def convergence_loss_experiment(
     The failed link defaults to the middle link of the flow's shortest
     path.  Each behaviour is one simulation over ``[0, duration)``: every
     router forwards on the intact map until ``failure_time``, so a packet
-    still upstream of the link at that instant meets the dead link.  From
+    still upstream of the link at that instant meets the dead link, and one
+    on the link is lost when it reaches the far end.  From
     then on the three behaviours differ, each from the schemes' router logic:
 
     * ``no-protection`` — the NoProtection logic (stale tables) throughout,

@@ -25,6 +25,7 @@ randomized topologies and the whole corpus.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -359,12 +360,21 @@ class ShortestPathEngine:
 _ENGINES: "OrderedDict[Tuple, ShortestPathEngine]" = OrderedDict()
 
 #: Guards registry *membership* (insert / evict / clear): the resident
-#: ``repro serve`` daemon resolves engines from request threads while its
-#: job worker runs campaigns in the same process, and an unguarded
-#: ``move_to_end`` racing a ``popitem`` eviction is a KeyError.  Engine
-#: internals stay lock-free — per-engine memo races are contained by the
-#: daemon's per-request error handling.
+#: ``repro serve`` daemon resolves engines from several request threads at
+#: once, and an unguarded ``move_to_end`` racing a ``popitem`` eviction is a
+#: KeyError.  Engine internals stay lock-free — per-engine memo races are
+#: contained by the daemon's per-request error handling.
 _REGISTRY_LOCK = threading.RLock()
+
+
+def _fresh_registry_lock() -> None:
+    # A pool worker forked while another thread held the lock would wait
+    # on its copy forever: no thread of the child can release it.
+    global _REGISTRY_LOCK
+    _REGISTRY_LOCK = threading.RLock()
+
+
+os.register_at_fork(after_in_child=_fresh_registry_lock)
 
 
 def engine_for(graph: Graph) -> ShortestPathEngine:

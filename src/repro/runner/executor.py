@@ -23,6 +23,10 @@ A cell measures through the same pass as the library experiments
 :func:`repro.metrics.stretch.measure_context`); the executor adds the scenario
 generation, the offline stage, the telemetry spans and the payload layout.
 
+A cell always runs on the main thread of its process, where a timeout's
+``SIGALRM`` preempts it: :func:`run_campaign` called from any other thread
+(the ``repro serve`` job worker, say) runs every cell on a process pool.
+
 Records reach the store as their cells complete, so a parallel run appends
 them in completion order.  Every store reader orders by cell index, and the
 handle lists its records in cell order, so a campaign produced by a parallel
@@ -32,6 +36,7 @@ run is record-for-record comparable with a serial one.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from collections import deque
 from contextlib import closing
@@ -392,10 +397,8 @@ def _run_cell_attempts(
 
     Each attempt runs inside :func:`~repro.runner.policy.collector_paused`.
     This is the one site that pauses the collector, and it covers the
-    serial dispatch, pool workers and the daemon's job worker.  The pause wraps
-    ``run_with_timeout`` so a timed-out attempt releases it at once, even
-    while an abandoned body thread still runs; the backoff sleep and the
-    time between cells run with the collector as it was.
+    serial dispatch and pool workers.  The backoff sleep and the time
+    between cells run with the collector as it was.
     """
     attempt = base_attempt
     info = {"retries": 0, "timeouts": 0, "attempts": 0}
@@ -426,7 +429,7 @@ def _run_cell_attempts(
 def _run_cell_chunk(
     cells: List[CampaignCell],
     cache_dir: Optional[str] = None,
-    policy: Optional[ExecutionPolicy] = None,
+    policy: ExecutionPolicy = ExecutionPolicy(),
     base_attempts: Optional[List[int]] = None,
 ) -> List[Tuple[str, Any, Dict[str, int]]]:
     """Run a chunk of cells in one worker round trip (see ``chunk_cells``).
@@ -442,8 +445,6 @@ def _run_cell_chunk(
     only worker crashes need parent-side recovery, which re-dispatches with
     ``base_attempts`` advanced so the crash counts against the retry budget.
     """
-    if policy is None:
-        policy = ExecutionPolicy()
     outcomes: List[Tuple[str, Any, Dict[str, int]]] = []
     for position, cell in enumerate(cells):
         base = base_attempts[position] if base_attempts else 0
@@ -480,7 +481,7 @@ def _pool_outcomes(
     :class:`~repro.errors.WorkerCrashError` outcome, and past
     ``policy.max_pool_rebuilds`` every unresolved cell comes out as one,
     followed by the give-up outcome.  Closing the generator shuts the pool
-    down.
+    down and cancels the chunks no worker has taken yet.
     """
     chunks = chunk_cells(pending, workers)
     active_topologies = tuple(dict.fromkeys(cell.topology for cell in pending))
@@ -506,8 +507,9 @@ def _pool_outcomes(
             for cell, (status, payload, info) in zip(group[0], envelopes):
                 yield cell, status, payload, info
 
-    # Two dispatch regimes.  Normal: every chunk in flight at once.
-    # Recovery (after a pool crash): the doomed groups re-dispatch ONE
+    # Two dispatch regimes.  Normal: up to two chunks per worker in flight
+    # (usually every chunk), all a closed generator leaves the pool to
+    # finish.  Recovery (after a pool crash): the doomed groups re-dispatch ONE
     # AT A TIME — `BrokenProcessPool` dooms every in-flight future, so
     # solo dispatch is the only way to attribute a crash to a group,
     # and a crashing multi-cell group bisects down to the poison cell.
@@ -525,7 +527,7 @@ def _pool_outcomes(
                         group = recovery_queue.popleft()
                         in_flight[submit(pool, group)] = group
                 else:
-                    while normal_queue:
+                    while normal_queue and len(in_flight) < 2 * workers:
                         group = normal_queue.popleft()
                         in_flight[submit(pool, group)] = group
             except BrokenProcessPool:
@@ -593,7 +595,7 @@ def _pool_outcomes(
                         recovery_queue.append((group_cells[:mid], bases[:mid]))
                         recovery_queue.append((group_cells[mid:], bases[mid:]))
     finally:
-        pool.shutdown(wait=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------
@@ -775,8 +777,9 @@ def run_campaign(
     ----------
     workers:
         Number of worker processes; ``1`` (or fewer pending cells than
-        workers would help) runs in-process.  ``0``/``None`` means one
-        process per CPU.
+        workers would help) runs in-process when called on the main
+        thread, and on a pool of one worker from any other thread.
+        ``0``/``None`` means one process per CPU.
     cache_dir:
         Artifact-cache directory shared by all workers; ``None`` disables
         caching (every cell recomputes its offline stage).
@@ -792,7 +795,8 @@ def run_campaign(
         and reuse those records in the returned handle.
     progress:
         Called as ``progress(cell, record, done, total)`` after each cell's
-        record is stored, in completion order.
+        record is stored, in completion order.  One that raises stops the
+        campaign once a pool has run the chunks it holds (one worker: two).
     policy:
         Fault-tolerance policy (retries, per-cell timeout, quarantine,
         pool-rebuild budget); ``None`` keeps the legacy semantics: no
@@ -847,12 +851,14 @@ def run_campaign(
     first_error: Optional[BaseException] = None
     quarantined: List[Dict[str, Any]] = []
     new_records: Dict[int, Dict[str, Any]] = {}
-    if workers <= 1 or len(pending) <= 1:
+    # Only the main thread runs cells itself (see the module docstring).
+    in_process = workers <= 1 or len(pending) <= 1
+    if not pending or (in_process and threading.current_thread() is threading.main_thread()):
         outcomes: Iterator[Outcome] = (
             (cell, *_run_cell_attempts(cell, cache_str, policy)) for cell in pending
         )
     else:
-        outcomes = _pool_outcomes(pending, workers, cache_str, policy, fault_counters)
+        outcomes = _pool_outcomes(pending, max(1, workers), cache_str, policy, fault_counters)
     # closing(): a progress callback that raises (the daemon's JobCancelled)
     # still runs the pool generator's shutdown.
     with closing(outcomes):

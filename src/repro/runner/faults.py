@@ -253,9 +253,9 @@ def active_plan() -> Optional[FaultPlan]:
 def install(plan: Optional[FaultPlan]) -> None:
     """Install a plan programmatically (``None`` disables injection).
 
-    In-process only: worker processes load their plan from ``REPRO_FAULTS``
-    via :func:`reload_from_env`, so cross-process chaos tests must configure
-    the environment variable instead.
+    In-process only: worker processes (a ``repro serve`` job's among them)
+    load their plan from ``REPRO_FAULTS`` via :func:`reload_from_env`, so
+    cross-process chaos tests must configure the environment variable.
     """
     global _PLAN, _LOADED
     _PLAN = plan

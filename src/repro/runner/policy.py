@@ -12,6 +12,10 @@ jitter fraction is hashed from ``(cell_id, attempt)``, so a rerun of the
 same campaign against the same flaky resource spaces its retries
 identically — reproducibility extends to the failure path.
 
+A cell timeout preempts the cell with ``SIGALRM`` (:func:`run_with_timeout`),
+so cells run only on the main thread of a process; no cell body outlives
+its timeout.
+
 Every cell attempt also runs with Python's cyclic garbage collector paused
 (:func:`collector_paused`): a campaign's long-lived heap of engine memos and
 sample rows is almost all live, so collections during a cell walk hundreds
@@ -26,12 +30,35 @@ import signal
 import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 from repro.errors import CellTimeoutError, ExperimentError
 
+def reject_unknown_keys(cls: type, payload: Mapping[str, Any], what: str) -> None:
+    """Fail on keys of ``payload`` that are not fields of the dataclass ``cls``.
+
+    A typo, or a payload from an incompatible version, raises
+    :class:`ExperimentError` naming the keys instead of running with defaults.
+    """
+    known = {field.name for field in fields(cls)}
+    unknown = sorted(set(payload) - known)
+    if unknown:
+        raise ExperimentError(
+            f"unknown {what} keys {unknown!r}; expected a subset of {sorted(known)}"
+        )
+
+
 #: Valid ``on_error`` dispositions.
 ON_ERROR_MODES = ("fail", "quarantine")
+
+#: The types each numeric policy field takes.
+_NUMERIC_FIELDS = {
+    "max_retries": int,
+    "cell_timeout": (int, float, type(None)),
+    "backoff_base_s": (int, float),
+    "backoff_cap_s": (int, float),
+    "max_pool_rebuilds": int,
+}
 
 
 @dataclass(frozen=True)
@@ -50,6 +77,11 @@ class ExecutionPolicy:
     max_pool_rebuilds: int = 16
 
     def __post_init__(self) -> None:
+        for name, kinds in _NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            # bool is an int subclass, but ``true`` is never a count or a delay.
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ExperimentError(f"execution-policy field {name!r} is mistyped: {value!r}")
         if self.max_retries < 0:
             raise ExperimentError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.cell_timeout is not None and self.cell_timeout <= 0:
@@ -84,13 +116,7 @@ class ExecutionPolicy:
         """
         if not payload:
             return cls()
-        known = {field.name for field in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ExperimentError(
-                f"unknown execution-policy fields {unknown!r};"
-                f" expected a subset of {sorted(known)}"
-            )
+        reject_unknown_keys(cls, payload, "execution-policy")
         return cls(**payload)
 
     def backoff_seconds(self, cell_id: str, attempt: int) -> float:
@@ -109,41 +135,26 @@ class ExecutionPolicy:
         return min(self.backoff_cap_s, base * (1.0 + jitter))
 
 
-#: How many callers are inside :func:`collector_paused`, guarded by the lock.
-_pause_lock = threading.Lock()
-_pause_depth = 0
-#: Whether the collector was enabled when the first caller entered.
-_pause_restores = False
-
-
 @contextmanager
 def collector_paused() -> Iterator[None]:
     """Pause Python's cyclic garbage collector for the ``with`` body.
 
-    Nests and is thread-safe: the first entrant records ``gc.isenabled()``
-    and disables the collector; the last leaver re-enables it only if it
-    was enabled on that first entry, on every exit path, exceptions
-    included.  The collector is process-global, so while any caller is
-    inside, *every* thread of the process sees it paused — in
-    ``repro serve`` the request threads run beside the job worker's cells
-    this way.  Reference counting still frees acyclic garbage; cycles made
-    meanwhile wait for the first collection after the pause.  The pause
-    never calls ``gc.collect()``: a full pass over a campaign's heap costs
-    more than the pause saves.
+    Records ``gc.isenabled()``, disables the collector, and restores the
+    recorded state on every exit path, exceptions included, so a nested
+    pause restores only at the outermost exit.  Cells run only on the main
+    thread of their process, so one thread per process holds the pause.
+    Reference counting still frees acyclic
+    garbage; cycles made meanwhile wait for the first collection after the
+    pause.  The pause never calls ``gc.collect()``: a full pass over a
+    campaign's heap costs more than the pause saves.
     """
-    global _pause_depth, _pause_restores
-    with _pause_lock:
-        if _pause_depth == 0:
-            _pause_restores = gc.isenabled()
-            gc.disable()
-        _pause_depth += 1
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         yield
     finally:
-        with _pause_lock:
-            _pause_depth -= 1
-            if _pause_depth == 0 and _pause_restores:
-                gc.enable()
+        if enabled:
+            gc.enable()
 
 
 def run_with_timeout(
@@ -151,46 +162,27 @@ def run_with_timeout(
 ) -> Any:
     """Run ``fn`` with a wall-clock deadline, raising :class:`CellTimeoutError`.
 
-    On the main thread of a process (the only thread a worker process runs
-    cells on) the deadline is enforced with ``SIGALRM``/``setitimer``, which
-    interrupts even a CPU-bound cell body.  Off the main thread — e.g. a
-    library caller driving campaigns from a thread — we fall back to running
-    ``fn`` on a daemon thread and abandoning it on timeout: the result is
-    discarded, but the campaign regains control.
-
-    The executor calls this inside :func:`collector_paused`, never the other
-    way round: the pause is held by the caller, so a timeout releases it
-    when :class:`CellTimeoutError` is raised here, not when an abandoned
-    body thread ends (which may be never).
+    The deadline is enforced with ``SIGALRM``/``setitimer``, which
+    interrupts even a CPU-bound cell body.  Signals reach only the main
+    thread of a process, so a timeout asked for on any other thread raises
+    :class:`~repro.errors.ExperimentError`; ``run_campaign`` never asks
+    there (see :func:`~repro.runner.executor.run_campaign`).
     """
     if timeout is None:
         return fn()
-    if threading.current_thread() is threading.main_thread():
-        def _on_alarm(signum, frame):
-            raise CellTimeoutError(f"{label} exceeded {timeout:g}s wall-clock timeout")
+    if threading.current_thread() is not threading.main_thread():
+        raise ExperimentError(
+            f"{label}: a {timeout:g}s timeout needs the main thread,"
+            " where SIGALRM can interrupt the work"
+        )
 
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
-        try:
-            return fn()
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-
-    box: dict = {}
-
-    def _target() -> None:
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # propagated below
-            box["error"] = exc
-
-    worker = threading.Thread(target=_target, daemon=True)
-    worker.start()
-    worker.join(timeout)
-    if worker.is_alive():
+    def _on_alarm(signum, frame):
         raise CellTimeoutError(f"{label} exceeded {timeout:g}s wall-clock timeout")
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
 
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, timeout)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

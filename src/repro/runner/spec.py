@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.errors import ExperimentError
 from repro.routing.discriminator import DiscriminatorKind
+from repro.runner.policy import reject_unknown_keys
 from repro.scenarios import get_scenario_model
 from repro.topologies.corpus import canonical_topology, topology_set
 
@@ -189,15 +190,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ScenarioSpec":
-        # Keys beyond the dataclass fields mean the payload was produced by
-        # an incompatible version and must fail loudly.
-        known = {field.name for field in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ExperimentError(
-                f"unknown scenario spec keys {unknown!r}; "
-                f"expected a subset of {sorted(known)}"
-            )
+        reject_unknown_keys(cls, payload, "scenario spec")
         params = payload.get("params", {})
         if not isinstance(params, Mapping):
             raise ExperimentError(
@@ -386,6 +379,9 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "CampaignSpec":
+        reject_unknown_keys(cls, payload, "campaign spec")
+        if "topologies" not in payload:
+            raise ExperimentError("a campaign spec needs a 'topologies' key")
         return cls(
             topologies=tuple(payload["topologies"]),
             schemes=tuple(payload.get("schemes", ("reconvergence", "fcp", "pr"))),
@@ -441,8 +437,11 @@ def chunk_cells(
     complete, in any order) and target about ``workers * chunks_per_worker`` chunks so stragglers still
     balance.  A chunk only crosses a topology boundary when the current
     group is still under the target size, and an oversized single-topology
-    group is split rather than starving the pool.
+    group is split rather than starving the pool.  One worker has nothing to
+    balance and gets one cell per chunk, so a stopped campaign ends soon.
     """
+    if workers <= 1:
+        return [[cell] for cell in cells]
     if not cells:
         return []
     target = max(1, -(-len(cells) // max(1, workers * chunks_per_worker)))

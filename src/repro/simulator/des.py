@@ -119,6 +119,9 @@ class PacketLevelSimulator:
     # ------------------------------------------------------------------
     def _arrive(self, packet: Packet, node: str, ingress: Optional[Dart]) -> None:
         now = self.queue.now
+        if ingress is not None and not self.forwarder.link_up(now, ingress):
+            self._drop(packet, now)  # the link failed under the packet
+            return
         if node == packet.destination:
             self.report.packets_delivered += 1
             self.report.packets_in_flight -= 1

@@ -36,8 +36,9 @@ class SchemeForwarder:
     ``failure_time``, so one run covers the failure-free prefix too: a
     packet emitted before the failure meets the failed ``state`` at every
     hop it reaches after it.  A packet is forwarded only when the logic in
-    force decides ``FORWARD`` over a dart usable in its state; anything else
-    loses it, which is the loss the simulator measures.
+    force decides ``FORWARD`` over a dart usable in its state and the link
+    is still up when the packet reaches its far end (:meth:`link_up`);
+    anything else loses it, which is the loss the simulator measures.
     """
 
     def __init__(
@@ -81,3 +82,9 @@ class SchemeForwarder:
         if decision.action is Action.FORWARD and state.dart_usable(decision.egress):
             return decision.egress
         return None
+
+    def link_up(self, time: float, dart: Dart) -> bool:
+        """Whether ``dart``'s link still carries a packet reaching its far end at ``time``."""
+        if self.intact is not None and time < self.failure_time:
+            return self.intact[1].dart_usable(dart)
+        return self.state.dart_usable(dart)

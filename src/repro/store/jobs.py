@@ -223,9 +223,9 @@ class JobQueue:
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """Cancel a job: immediately when queued, via flag when running.
 
-        A running job's worker observes ``cancel_requested`` between cells
-        and aborts; a terminal job is left untouched (the returned row says
-        which happened).
+        A running job aborts when its next cell is stored, once its pool
+        has run the cells it holds (one worker: at most two); a terminal
+        job is left untouched (the returned row says which happened).
         """
 
         def _cancel(conn: sqlite3.Connection) -> None:

@@ -32,7 +32,8 @@ path and process, so a closed loop of requests pays for one connect.
 :mod:`repro.store.jobs`): the request journals a job row and returns a
 ``job_id`` immediately; a supervised background worker thread executes
 jobs through the existing :func:`~repro.runner.executor.run_campaign` +
-:class:`~repro.runner.policy.ExecutionPolicy` machinery.  On startup the
+:class:`~repro.runner.policy.ExecutionPolicy` machinery, which runs the
+cells of a job in worker processes.  On startup the
 daemon refuses to clobber a live peer's socket, recovers the journal
 (stale ``running`` jobs with dead pids are re-queued with resume forced)
 and drains — a daemon SIGKILLed mid-job, restarted and drained produces
@@ -81,7 +82,8 @@ Operations (``op`` field):
 ``jobs``
     List journal rows, optionally ``{"state": "queued"}``-filtered.
 ``cancel``
-    Cancel a job: immediately when queued, between cells when running.
+    Cancel a job: immediately when queued; a running one-worker job stops
+    within two cells.
 ``drain``
     Block (bounded by ``timeout_s``) until no job is queued or running.
 ``stats``
@@ -138,6 +140,13 @@ def jobs_path_for(socket_path: Union[str, Path]) -> Path:
     return path.with_name(stem + ".jobs.sqlite")
 
 
+def _required(request: Dict[str, Any], field: str) -> str:
+    """``request[field]`` as a string; an op answers an error without it."""
+    if not request.get(field):
+        raise ExperimentError(f"{request.get('op')} needs a {field}")
+    return str(request[field])
+
+
 class JobWorker(threading.Thread):
     """The supervised background executor of journaled jobs.
 
@@ -147,10 +156,9 @@ class JobWorker(threading.Thread):
     session's :meth:`ServeSession.ensure_worker` restarts a worker that
     died anyway, which is the supervision contract.
 
-    Each cell of a job runs with Python's cyclic collector paused
-    (:func:`~repro.runner.policy.collector_paused`).  The collector is
-    process-global, so the daemon's request threads see it paused while a
-    cell runs and collect as usual between cells and after the job.
+    ``run_campaign`` runs a job's cells in pool worker processes.  A
+    worker asked to stop ends its job at the next stored cell, once the
+    pool has run the cells it holds, and leaves the job to recovery.
     """
 
     poll_interval_s = 0.05
@@ -198,7 +206,7 @@ class JobWorker(threading.Thread):
             queue.progress(job_id, 0, total, phase="running")
 
             def on_progress(cell, record, done, total_cells) -> None:
-                if queue.cancel_requested(job_id):
+                if self.stopped or queue.cancel_requested(job_id):
                     raise JobCancelled(
                         f"job {job_id} cancelled after {done}/{total_cells} cells"
                     )
@@ -219,12 +227,13 @@ class JobWorker(threading.Thread):
                 handle.store.close()  # one connection per job must not pile up
             queue.finish(job_id, handle.executed, handle.skipped, handle.elapsed_s)
             self.session.count("serve/jobs_completed")
-        except JobCancelled as exc:
-            queue.fail(job_id, str(exc), cancelled=True)
-            self.session.count("serve/jobs_cancelled")
         except Exception as exc:
-            queue.fail(job_id, f"{type(exc).__name__}: {exc}")
-            self.session.count("serve/jobs_failed")
+            if self.stopped:
+                return  # the row stays running; the next daemon's recovery resumes it
+            cancelled = isinstance(exc, JobCancelled)
+            queue.fail(job_id, str(exc) if cancelled else f"{type(exc).__name__}: {exc}",
+                       cancelled=cancelled)
+            self.session.count("serve/jobs_cancelled" if cancelled else "serve/jobs_failed")
 
 
 class ServeSession:
@@ -375,6 +384,13 @@ class ServeSession:
                 self.requests_served += 1
         return response
 
+    def _wait(self, settled: Callable[[], bool], timeout_s: float) -> None:
+        """Poll ``settled`` for up to ``timeout_s``, keeping the job worker alive."""
+        deadline = time.monotonic() + timeout_s
+        while not settled() and time.monotonic() < deadline:
+            self.ensure_worker()
+            time.sleep(0.05)
+
     def _require_jobs(self) -> JobQueue:
         if self.jobs is None:
             raise ExperimentError(
@@ -390,14 +406,12 @@ class ServeSession:
         return {"pong": True, "payload": request.get("payload")}
 
     def _op_warm(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        topology = request.get("topology")
-        if not topology:
-            raise ExperimentError("warm needs a topology")
-        graph = load_topology(str(topology))
+        topology = _required(request, "topology")
+        graph = load_topology(topology)
         engine_for(graph)  # builds + registers the shortest-path engine
         schemes = request.get("schemes") or []
         for scheme in schemes:
-            self.scheme_for(str(topology), str(scheme), request.get("discriminator"))
+            self.scheme_for(topology, str(scheme), request.get("discriminator"))
         return {
             "topology": graph.name,
             "nodes": graph.number_of_nodes(),
@@ -405,19 +419,13 @@ class ServeSession:
             "schemes_warm": len(schemes),
         }
 
-    def _deliver(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        for field in ("topology", "scheme", "source", "destination"):
-            if not request.get(field):
-                raise ExperimentError(f"deliver needs a {field}")
-        scheme, engine = self._warm_scheme(
-            str(request["topology"]),
-            str(request["scheme"]),
-            request.get("discriminator"),
+    def _op_deliver(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        topology, key, source, destination = (
+            _required(request, field) for field in ("topology", "scheme", "source", "destination")
         )
+        scheme, engine = self._warm_scheme(topology, key, request.get("discriminator"))
         failed = request.get("failed")
         failed = resolve_failed_links(scheme.graph, () if failed is None else failed)
-        source = str(request["source"])
-        destination = str(request["destination"])
         outcome = scheme.deliver(source, destination, failed_links=failed)
         delivered = outcome.status.value == "delivered"
         response: Dict[str, Any] = {
@@ -438,17 +446,10 @@ class ServeSession:
             response["stretch"] = outcome.cost / baseline
         return response
 
-    def _op_deliver(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return self._deliver(request)
-
-    def _op_stretch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return self._deliver(request)
+    _op_stretch = _op_deliver
 
     def _op_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        results = request.get("results")
-        if not results:
-            raise ExperimentError("query needs a results store path")
-        store = self.store_for(results)
+        store = self.store_for(_required(request, "results"))
         filt = parse_filter(request.get("filter"))
         summary = request.get("aggregate") == "summary"
         include = bool(request.get("include_records"))
@@ -475,10 +476,7 @@ class ServeSession:
         return response
 
     def _op_campaigns(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        results = request.get("results")
-        if not results:
-            raise ExperimentError("campaigns needs a results store path")
-        store = self.store_for(results)
+        store = self.store_for(_required(request, "results"))
         with self._lock:
             return {"campaigns": store.campaigns()}
 
@@ -532,20 +530,11 @@ class ServeSession:
 
     def _op_job(self, request: Dict[str, Any]) -> Dict[str, Any]:
         queue = self._require_jobs()
-        job_id = request.get("job_id")
-        if not job_id:
-            raise ExperimentError("job needs a job_id")
+        job_id = _required(request, "job_id")
         wait_s = float(request.get("wait_s") or 0.0)
-        deadline = time.monotonic() + wait_s
-        job = queue.get(str(job_id))
-        while (
-            wait_s > 0
-            and job["state"] in ACTIVE_STATES
-            and time.monotonic() < deadline
-        ):
-            self.ensure_worker()
-            time.sleep(0.05)
-            job = queue.get(str(job_id))
+        if wait_s > 0:
+            self._wait(lambda: queue.get(job_id)["state"] not in ACTIVE_STATES, wait_s)
+        job = queue.get(job_id)
         response: Dict[str, Any] = {"job": public_view(job)}
         if request.get("follow") and job["state"] not in ACTIVE_STATES:
             response["final"] = True  # nothing left to stream
@@ -558,20 +547,13 @@ class ServeSession:
 
     def _op_cancel(self, request: Dict[str, Any]) -> Dict[str, Any]:
         queue = self._require_jobs()
-        job_id = request.get("job_id")
-        if not job_id:
-            raise ExperimentError("cancel needs a job_id")
-        job = queue.cancel(str(job_id))
+        job = queue.cancel(_required(request, "job_id"))
         return {"job": public_view(job)}
 
     def _op_drain(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Block until the journal has no queued/running job (bounded)."""
         queue = self._require_jobs()
-        timeout_s = float(request.get("timeout_s") or 60.0)
-        deadline = time.monotonic() + timeout_s
-        while queue.active_count() and time.monotonic() < deadline:
-            self.ensure_worker()
-            time.sleep(0.05)
+        self._wait(lambda: not queue.active_count(), float(request.get("timeout_s") or 60.0))
         active = queue.active_count()
         return {
             "drained": active == 0,
@@ -740,7 +722,7 @@ class _Transport:
         #: deadline keeps its slot until it returns, so stuck requests are
         #: bounded by ``max_inflight`` instead of piling up threads.
         self.inflight = threading.BoundedSemaphore(max_inflight)
-        self.pool = _RequestPool(max_inflight, self.inflight) if deadline_s else None
+        self.pool = _RequestPool(max_inflight, self.inflight)
         self._connections: Set[socket.socket] = set()
         self._connections_lock = threading.Lock()
 
@@ -792,14 +774,10 @@ class _Transport:
         exempt = op in DEADLINE_EXEMPT_OPS or (
             op == "job" and (request_obj.get("wait_s") or request_obj.get("follow"))
         )
-        if self.pool is None or exempt:
-            try:
-                return request_obj, session.handle(request_obj)
-            finally:
-                self.inflight.release()
         # The pool worker frees the slot when the handler returns.
         call = self.pool.submit(lambda: session.handle(request_obj))
-        if call.done.acquire(timeout=self.deadline_s):
+        limit = -1 if exempt or not self.deadline_s else self.deadline_s
+        if call.done.acquire(timeout=limit):
             if call.error is not None:
                 raise call.error
             return request_obj, call.result
@@ -900,20 +878,13 @@ def serve_forever(
 ) -> int:
     """Serve line-delimited JSON requests on a Unix socket until shutdown.
 
-    Concurrent: one handler thread per connection, at most ``max_inflight``
-    requests executing at once (excess requests are shed with an
-    ``Overloaded`` response instead of queueing unboundedly).  Each request
-    runs on a pool of ``max_inflight`` persistent worker threads while its
-    connection thread waits at most ``deadline_s`` for the answer (``None``
-    disables the deadline and runs requests on the connection thread).  A
-    handler still running at its deadline is answered ``DeadlineExceeded``,
-    counted ``serve/abandoned``, and keeps its in-flight slot until it
-    returns.  A live daemon already bound to ``socket_path`` is detected by
-    pinging it and refused — only a genuinely stale socket file is unlinked.
-
-    When the session has a job journal, startup recovers it (orphaned
-    ``running`` jobs are re-queued) and starts the supervised job worker.
-    On shutdown every open connection is closed, idle ones included.
+    The transport is the one the module docstring describes, with
+    ``max_inflight`` in-flight slots and pool threads, and ``deadline_s``
+    per request (``None`` waits without a limit).  A live daemon already
+    bound to ``socket_path`` is detected by pinging it and refused; only a
+    stale socket file is unlinked.  When the session has a job journal,
+    startup recovers it (orphaned ``running`` jobs are re-queued) and
+    starts the supervised job worker.
 
     ``ready`` (when given) is an object with a ``set()`` method — e.g. a
     :class:`threading.Event` — signalled once the socket is listening.
@@ -972,8 +943,7 @@ def serve_forever(
         transport.close_connections()
         for thread in handlers:
             thread.join(timeout=1.0)
-        if transport.pool is not None:
-            transport.pool.close()
+        transport.pool.close()
         if socket_path.exists():
             socket_path.unlink()
         session.close()

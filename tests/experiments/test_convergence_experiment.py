@@ -142,15 +142,18 @@ def _oracle_cases(topology):
     return graph, flows, on_paths + rng.sample(graph.edge_ids(), 2)
 
 
-def _seconds_to_link(graph, tables, source, destination, failed):
-    """Seconds from emission until a packet reaches ``failed``, or None if it never does."""
+def _seconds_across_link(graph, tables, source, destination, failed):
+    """Seconds from emission until a packet reaches the far end of ``failed``.
+
+    ``None`` if the packet's path does not cross it.
+    """
     link = LinkModel()
     elapsed = 0.0
     for node in tables.shortest_path(source, destination)[:-1]:
         edge_id = tables.entry(node, destination).egress.edge_id
+        elapsed += link.serialization_delay(1000) + link.propagation_delay(graph.weight(edge_id))
         if edge_id == failed:
             return elapsed
-        elapsed += link.serialization_delay(1000) + link.propagation_delay(graph.weight(edge_id))
     return None
 
 
@@ -165,33 +168,39 @@ def test_no_protection_drops_exactly_the_flows_crossing_the_failure(topology):
                 rate_pps=100.0, duration=1.0, failure_time=0.2,
             )
             report = result.reports["no-protection"]
-            reach = _seconds_to_link(graph, tables, source, destination, failed)
+            across = _seconds_across_link(graph, tables, source, destination, failed)
             emissions = TrafficFlow(source, destination, 100.0, 1000, 0.0, 1.0).emission_times()
-            # Lost: every packet that reaches the link at or after the
-            # failure, including those emitted before it further upstream.
-            lost = 0 if reach is None else sum(1 for t in emissions if t + reach >= 0.2)
+            # Lost: every packet that would leave the link at or after the
+            # failure: those on it or upstream of it at the failure instant
+            # and those emitted after.
+            lost = 0 if across is None else sum(1 for t in emissions if t + across >= 0.2)
             assert report.packets_sent == 100
             assert report.packets_dropped == lost, (source, destination, failed)
 
 
 def test_packet_upstream_at_the_failure_instant_is_lost_under_no_protection():
-    """A packet emitted before the failure that reaches the link after it is lost.
+    """A packet emitted before the failure that meets the link at or after it is lost.
 
     PT -> FI on GEANT crosses the DE-FR link two hops (10.0016 ms) after
-    the source.  At 1,000 pps the packets emitted at 190-199 ms are still
-    upstream when the link fails at 200 ms, so they meet the dead link.
+    the source, and each hop takes 5.0008 ms.  At 1,000 pps the packets
+    emitted at 190-199 ms are still upstream when the link fails at 200 ms,
+    so they meet the dead link.  Those emitted at 185-189 ms are on the
+    link when it fails, and they are lost when they reach FR.
     """
     result = convergence_loss_experiment(
         build_topology("geant"), "PT", "FI", rate_pps=1000.0, duration=0.25, failure_time=0.2
     )
     assert result.failed_link == ("DE", "FR")
-    reach = 2 * (LinkModel().propagation_delay_s + LinkModel().serialization_delay(1000))
+    hop = LinkModel().propagation_delay_s + LinkModel().serialization_delay(1000)
+    reach = 2 * hop
     report = result.reports["no-protection"]
     assert report.packets_sent == 250
-    upstream = [t for t in report.drop_times if t < 0.2 + reach]
-    assert upstream == pytest.approx([k / 1000 + reach for k in range(190, 200)], abs=1e-12)
-    assert report.packets_delivered == 190
-    assert report.packets_dropped == 60
+    early = sorted(t for t in report.drop_times if t < 0.2 + reach)
+    on_link = [k / 1000 + reach + hop for k in range(185, 190)]
+    upstream = [k / 1000 + reach for k in range(190, 200)]
+    assert early == pytest.approx(sorted(on_link + upstream), abs=1e-12)
+    assert report.packets_delivered == 185
+    assert report.packets_dropped == 65
 
 
 @pytest.mark.parametrize("topology", ["abilene", "geant", "teleglobe"])

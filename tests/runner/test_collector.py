@@ -1,18 +1,19 @@
 """Cell attempts run with Python's cyclic garbage collector paused."""
 
 import gc
+import os
 import threading
+import time
 
 import pytest
 
-from repro.errors import CellTimeoutError
-from repro.runner import executor
+from repro.runner import executor, faults
 from repro.runner.executor import _run_cell_attempts, run_campaign
 from repro.runner.policy import ExecutionPolicy, collector_paused
 from repro.runner.spec import CampaignSpec, ScenarioSpec
 from repro.store.serve import ServeSession
 
-from tests.store.conftest import pair_spec
+from tests.store.conftest import pair_spec, stored_records
 
 
 def figure2_shaped_spec() -> CampaignSpec:
@@ -108,38 +109,6 @@ class TestRestoredOnEveryExit:
         assert seen == [False, False]
         assert gc.isenabled() is enabled
 
-    def test_off_main_thread_timeout_releases_the_pause(self, monkeypatch):
-        release = threading.Event()
-        body_done = threading.Event()
-
-        def hanging_cell(*args, **kwargs):
-            release.wait(30)
-            body_done.set()
-
-        monkeypatch.setattr(executor, "run_cell", hanging_cell)
-        cell = pair_spec().cells()[0]
-        policy = ExecutionPolicy(cell_timeout=0.2)
-        outcome = {}
-
-        def drive():
-            outcome["envelope"] = _run_cell_attempts(cell, None, policy)
-            outcome["enabled"] = gc.isenabled()
-
-        driver = threading.Thread(target=drive)
-        driver.start()
-        driver.join(30)
-        try:
-            status, error, info = outcome["envelope"]
-            assert status == "error" and isinstance(error, CellTimeoutError)
-            assert info["timeouts"] == 1
-            # The abandoned body is still sleeping, yet the pause is over.
-            assert not body_done.is_set()
-            assert outcome["enabled"] and gc.isenabled()
-        finally:
-            release.set()
-        assert body_done.wait(30)
-        assert gc.isenabled()
-
 
 class TestNesting:
     def test_nested_pause_restores_only_at_the_outermost_exit(self):
@@ -149,52 +118,47 @@ class TestNesting:
             assert not gc.isenabled()
         assert gc.isenabled()
 
-    def test_overlapping_threads_restore_after_both_exit(self):
-        first_in = threading.Event()
-        second_in = threading.Event()
-        first_out = threading.Event()
-        release_second = threading.Event()
-
-        def first():
-            with collector_paused():
-                first_in.set()
-                second_in.wait(30)
-            first_out.set()
-
-        def second():
-            first_in.wait(30)
-            with collector_paused():
-                second_in.set()
-                release_second.wait(30)
-
-        threads = [threading.Thread(target=first), threading.Thread(target=second)]
-        for thread in threads:
-            thread.start()
-        try:
-            assert first_out.wait(30)
-            # The first thread has left; the second still holds the pause.
-            assert not gc.isenabled()
-        finally:
-            release_second.set()
-            for thread in threads:
-                thread.join(30)
-        assert gc.isenabled()
-
 
 class TestDaemonJob:
-    def test_finished_job_leaves_the_collector_enabled(self, tmp_path, cell_probe):
-        _, states = cell_probe
-        session = ServeSession(jobs_path=tmp_path / "jobs.sqlite")
+    def test_job_cells_leave_the_daemon_collector_alone(self, tmp_path, monkeypatch):
+        """A job's cells pause the collector and count telemetry in a pool
+        worker; a request served meanwhile keeps both to the daemon."""
+        # The cell holds its worker for 1.5 s before its body runs.
+        monkeypatch.setenv(faults.ENV_VAR, "site=cell-body,kind=hang,seconds=1.5,max_attempt=1")
+        faults.reload_from_env()
+        spec = CampaignSpec(
+            topologies=("teleglobe",),
+            schemes=("fcp",),
+            scenarios=(ScenarioSpec("multi-link", failures=2, samples=4),),
+        )
+        session = ServeSession(jobs_path=tmp_path / "jobs.sqlite", cache_dir=tmp_path / "cache")
         try:
-            spec = pair_spec()
             submitted = session.handle(
                 {"op": "submit", "spec": spec.to_dict(), "results": str(tmp_path / "r.sqlite")}
             )
             assert submitted["ok"], submitted
-            done = session.handle({"op": "job", "job_id": submitted["job_id"], "wait_s": 60})
-            # The worker marks the job done only after run_campaign returned.
-            assert done["job"]["state"] == "done"
-            assert states == [False] * spec.cell_count()
+            job = {"op": "job", "job_id": submitted["job_id"]}
+            deadline = time.monotonic() + 30
+            while session.handle(job)["job"]["state"] != "running":
+                assert time.monotonic() < deadline, "the job never started"
+                time.sleep(0.01)
+            time.sleep(0.3)  # the pool is up and its worker holds the cell
+            assert gc.isenabled()
+            # A cold artifact cache: the warm request embeds GEANT and
+            # stores the artifact, counting a miss and a store.
+            warmed = session.handle({"op": "warm", "topology": "geant", "schemes": ["pr"]})
+            assert warmed["ok"], warmed
+            assert list((tmp_path / "cache").glob("*/*.json"))
+            assert session.handle(job)["job"]["state"] == "running"
+            assert gc.isenabled()
+            done = session.handle(dict(job, wait_s=60))
+            assert done["job"]["state"] == "done", done
+            [record] = stored_records(tmp_path / "r.sqlite", spec)
+            counters = record["meta"]["telemetry"]["counters"]
+            assert record["meta"]["pid"] != os.getpid()
+            assert counters["cells/executed"] == 1
+            assert not [name for name in counters if name.startswith("artifact_cache/")]
             assert gc.isenabled()
         finally:
             session.close()
+            faults.reload_from_env()

@@ -2,10 +2,12 @@
 
 import json
 import multiprocessing
+import threading
 
 import pytest
 
 from repro.errors import ExperimentError, FailureScenarioError, JobCancelled
+from repro.graph import spcache
 from repro.graph.spcache import _ENGINES, engine_for
 from repro.runner.executor import (
     _TOPOLOGY_CACHE,
@@ -397,6 +399,30 @@ class TestChunkedDispatch:
             run_campaign(spec, workers=2, progress=cancel)
         assert multiprocessing.active_children() == []
         assert "after 1/4" in str(excinfo.value)
+
+    def test_pool_forks_while_another_thread_holds_the_engine_registry(self):
+        """A forked worker gets its own registry lock: it never waits on a
+        copy of one that a thread of the parent held at the fork."""
+        spec = pair_spec()
+        clean = run_campaign(spec, workers=1)
+        box = {}
+
+        def campaign():
+            box["handle"] = run_campaign(spec, workers=2)
+
+        with spcache._REGISTRY_LOCK:  # held by this thread throughout
+            runner = threading.Thread(target=campaign, daemon=True)
+            runner.start()
+            runner.join(30)
+            hung = runner.is_alive()
+        if hung:
+            # Free the stuck workers, or the suite would hang at exit
+            # waiting for them; the rebuilt pool forks with the lock free.
+            for child in multiprocessing.active_children():
+                child.kill()
+            runner.join(60)
+        assert not hung, "pool workers hung on the registry lock"
+        assert deterministic_part(box["handle"].records) == deterministic_part(clean.records)
 
     def test_worker_init_drops_stale_engines_keeps_active(self):
         stale = example_fig1()

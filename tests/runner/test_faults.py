@@ -1,5 +1,6 @@
 """Fault harness and execution policy: grammar, determinism, timeouts."""
 
+import os
 import threading
 import time
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.errors import CellTimeoutError, ExperimentError, InjectedFault
 from repro.runner import faults
+from repro.runner.executor import run_campaign
 from repro.runner.faults import (
     FaultPlan,
     FaultSpec,
@@ -18,6 +20,8 @@ from repro.runner.policy import (
     ExecutionPolicy,
     run_with_timeout,
 )
+
+from tests.store.conftest import deterministic_part, pair_spec
 
 
 @pytest.fixture(autouse=True)
@@ -228,18 +232,50 @@ class TestRunWithTimeout:
         with pytest.raises(ZeroDivisionError):
             run_with_timeout(lambda: 1 / 0, timeout=5.0)
 
-    def test_off_main_thread_fallback(self):
+    def test_off_main_thread_timeout_is_refused(self):
+        """SIGALRM reaches only the main thread: no thread is left running."""
         box = {}
 
         def driver():
             try:
-                run_with_timeout(lambda: time.sleep(5), timeout=0.1)
-            except CellTimeoutError as exc:
+                run_with_timeout(lambda: box.setdefault("ran", True), timeout=1.0)
+            except ExperimentError as exc:
                 box["error"] = exc
-            box["value"] = run_with_timeout(lambda: "done", timeout=1.0)
+            box["value"] = run_with_timeout(lambda: "done", timeout=None)
 
+        before = set(threading.enumerate())
         worker = threading.Thread(target=driver)
         worker.start()
         worker.join(10)
-        assert isinstance(box["error"], CellTimeoutError)
+        assert "main thread" in str(box["error"])
+        assert "ran" not in box
         assert box["value"] == "done"
+        assert set(threading.enumerate()) == before
+
+
+class TestOffMainThreadCampaign:
+    def test_hanging_cells_time_out_in_pool_workers(self, monkeypatch):
+        """Off the main thread, timed-out cells stop in their worker: the
+        campaign returns with the timeouts counted and no thread left."""
+        spec = pair_spec()
+        clean = run_campaign(spec, workers=1)
+        monkeypatch.setenv(faults.ENV_VAR, "site=cell-body,kind=hang,seconds=5,max_attempt=1")
+        faults.reload_from_env()
+        policy = ExecutionPolicy(cell_timeout=0.3, max_retries=1, backoff_base_s=0.0)
+        before = set(threading.enumerate())
+        box = {}
+
+        def driver():
+            box["handle"] = run_campaign(spec, workers=1, policy=policy)
+
+        started = time.perf_counter()
+        worker = threading.Thread(target=driver)
+        worker.start()
+        worker.join(60)
+        assert not worker.is_alive(), "the campaign did not return"
+        assert time.perf_counter() - started < 5.0  # no 5 s hang ran out
+        handle = box["handle"]
+        assert deterministic_part(handle.records) == deterministic_part(clean.records)
+        assert handle.fault_counters == {"faults/retries": 4, "faults/timeouts": 4}
+        assert os.getpid() not in {record["meta"]["pid"] for record in handle.records}
+        assert set(threading.enumerate()) == before

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ExperimentError
+from repro.runner.policy import ExecutionPolicy
 from repro.runner.spec import (
     CampaignSpec,
     ScenarioSpec,
@@ -223,6 +224,44 @@ class TestPersistence:
         assert spec.scenarios == (ScenarioSpec(),)
 
 
+class TestDictErrors:
+    """Spec and policy dictionaries fail with an error naming the key."""
+
+    def test_unknown_spec_key_is_rejected(self):
+        with pytest.raises(ExperimentError, match="'scheme'"):
+            CampaignSpec.from_dict({"topologies": ["abilene"], "scheme": ["pr"]})
+
+    def test_spec_without_topologies_is_rejected(self):
+        with pytest.raises(ExperimentError, match="'topologies'"):
+            CampaignSpec.from_dict({"schemes": ["pr"]})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"max_retries": "2"}, {"cell_timeout": "1"}, {"max_pool_rebuilds": 1.5},
+         {"backoff_base_s": True}],
+    )
+    def test_mistyped_policy_field_is_rejected(self, payload):
+        [name] = payload
+        with pytest.raises(ExperimentError, match=repr(name)):
+            ExecutionPolicy.from_dict(payload)
+
+    def test_policy_dict_round_trips(self):
+        policy = ExecutionPolicy(max_retries=2, cell_timeout=1, on_error="quarantine")
+        assert ExecutionPolicy.from_dict(policy.to_dict()) == policy
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            small_spec(seed=42, coverage="full", record_samples=False),
+            figure2_campaign_spec("2f", samples=20),
+            node_failure_campaign_spec(["abilene", "geant"]),
+            scenario_model_campaign_spec(["abilene"], ["srlg", "churn"], samples=4),
+        ],
+    )
+    def test_every_written_dict_parses_to_an_equal_spec(self, spec):
+        assert CampaignSpec.from_dict(spec.to_dict()) == spec
+
+
 class TestCannedSpecs:
     def test_figure2_single_panel(self):
         spec = figure2_campaign_spec("2a")
@@ -282,6 +321,10 @@ class TestChunkCells:
         chunks = chunk_cells(cells, workers=3, chunks_per_worker=2)
         assert len(chunks) > 1
         assert [cell for chunk in chunks for cell in chunk] == cells
+
+    def test_one_worker_gets_one_cell_per_chunk(self):
+        cells = self._cells(("abilene", "geant"), ("reconvergence", "fcp", "pr"))
+        assert chunk_cells(cells, workers=1) == [[cell] for cell in cells]
 
     def test_empty_and_single_cell(self):
         assert chunk_cells([], workers=4) == []

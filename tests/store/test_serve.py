@@ -10,9 +10,10 @@ import pytest
 
 from repro.errors import ReproError
 from repro.routing.tables import RoutingTables
-from repro.runner import faults
+from repro.runner import executor, faults
 from repro.runner.executor import run_campaign
 from repro.runner.faults import parse_plan
+from repro.store.jobs import JobQueue
 from repro.store.serve import (
     MAX_LINE_BYTES,
     ServeSession,
@@ -511,6 +512,25 @@ class TestAsyncSubmit:
         listing = job_session.handle({"op": "jobs"})
         assert listing["count"] == 0, "a rejected submit must not journal"
 
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            ({"spec": {"topologies": ["abilene"], "scheme": ["pr"]}}, "'scheme'"),
+            ({"spec": {"schemes": ["pr"]}}, "'topologies'"),
+            ({"spec": pair_spec().to_dict(), "policy": {"max_retries": "2"}}, "'max_retries'"),
+        ],
+    )
+    def test_malformed_submit_is_a_typed_error_without_a_row(
+        self, tmp_path, job_session, fields, key
+    ):
+        response = job_session.handle(
+            {"op": "submit", "results": str(tmp_path / "r.sqlite"), **fields}
+        )
+        assert response["ok"] is False
+        assert response["error_type"] == "ExperimentError"
+        assert key in response["error"]
+        assert job_session.handle({"op": "jobs"})["count"] == 0
+
     def test_full_queue_sheds_submit(self, tmp_path):
         session = ServeSession(jobs_path=tmp_path / "jobs.sqlite",
                                max_queued_jobs=0)
@@ -563,6 +583,70 @@ class TestAsyncSubmit:
             assert listing["count"] in (0, 1)
         finally:
             session.close()
+
+    def test_cancelled_one_worker_job_stops_within_two_cells(
+        self, tmp_path, job_session, monkeypatch
+    ):
+        """A cancel lands when a cell's progress callback raises.  A
+        one-worker pool holds two one-cell chunks at most, so the job then
+        finishes only the cell queued behind the raising one: the cancel
+        takes effect within two cells of the request."""
+        started = tmp_path / "started.log"
+        real_run_cell = executor.run_cell
+
+        def slow_cell(cell, *args, **kwargs):
+            with open(started, "a") as log:  # pool workers share the file
+                log.write(f"{cell.index}\n")
+            time.sleep(0.3)
+            return real_run_cell(cell, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "run_cell", slow_cell)
+        spec = pair_spec(schemes=("reconvergence", "fcp", "lfa", "noprotection"))
+        submitted = job_session.handle({
+            "op": "submit", "spec": spec.to_dict(),
+            "results": str(tmp_path / "results.sqlite"),
+        })
+        assert submitted["ok"], submitted
+        job = {"op": "job", "job_id": submitted["job_id"]}
+        deadline = time.monotonic() + 30
+        while job_session.handle(job)["job"]["progress"]["done"] < 1:
+            assert time.monotonic() < deadline, "no cell finished"
+            time.sleep(0.01)
+        job_session.handle({"op": "cancel", "job_id": submitted["job_id"]})
+        final = job_session.handle(dict(job, wait_s=30))["job"]
+        assert final["state"] == "cancelled", final
+        raised_at = int(final["last_error"].split("cancelled after ")[1].split("/")[0])
+        ran = len(started.read_text().split())
+        assert raised_at <= ran <= raised_at + 1 < spec.cell_count()
+
+    def test_stopped_worker_leaves_its_job_to_recovery(self, tmp_path, monkeypatch):
+        """A daemon stopping mid-job neither fails nor finishes the job: its
+        row stays running for the next daemon's recovery to resume."""
+        monkeypatch.setenv(faults.ENV_VAR, "site=cell-body,kind=hang,seconds=0.5")
+        faults.reload_from_env()
+        session = ServeSession(jobs_path=tmp_path / "jobs.sqlite")
+        try:
+            submitted = session.handle({
+                "op": "submit", "spec": pair_spec().to_dict(),
+                "results": str(tmp_path / "results.sqlite"),
+            })
+            assert submitted["ok"], submitted
+            job = {"op": "job", "job_id": submitted["job_id"]}
+            deadline = time.monotonic() + 30
+            while session.handle(job)["job"]["state"] != "running":
+                assert time.monotonic() < deadline, "the job never started"
+                time.sleep(0.01)
+            worker = session._worker
+        finally:
+            session.close()
+            faults.reload_from_env()
+        worker.join(30)
+        assert not worker.is_alive()
+        journal = JobQueue(tmp_path / "jobs.sqlite")
+        [row] = journal.list_jobs()
+        journal.close()
+        assert row["state"] == "running" and row["last_error"] is None
+        assert row["progress_done"] < pair_spec().cell_count()
 
     def test_jobs_listing_and_stats(self, tmp_path, job_session):
         store_path = tmp_path / "results.sqlite"

@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ReproError
 from repro.runner import faults
 from repro.runner.executor import run_campaign
-from repro.runner.faults import parse_plan
 from repro.store.serve import ServeSession, request, serve_forever
 
 from tests.store.conftest import SlowSession, pair_spec, serving
@@ -175,12 +174,15 @@ class TestNoHeadOfLineBlocking:
         yield
         faults.install(None)
 
-    def test_query_is_answered_while_a_job_runs(self, tmp_path):
+    def test_query_is_answered_while_a_job_runs(self, tmp_path, monkeypatch):
         fixture = tmp_path / "fixture.sqlite"
         run_campaign(pair_spec(), results=fixture).store.close()
         session = ServeSession(jobs_path=tmp_path / "jobs.sqlite")
         # The job's first cell hangs, so the job stays running for seconds.
-        faults.install(parse_plan("site=cell-body,kind=hang,seconds=1,times=1"))
+        # Its cells run in a pool worker, which reads the plan from the
+        # environment.
+        monkeypatch.setenv(faults.ENV_VAR, "site=cell-body,kind=hang,seconds=1,times=1")
+        faults.reload_from_env()
         with serving(tmp_path / "serve.sock", session) as loop:
             submitted = request(loop.socket_path, {
                 "op": "submit",
