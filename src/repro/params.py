@@ -20,20 +20,32 @@ the one implementation of that grammar, shared by their owners:
 A resolved parameter set always holds every declared parameter, so two
 spellings of one instance (defaults implicit or explicit) resolve equal —
 which is what keeps cell ids and cache keys stable.
+
+JSON objects (campaign specs, execution policies, daemon requests) are
+typed strictly by the annotations of their dataclass instead: an ``int``
+takes an int (never a bool), a ``float`` an int or a float (kept as
+given), a ``bool`` a bool, a ``str`` a string, a tuple a list (never a
+string) and a tuple of ``(name, value)`` pairs a mapping.  :func:`decode`
+checks the keys and :func:`check_fields` the values, at construction.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Type, Union
+import reprlib
+import typing
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Callable, Dict, Iterable, Mapping, Sequence, Tuple, Type, TypeVar, Union
 
-from repro.errors import ReproError
+from repro.errors import ExperimentError, ReproError
 
 #: Parameter values are JSON scalars so that specs round-trip losslessly
 #: through campaign JSON files and result stores.
 ParamValue = Union[int, float, str, bool]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -137,3 +149,77 @@ def format_value(value: ParamValue) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+# ----------------------------------------------------------------------
+# strict JSON fields
+# ----------------------------------------------------------------------
+_NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _accepts(kind: Any, value: object) -> bool:
+    if isinstance(kind, type):
+        # bool is an int subclass, but ``true`` is never a count or a delay.
+        kinds = (int, float) if kind is float else kind
+        return isinstance(value, kinds) and (kind is bool or not isinstance(value, bool))
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is Union:  # Optional[X]
+        return value is None or _accepts(args[0], value)
+    if typing.get_origin(args[0]) is tuple:  # (name, value) pairs
+        return isinstance(value, (Mapping, tuple))
+    return isinstance(value, (list, tuple)) and all(_accepts(args[0], item) for item in value)
+
+
+def _describe(kind: Any) -> str:
+    if isinstance(kind, type):
+        return _NOUNS.get(kind, f"a {kind.__name__}")
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is Union:
+        return f"{_describe(args[0])} or null"
+    if typing.get_origin(args[0]) is tuple:
+        return "a mapping"
+    return f"a list of {_describe(args[0]).split(' ', 1)[1]}s"
+
+
+def check_value(value: object, kind: Any, what: str, name: str) -> None:
+    """An :class:`ExperimentError` naming ``what``'s field ``name`` unless ``value`` is a ``kind``.
+
+    ``kind`` is an annotation: a class, ``Optional[X]`` or ``Tuple[X, ...]``.
+    """
+    if not _accepts(kind, value):
+        raise ExperimentError(
+            f"{what} field {name!r} must be {_describe(kind)}, got {reprlib.repr(value)}"
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _hints(cls: type) -> Dict[str, Any]:
+    return typing.get_type_hints(cls)  # ``from __future__`` leaves strings
+
+
+def check_fields(instance: object, what: str) -> None:
+    """Check every field of the dataclass ``instance`` against its annotation."""
+    for name, kind in _hints(type(instance)).items():
+        check_value(getattr(instance, name), kind, what, name)
+
+
+def decode(cls: Type[T], payload: object, what: str, **items: Callable[[Any], Any]) -> T:
+    """The dataclass ``cls`` from the JSON object ``payload``; absent fields keep defaults.
+
+    ``items`` decodes each entry of the named list fields.
+    """
+    if not isinstance(payload, Mapping):
+        raise ExperimentError(f"{what} must be a JSON object, got {reprlib.repr(payload)}")
+    declared = {field.name: field for field in fields(cls)}
+    unknown = sorted(set(payload) - set(declared))
+    if unknown:
+        raise ExperimentError(f"unknown {what} keys {unknown!r}; expected: {sorted(declared)}")
+    for name, field in declared.items():
+        if field.default is field.default_factory is MISSING and name not in payload:
+            raise ExperimentError(f"{what} needs {name!r}")
+    values = dict(payload)
+    for name, item in items.items():
+        if name in values:
+            check_value(values[name], list, what, name)
+            values[name] = tuple(map(item, values[name]))
+    return cls(**values)

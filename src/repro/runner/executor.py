@@ -83,7 +83,7 @@ from repro.runner.spec import (
 )
 from repro.scenarios import get_scenario_model
 from repro.store.database import CampaignStore, require_store_path
-from repro.store.query import Filter, parse_filter
+from repro.store.query import Filter, check_limit, parse_filter
 from repro.topologies import corpus
 
 
@@ -643,6 +643,7 @@ class CampaignHandle:
         the backing store (cross-campaign); otherwise this campaign's own
         records are filtered in memory.
         """
+        check_limit(limit)
         filt = (
             expression
             if isinstance(expression, Filter)

@@ -29,36 +29,14 @@ import hashlib
 import signal
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Iterator, Mapping, Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import CellTimeoutError, ExperimentError
-
-def reject_unknown_keys(cls: type, payload: Mapping[str, Any], what: str) -> None:
-    """Fail on keys of ``payload`` that are not fields of the dataclass ``cls``.
-
-    A typo, or a payload from an incompatible version, raises
-    :class:`ExperimentError` naming the keys instead of running with defaults.
-    """
-    known = {field.name for field in fields(cls)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ExperimentError(
-            f"unknown {what} keys {unknown!r}; expected a subset of {sorted(known)}"
-        )
-
+from repro.params import check_fields, decode
 
 #: Valid ``on_error`` dispositions.
 ON_ERROR_MODES = ("fail", "quarantine")
-
-#: The types each numeric policy field takes.
-_NUMERIC_FIELDS = {
-    "max_retries": int,
-    "cell_timeout": (int, float, type(None)),
-    "backoff_base_s": (int, float),
-    "backoff_cap_s": (int, float),
-    "max_pool_rebuilds": int,
-}
 
 
 @dataclass(frozen=True)
@@ -77,11 +55,7 @@ class ExecutionPolicy:
     max_pool_rebuilds: int = 16
 
     def __post_init__(self) -> None:
-        for name, kinds in _NUMERIC_FIELDS.items():
-            value = getattr(self, name)
-            # bool is an int subclass, but ``true`` is never a count or a delay.
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ExperimentError(f"execution-policy field {name!r} is mistyped: {value!r}")
+        check_fields(self, "execution policy")
         if self.max_retries < 0:
             raise ExperimentError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.cell_timeout is not None and self.cell_timeout <= 0:
@@ -111,13 +85,11 @@ class ExecutionPolicy:
 
         This is how a ``repro serve`` ``submit`` request carries its
         fault-tolerance knobs into the journal and back out to the worker
-        that eventually executes the job.  Unknown keys fail loudly —
-        a typo in a policy field must not silently run with defaults.
+        that eventually executes the job.  Unknown keys and mistyped values
+        fail loudly — a typo in a policy field must not silently run with
+        defaults.  ``None`` is the default policy.
         """
-        if not payload:
-            return cls()
-        reject_unknown_keys(cls, payload, "execution-policy")
-        return cls(**payload)
+        return decode(cls, {} if payload is None else payload, "execution policy")
 
     def backoff_seconds(self, cell_id: str, attempt: int) -> float:
         """Delay before retry ``attempt`` (1-based) of a cell.

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.errors import ExperimentError
+from repro.params import check_fields, decode
 from repro.routing.discriminator import DiscriminatorKind
-from repro.runner.policy import reject_unknown_keys
 from repro.scenarios import get_scenario_model
 from repro.topologies.corpus import canonical_topology, topology_set
 
@@ -89,6 +89,7 @@ class ScenarioSpec:
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
+        check_fields(self, "scenario spec")
         if self.kind not in _SCENARIO_KINDS:
             raise ExperimentError(
                 f"unknown scenario kind {self.kind!r}; expected one of {_SCENARIO_KINDS}"
@@ -121,23 +122,22 @@ class ScenarioSpec:
                 f"scenario kind {self.kind!r} does not take a model or params "
                 f'(got model={self.model!r}); use kind="model"'
             )
+        else:
+            object.__setattr__(self, "params", ())  # ``{}`` is spelled ``()``
 
     @classmethod
-    def for_model(
-        cls,
-        model: str,
-        samples: int = 50,
-        non_disconnecting: bool = True,
-        **params: Any,
-    ) -> "ScenarioSpec":
-        """Convenience constructor: ``ScenarioSpec.for_model("srlg", group_size=4)``."""
-        return cls(
-            kind="model",
-            samples=samples,
-            non_disconnecting=non_disconnecting,
-            model=model,
-            params=tuple(sorted(params.items())),
-        )
+    def for_model(cls, model: str, **params: Any) -> "ScenarioSpec":
+        """Convenience constructor: ``ScenarioSpec.for_model("srlg", group_size=4)``.
+
+        ``samples`` and ``non_disconnecting`` set those fields; every other
+        keyword is a model parameter.
+        """
+        spec_fields = {
+            name: params.pop(name)
+            for name in ("samples", "non_disconnecting")
+            if name in params
+        }
+        return cls(kind="model", model=model, params=params, **spec_fields)
 
     @property
     def label(self) -> str:
@@ -177,33 +177,15 @@ class ScenarioSpec:
         return base
 
     def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "kind": self.kind,
-            "failures": self.failures,
-            "samples": self.samples,
-            "non_disconnecting": self.non_disconnecting,
-        }
-        if self.kind == "model":
-            payload["model"] = self.model
-            payload["params"] = dict(self.params)
+        payload = {field.name: getattr(self, field.name) for field in fields(self)}
+        payload["params"] = dict(self.params)
+        if self.kind != "model":
+            del payload["model"], payload["params"]  # legacy kinds keep their spec hashes
         return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ScenarioSpec":
-        reject_unknown_keys(cls, payload, "scenario spec")
-        params = payload.get("params", {})
-        if not isinstance(params, Mapping):
-            raise ExperimentError(
-                f"scenario spec 'params' must be a mapping, got {params!r}"
-            )
-        return cls(
-            kind=payload.get("kind", "single-link"),
-            failures=int(payload.get("failures", 1)),
-            samples=int(payload.get("samples", 50)),
-            non_disconnecting=bool(payload.get("non_disconnecting", True)),
-            model=str(payload.get("model", "")),
-            params=tuple(sorted(params.items())),
-        )
+        return decode(cls, payload, "scenario spec")
 
 
 @dataclass(frozen=True)
@@ -216,11 +198,11 @@ class CampaignCell:
     discriminator: str
     scenario: ScenarioSpec
     seed: int
-    embedding_method: str = "auto"
-    embedding_iterations: int = 200
-    embedding_seed: int = 0
-    coverage: str = "affected"
-    record_samples: bool = True
+    embedding_method: str
+    embedding_iterations: int
+    embedding_seed: int
+    coverage: str
+    record_samples: bool
 
     @property
     def cell_id(self) -> str:
@@ -277,6 +259,8 @@ class CampaignSpec:
     record_samples: bool = True
 
     def __post_init__(self) -> None:
+        check_fields(self, "campaign spec")
+
         def unique(values):
             # A grid axis is a set with an order; duplicate entries would
             # produce duplicate cells (same cell_id, double-counted results).
@@ -364,45 +348,25 @@ class CampaignSpec:
     # persistence
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "topologies": list(self.topologies),
-            "schemes": list(self.schemes),
-            "discriminators": list(self.discriminators),
-            "scenarios": [scenario.to_dict() for scenario in self.scenarios],
-            "seed": self.seed,
-            "embedding_method": self.embedding_method,
-            "embedding_iterations": self.embedding_iterations,
-            "embedding_seed": self.embedding_seed,
-            "coverage": self.coverage,
-            "record_samples": self.record_samples,
-        }
+        payload = {field.name: getattr(self, field.name) for field in fields(self)}
+        payload["scenarios"] = [scenario.to_dict() for scenario in self.scenarios]
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in payload.items()}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "CampaignSpec":
-        reject_unknown_keys(cls, payload, "campaign spec")
-        if "topologies" not in payload:
-            raise ExperimentError("a campaign spec needs a 'topologies' key")
-        return cls(
-            topologies=tuple(payload["topologies"]),
-            schemes=tuple(payload.get("schemes", ("reconvergence", "fcp", "pr"))),
-            discriminators=tuple(payload.get("discriminators", ("hop-count",))),
-            scenarios=tuple(
-                ScenarioSpec.from_dict(item) for item in payload.get("scenarios", [{}])
-            ),
-            seed=int(payload.get("seed", 1)),
-            embedding_method=payload.get("embedding_method", "auto"),
-            embedding_iterations=int(payload.get("embedding_iterations", 200)),
-            embedding_seed=int(payload.get("embedding_seed", 0)),
-            coverage=payload.get("coverage", "affected"),
-            record_samples=bool(payload.get("record_samples", True)),
-        )
+        return decode(cls, payload, "campaign spec", scenarios=ScenarioSpec.from_dict)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":
-        return cls.from_dict(json.loads(text))
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ExperimentError(f"campaign spec is not valid JSON: {exc}") from None
+        return cls.from_dict(payload)
 
     def save(self, path: Union[str, Path]) -> Path:
         path = Path(path)
@@ -411,7 +375,15 @@ class CampaignSpec:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CampaignSpec":
-        return cls.from_json(Path(path).read_text())
+        """The spec in a JSON file; an unreadable or malformed file is an error naming it."""
+        try:
+            return cls.from_json(Path(path).read_text())
+        except OSError as exc:
+            raise ExperimentError(
+                f"cannot read campaign spec {str(path)!r}: {exc.strerror}"
+            ) from None
+        except ExperimentError as exc:
+            raise ExperimentError(f"{str(path)!r}: {exc}") from None
 
     def spec_hash(self) -> str:
         """Content hash of the whole spec (stable across round trips)."""

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from repro.errors import ExperimentError, ResultStoreError
 from repro.store import schema
-from repro.store.query import Filter, campaign_ids_for, parse_filter
+from repro.store.query import Filter, campaign_ids_for, check_limit, parse_filter
 
 #: File suffixes that select the SQLite backend when a results path is given.
 STORE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
@@ -361,6 +361,7 @@ class CampaignStore:
         (filter, campaign selection and ``limit``) matches, counted in SQL
         without loading or decoding a record.
         """
+        check_limit(limit)
         filt = (
             expression
             if isinstance(expression, Filter)
@@ -392,7 +393,7 @@ class CampaignStore:
             sql += " ORDER BY campaigns.seq, cells.cell_index"
         if limit is not None:
             sql += " LIMIT ?"
-            bound.append(int(limit))
+            bound.append(limit)
         if count:
             sql = f"SELECT COUNT(*) FROM ({sql})"
             return int(self.conn.execute(sql, tuple(bound)).fetchone()[0])

@@ -26,7 +26,8 @@ Fields map onto the indexed columns of the store's ``cells`` table —
 query compiles to one indexed SQL scan.  The same :class:`Filter` also
 evaluates in memory over plain record dictionaries, which is how
 in-process :class:`~repro.runner.executor.CampaignHandle` objects answer
-the identical expressions.
+the identical expressions.  Both take the same optional ``limit`` on the
+number of records, checked by :func:`check_limit`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExperimentError
+from repro.params import check_value
 
 #: field name -> ``cells`` column it compiles to.
 FIELD_COLUMNS: Dict[str, str] = {
@@ -142,6 +144,15 @@ class Filter:
 
     def describe(self) -> str:
         return self.text or "(match everything)"
+
+
+def check_limit(limit: Optional[int]) -> None:
+    """Fail unless ``limit`` is ``None`` (every record) or an integer >= 0."""
+    if limit is None:
+        return
+    check_value(limit, int, "query", "limit")
+    if limit < 0:
+        raise ExperimentError(f"query field 'limit' must be >= 0, got {limit}")
 
 
 def parse_filter(

@@ -39,7 +39,14 @@ daemon refuses to clobber a live peer's socket, recovers the journal
 and drains — a daemon SIGKILLed mid-job, restarted and drained produces
 campaign payloads byte-identical to an uninterrupted run.
 
-Operations (``op`` field):
+Operations (``op`` field).  Request fields are typed strictly and never
+coerced: names, paths and ids are strings; ``workers`` and ``limit``
+(>= 0) integers; ``resume``, ``include_records`` and ``follow`` booleans;
+``wait_s`` and ``timeout_s`` numbers; ``schemes`` a list of strings;
+``spec`` and ``policy`` objects decoded like a campaign spec file (see
+:mod:`repro.params`).  An absent or ``null`` optional field takes its
+default, and a mistyped one answers ``ok: false, error_type:
+"ExperimentError"`` naming the field.
 
 ``ping``
     Liveness check; echoes ``payload``.
@@ -106,6 +113,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 from repro.errors import ExperimentError, JobCancelled, ReproError
 from repro.failures.scenarios import resolve_failed_links
 from repro.graph.spcache import ShortestPathEngine, engine_counter_totals, engine_for
+from repro.params import check_value
 from repro.runner import faults
 from repro.runner.executor import build_scheme, load_topology
 from repro.runner.policy import ExecutionPolicy
@@ -140,11 +148,22 @@ def jobs_path_for(socket_path: Union[str, Path]) -> Path:
     return path.with_name(stem + ".jobs.sqlite")
 
 
+def _field(request: Dict[str, Any], field: str, kind: Any, default: Any) -> Any:
+    """``request[field]``, a ``kind`` (never coerced), or ``default`` when absent or null."""
+    value = request.get(field)
+    if value is None:
+        return default
+    check_value(value, kind, request.get("op"), field)
+    return value
+
+
 def _required(request: Dict[str, Any], field: str) -> str:
-    """``request[field]`` as a string; an op answers an error without it."""
-    if not request.get(field):
+    """``request[field]``, a non-empty string; an op answers an error without it."""
+    value = request.get(field)
+    if not value:
         raise ExperimentError(f"{request.get('op')} needs a {field}")
-    return str(request[field])
+    check_value(value, str, request.get("op"), field)
+    return value
 
 
 class JobWorker(threading.Thread):
@@ -407,11 +426,11 @@ class ServeSession:
 
     def _op_warm(self, request: Dict[str, Any]) -> Dict[str, Any]:
         topology = _required(request, "topology")
+        schemes = _field(request, "schemes", Tuple[str, ...], ())
         graph = load_topology(topology)
         engine_for(graph)  # builds + registers the shortest-path engine
-        schemes = request.get("schemes") or []
         for scheme in schemes:
-            self.scheme_for(topology, str(scheme), request.get("discriminator"))
+            self.scheme_for(topology, scheme, request.get("discriminator"))
         return {
             "topology": graph.name,
             "nodes": graph.number_of_nodes(),
@@ -449,10 +468,10 @@ class ServeSession:
     _op_stretch = _op_deliver
 
     def _op_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        include = _field(request, "include_records", bool, False)
         store = self.store_for(_required(request, "results"))
         filt = parse_filter(request.get("filter"))
         summary = request.get("aggregate") == "summary"
-        include = bool(request.get("include_records"))
         # The store connection is shared across request threads; the lock
         # serialises statement execution (sqlite3's shared-connection
         # contract), while other ops proceed between queries.  Without
@@ -485,11 +504,13 @@ class ServeSession:
         if request.get("spec"):
             spec = CampaignSpec.from_dict(request["spec"])
         elif request.get("spec_path"):
-            spec = CampaignSpec.load(request["spec_path"])
+            spec = CampaignSpec.load(_required(request, "spec_path"))
         else:
             raise ExperimentError("submit needs a spec or spec_path")
         policy_dict = request.get("policy")
         ExecutionPolicy.from_dict(policy_dict)  # validated up front
+        workers = _field(request, "workers", int, 1)
+        resume = _field(request, "resume", bool, False)
         results = request.get("results")
         if not results or not is_store_path(str(results)):
             raise ExperimentError(
@@ -513,8 +534,8 @@ class ServeSession:
             campaign_id,
             spec.to_dict(),
             str(results),
-            workers=int(request.get("workers", 1)),
-            resume=bool(request.get("resume", False)),
+            workers=workers,
+            resume=resume,
             policy_dict=policy_dict,
             cells=spec.cell_count(),
         )
@@ -531,12 +552,13 @@ class ServeSession:
     def _op_job(self, request: Dict[str, Any]) -> Dict[str, Any]:
         queue = self._require_jobs()
         job_id = _required(request, "job_id")
-        wait_s = float(request.get("wait_s") or 0.0)
+        wait_s = _field(request, "wait_s", float, 0.0)
+        follow = _field(request, "follow", bool, False)
         if wait_s > 0:
             self._wait(lambda: queue.get(job_id)["state"] not in ACTIVE_STATES, wait_s)
         job = queue.get(job_id)
         response: Dict[str, Any] = {"job": public_view(job)}
-        if request.get("follow") and job["state"] not in ACTIVE_STATES:
+        if follow and job["state"] not in ACTIVE_STATES:
             response["final"] = True  # nothing left to stream
         return response
 
@@ -553,7 +575,7 @@ class ServeSession:
     def _op_drain(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Block until the journal has no queued/running job (bounded)."""
         queue = self._require_jobs()
-        self._wait(lambda: not queue.active_count(), float(request.get("timeout_s") or 60.0))
+        self._wait(lambda: not queue.active_count(), _field(request, "timeout_s", float, 60.0))
         active = queue.active_count()
         return {
             "drained": active == 0,

@@ -245,6 +245,60 @@ class TestDictErrors:
         with pytest.raises(ExperimentError, match=repr(name)):
             ExecutionPolicy.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"topologies": "abilene"}, "'topologies'"),
+            ({"topologies": ["abilene"], "schemes": "pr"}, "'schemes'"),
+            ({"topologies": ["abilene"], "scenarios": {"kind": "node"}}, "'scenarios'"),
+            ({"topologies": ["abilene"], "seed": "x"}, "'seed'"),
+            ({"topologies": ["abilene"], "scenarios": [{"kind": "multi-link", "failures": 2.7}]},
+             "'failures'"),
+            ({"topologies": ["abilene"], "scenarios": [{"samples": True}]}, "'samples'"),
+            ({"topologies": ["abilene"], "scenarios": [{"non_disconnecting": "false"}]},
+             "'non_disconnecting'"),
+            ({"topologies": ["abilene"], "record_samples": "false"}, "'record_samples'"),
+            ({"topologies": ["abilene"], "embedding_method": 5}, "'embedding_method'"),
+            ({"topologies": ["abilene"], "scenarios": ["node"]}, "scenario spec must be a JSON object"),
+        ],
+    )
+    def test_mistyped_spec_field_is_rejected(self, payload, key):
+        with pytest.raises(ExperimentError, match=key):
+            CampaignSpec.from_dict(payload)
+
+    def test_mistyped_python_construction_fails_like_json(self):
+        with pytest.raises(ExperimentError) as built:
+            CampaignSpec(topologies="abilene")
+        with pytest.raises(ExperimentError) as decoded:
+            CampaignSpec.from_dict({"topologies": "abilene"})
+        assert str(built.value) == str(decoded.value)
+        assert "'topologies'" in str(built.value)
+
+    def test_non_object_policy_is_rejected(self):
+        with pytest.raises(ExperimentError, match="execution policy must be a JSON object"):
+            ExecutionPolicy.from_dict([])
+
+    def test_float_fields_keep_the_number_given(self):
+        policy = ExecutionPolicy.from_dict({"cell_timeout": 2, "backoff_base_s": 0.5})
+        assert type(policy.cell_timeout) is int and policy.backoff_base_s == 0.5
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [('{"topologies": ["abilene"]', "not valid JSON"),
+         ('["abilene"]', "must be a JSON object"),
+         ('{"topologies": "abilene"}', "'topologies'")],
+    )
+    def test_bad_spec_file_is_one_error_naming_the_file(self, tmp_path, text, reason):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ExperimentError, match=reason) as raised:
+            CampaignSpec.load(path)
+        assert str(path) in str(raised.value) and "\n" not in str(raised.value)
+
+    def test_missing_spec_file_names_the_file(self, tmp_path):
+        with pytest.raises(ExperimentError, match="nope.json"):
+            CampaignSpec.load(tmp_path / "nope.json")
+
     def test_policy_dict_round_trips(self):
         policy = ExecutionPolicy(max_retries=2, cell_timeout=1, on_error="quarantine")
         assert ExecutionPolicy.from_dict(policy.to_dict()) == policy

@@ -517,6 +517,11 @@ class TestAsyncSubmit:
         [
             ({"spec": {"topologies": ["abilene"], "scheme": ["pr"]}}, "'scheme'"),
             ({"spec": {"schemes": ["pr"]}}, "'topologies'"),
+            ({"spec": {"topologies": "abilene"}}, "'topologies'"),
+            ({"spec": {"topologies": ["abilene"], "seed": "x"}}, "'seed'"),
+            ({"spec": {"topologies": ["abilene"], "scenarios": [{"non_disconnecting": "false"}]}},
+             "'non_disconnecting'"),
+            ({"spec": ["abilene"]}, "JSON object"),
             ({"spec": pair_spec().to_dict(), "policy": {"max_retries": "2"}}, "'max_retries'"),
         ],
     )
@@ -530,6 +535,35 @@ class TestAsyncSubmit:
         assert response["error_type"] == "ExperimentError"
         assert key in response["error"]
         assert job_session.handle({"op": "jobs"})["count"] == 0
+
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            ({"op": "submit", "workers": "x"}, "'workers'"),
+            ({"op": "submit", "resume": "false"}, "'resume'"),
+            ({"op": "query", "limit": "abc"}, "'limit'"),
+            ({"op": "query", "limit": True}, "'limit'"),
+            ({"op": "query", "limit": -1}, "'limit'"),
+            ({"op": "query", "include_records": "yes"}, "'include_records'"),
+            ({"op": "job", "job_id": "j", "wait_s": "5"}, "'wait_s'"),
+            ({"op": "job", "job_id": "j", "follow": "false"}, "'follow'"),
+            ({"op": "drain", "timeout_s": "5"}, "'timeout_s'"),
+            ({"op": "warm", "topology": "fig1-example", "schemes": "pr"}, "'schemes'"),
+            ({"op": "deliver", "topology": ["abilene"], "scheme": "pr",
+              "source": "Seattle", "destination": "Atlanta"}, "'topology'"),
+        ],
+    )
+    def test_mistyped_request_field_is_an_error_naming_it(
+        self, tmp_path, job_session, fields, key
+    ):
+        response = job_session.handle({
+            "spec": pair_spec().to_dict(), "results": str(tmp_path / "r.sqlite"), **fields,
+        })
+        assert response["ok"] is False
+        assert response["error_type"] == "ExperimentError"
+        assert key in response["error"]
+        assert job_session.handle({"op": "jobs"})["count"] == 0
+        assert job_session.handle({"op": "stats"})["warm_schemes"] == []
 
     def test_full_queue_sheds_submit(self, tmp_path):
         session = ServeSession(jobs_path=tmp_path / "jobs.sqlite",

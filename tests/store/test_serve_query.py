@@ -113,6 +113,20 @@ class TestDaemonMatchesLibrary:
             json.dumps(aggregate.topology_summary_rows(records))
         )
 
+    @pytest.mark.parametrize("limit", [-1, True, "3", 2.0])
+    def test_bad_limit_error_text_is_identical(self, daemon, store_path, library, limit):
+        handle = run_campaign(pair_spec(), workers=1)
+        with pytest.raises(ExperimentError, match="'limit'") as raised:
+            library.query("scheme=fcp", limit=limit)
+        with pytest.raises(ExperimentError) as in_memory:
+            handle.query("scheme=fcp", limit=limit)
+        response = request(daemon, {
+            "op": "query", "results": str(store_path), "filter": "scheme=fcp", "limit": limit,
+        })
+        assert response["ok"] is False
+        assert response["error_type"] == "ExperimentError"
+        assert response["error"] == str(raised.value) == str(in_memory.value)
+
     def test_unknown_campaign_id_error_text_is_identical(self, daemon, store_path, library):
         expression = "campaign:ffffffffdead scheme=pr"
         with pytest.raises(ExperimentError) as raised:
