@@ -139,7 +139,13 @@ def build_scheme(
         raise ExperimentError(
             f"unknown scheme key {key!r}; available: {sorted(SCHEME_NAMES)}"
         )
-    kind = DiscriminatorKind(discriminator)
+    try:
+        kind = DiscriminatorKind(discriminator)
+    except ValueError:
+        raise ExperimentError(
+            f"unknown discriminator {discriminator!r}; available:"
+            f" {sorted(kind.value for kind in DiscriminatorKind)}"
+        ) from None
     if key == "pr":
         return PacketRecycling(graph, embedding=embedding, discriminator_kind=kind)
     if key == "pr-1bit":

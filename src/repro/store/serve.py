@@ -11,18 +11,20 @@ a response dictionary out, safe to drive from many threads at once.  The
 socket loop (:func:`serve_forever`) drives it, and library embedders and
 tests may drive it directly.
 
-The transport is **concurrent and bounded**: one handler thread per
-connection, a bounded in-flight request budget with explicit load-shedding
-(``{"ok": false, "error_type": "Overloaded", "retry_after_s": ...}``
-instead of unbounded blocking), a per-request deadline
-(``error_type: "DeadlineExceeded"``), and a line-size cap
-(``error_type: "LineTooLong"``).  Requests execute on one pool of
-persistent worker threads, one per in-flight slot, while the connection
-thread waits up to the deadline; a handler abandoned at its deadline keeps
-its slot until it returns (``serve/abandoned`` counts them).  Pipelined
-requests on one connection are answered in order; malformed lines get
-error responses; a client vanishing mid-line just drops the connection —
-the loop never dies with it.  Shutdown closes every open connection.
+The transport is **concurrent and bounded**: one thread per connection
+reads its request lines and runs each handler itself, a bounded in-flight
+request budget sheds excess load explicitly (``{"ok": false,
+"error_type": "Overloaded", "retry_after_s": ...}`` instead of unbounded
+blocking), a per-request deadline answers ``error_type:
+"DeadlineExceeded"``, and a line-size cap ``error_type: "LineTooLong"``.
+One watchdog thread enforces the deadline: a request still running at
+its deadline loses its connection, with the unread lines, to a new thread
+that answers it ``DeadlineExceeded`` and serves the rest.  The abandoned
+handler keeps its slot until it returns (``serve/abandoned`` counts them)
+and never writes to the connection.  Pipelined requests on one connection
+are answered in order; malformed lines get error responses; a client
+vanishing mid-line just drops the connection — the loop never dies with
+it.  Shutdown closes every open connection.
 
 The client (:func:`request`) keeps one connection alive per thread, socket
 path and process, so a closed loop of requests pays for one connect.
@@ -72,7 +74,9 @@ default, and a mistyped one answers ``ok: false, error_type:
     "scheme=pr topology~zoo campaign:last10", "limit": 100}``.  Answers
     the match count; ``include_records`` adds the records and
     ``"aggregate": "summary"`` per-topology summary rows.  Without either,
-    the store counts matches in SQL and decodes no record.
+    the store counts matches in SQL and decodes no record.  ``aggregate``
+    is absent, ``null`` or ``"summary"``.  A path with no store is an
+    error; a read never creates one.
 ``campaigns``
     List the campaigns of a store.
 ``submit``
@@ -103,12 +107,11 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import socket
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ExperimentError, JobCancelled, ReproError
 from repro.failures.scenarios import resolve_failed_links
@@ -120,7 +123,7 @@ from repro.runner.policy import ExecutionPolicy
 from repro.runner.spec import CampaignSpec, EMBEDDING_SCHEMES
 from repro.store.database import CampaignStore, is_store_path, require_store_path
 from repro.store.jobs import ACTIVE_STATES, JobQueue, public_view
-from repro.store.query import parse_filter
+from repro.store.query import check_limit, parse_filter
 
 DEFAULT_SOCKET = ".repro-serve.sock"
 
@@ -146,6 +149,11 @@ def jobs_path_for(socket_path: Union[str, Path]) -> Path:
     path = Path(socket_path)
     stem = path.stem if path.suffix else path.name
     return path.with_name(stem + ".jobs.sqlite")
+
+
+def _error(error_type: str, error: str, **extra: Any) -> Dict[str, Any]:
+    """An error response: ``ok: false``, the message and its type."""
+    return {"ok": False, "error": error, "error_type": error_type, **extra}
 
 
 def _field(request: Dict[str, Any], field: str, kind: Any, default: Any) -> Any:
@@ -293,11 +301,14 @@ class ServeSession:
             self.counters[name] = self.counters.get(name, 0) + delta
 
     def store_for(self, results: Union[str, Path]) -> CampaignStore:
+        """The open store at ``results``, for reading: no store file there is an error."""
         key = str(Path(results))
         with self._lock:
             store = self._stores.get(key)
             if store is None:
-                store = CampaignStore(require_store_path(key))
+                if not require_store_path(key).is_file():
+                    raise ExperimentError(f"no results store file at {key}")
+                store = CampaignStore(key)
                 self._stores[key] = store
             return store
 
@@ -390,13 +401,9 @@ class ServeSession:
             faults.checkpoint("serve-request", op)
             response = handler(request)
         except ReproError as exc:
-            return {"ok": False, "error": str(exc), "error_type": type(exc).__name__}
+            return _error(type(exc).__name__, str(exc))
         except Exception as exc:  # noqa: BLE001 - a resident loop must not die
-            return {
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_type": type(exc).__name__,
-            }
+            return _error(type(exc).__name__, f"{type(exc).__name__}: {exc}")
         response.setdefault("ok", True)
         if response["ok"]:
             with self._lock:
@@ -469,9 +476,14 @@ class ServeSession:
 
     def _op_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
         include = _field(request, "include_records", bool, False)
-        store = self.store_for(_required(request, "results"))
+        check_limit(request.get("limit"))
         filt = parse_filter(request.get("filter"))
-        summary = request.get("aggregate") == "summary"
+        summary = request.get("aggregate")
+        if summary not in (None, "summary"):
+            raise ExperimentError(
+                f"query field 'aggregate' must be 'summary' or absent, got {summary!r}"
+            )
+        store = self.store_for(_required(request, "results"))
         # The store connection is shared across request threads; the lock
         # serialises statement execution (sqlite3's shared-connection
         # contract), while other ops proceed between queries.  Without
@@ -480,10 +492,8 @@ class ServeSession:
             found = store.query(
                 filt, limit=request.get("limit"), count=not (summary or include)
             )
-        if isinstance(found, int):
-            return {"records": found, "filter": filt.describe()}
         response: Dict[str, Any] = {
-            "records": len(found),
+            "records": found if isinstance(found, int) else len(found),
             "filter": filt.describe(),
         }
         if summary:
@@ -521,15 +531,11 @@ class ServeSession:
         campaign_id = spec.spec_hash()
         faults.checkpoint("job-journal", campaign_id)
         if queue.active_count() >= self.max_queued_jobs:
-            return {
-                "ok": False,
-                "error": (
-                    f"job queue is full ({self.max_queued_jobs} active jobs);"
-                    " retry later"
-                ),
-                "error_type": "Overloaded",
-                "retry_after_s": OVERLOAD_RETRY_AFTER_S,
-            }
+            return _error(
+                "Overloaded",
+                f"job queue is full ({self.max_queued_jobs} active jobs); retry later",
+                retry_after_s=OVERLOAD_RETRY_AFTER_S,
+            )
         job_id = queue.submit(
             campaign_id,
             spec.to_dict(),
@@ -637,100 +643,6 @@ def _send(conn: socket.socket, response: Dict[str, Any]) -> bool:
     return True
 
 
-def _line_too_long() -> Dict[str, Any]:
-    return {
-        "ok": False,
-        "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
-        "error_type": "LineTooLong",
-    }
-
-
-class _Call:
-    """One request handed to the pool; ``done`` is released once it returned."""
-
-    __slots__ = ("fn", "done", "result", "error")
-
-    def __init__(self, fn: Callable[[], Any]) -> None:
-        self.fn = fn
-        # A pre-acquired lock is the cheapest one-shot completion signal.
-        self.done = threading.Lock()
-        self.done.acquire()
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
-
-
-class _PoolWorker:
-    """One pool thread's mailbox: ``wake`` is released to hand it ``call``."""
-
-    __slots__ = ("wake", "call")
-
-    def __init__(self) -> None:
-        self.wake = threading.Lock()
-        self.wake.acquire()
-        self.call: Optional[_Call] = None
-
-
-class _RequestPool:
-    """``size`` persistent daemon threads that run request handlers.
-
-    Deliberately not :class:`concurrent.futures.ThreadPoolExecutor`: its
-    workers are non-daemon threads, so one handler stuck past its deadline
-    would block interpreter exit.  The most recently idle worker takes the
-    next request, so a steady stream of requests keeps landing on one warm
-    thread.  A worker frees its request's ``inflight`` slot only once it is
-    idle again, so a request admitted to a slot always finds an idle worker.
-    """
-
-    def __init__(self, size: int, inflight: threading.BoundedSemaphore) -> None:
-        self._inflight = inflight
-        self._idle: List[_PoolWorker] = []
-        self._lock = threading.Lock()
-        self._closed = False
-        for _ in range(size):
-            worker = _PoolWorker()
-            self._idle.append(worker)
-            threading.Thread(
-                target=self._work, args=(worker,), daemon=True,
-                name="repro-serve-request",
-            ).start()
-
-    def submit(self, fn: Callable[[], Any]) -> _Call:
-        """Run ``fn`` on an idle worker; the caller holds an ``inflight`` slot."""
-        call = _Call(fn)
-        with self._lock:
-            worker = self._idle.pop()
-        worker.call = call
-        worker.wake.release()
-        return call
-
-    def _work(self, worker: _PoolWorker) -> None:
-        while True:
-            worker.wake.acquire()
-            call, worker.call = worker.call, None
-            if call is None:
-                return
-            try:
-                call.result = call.fn()
-            except BaseException as exc:  # re-raised in the waiting thread
-                call.error = exc
-            with self._lock:
-                closed = self._closed
-                if not closed:
-                    self._idle.append(worker)
-            self._inflight.release()
-            call.done.release()
-            if closed:
-                return
-
-    def close(self) -> None:
-        """Stop the idle workers; a busy one exits when its handler returns."""
-        with self._lock:
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for worker in idle:
-            worker.wake.release()  # with no call: exit
-
-
 class _Transport:
     """What one :func:`serve_forever` loop shares across its connections."""
 
@@ -744,42 +656,103 @@ class _Transport:
         #: deadline keeps its slot until it returns, so stuck requests are
         #: bounded by ``max_inflight`` instead of piling up threads.
         self.inflight = threading.BoundedSemaphore(max_inflight)
-        self.pool = _RequestPool(max_inflight, self.inflight)
-        self._connections: Set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
+        #: Guards ``_owners`` and ``_pending``.  Held only for dictionary
+        #: updates, never across a thread start: request threads take it
+        #: while they hold an in-flight slot.
+        self._lock = threading.Lock()
+        #: Each open connection and its owner: the one thread that reads
+        #: it, writes to it and closes it.
+        self._owners: Dict[socket.socket, threading.Thread] = {}
+        #: Per connection thread running a request under the deadline: the
+        #: deadline, the connection, the bytes read past the request line
+        #: and the request's op.
+        self._pending: Dict[int, Tuple[float, socket.socket, bytes, Any]] = {}
+        self.watchdog: Optional[threading.Thread] = None
+        if deadline_s:
+            self.watchdog = threading.Thread(
+                target=self._watch, daemon=True, name="repro-serve-watchdog"
+            )
+            self.watchdog.start()
 
-    def track(self, conn: socket.socket) -> None:
-        with self._connections_lock:
-            self._connections.add(conn)
+    def own(
+        self, conn: socket.socket, buffer: bytes = b"", late: Optional[Dict[str, Any]] = None
+    ) -> threading.Thread:
+        """A new, unstarted thread made the owner of ``conn`` (call under the
+        lock, or for a connection no thread owns yet).  It sends ``late``
+        (an abandoned request's answer), then serves the lines in ``buffer``
+        and whatever follows."""
+        thread = threading.Thread(
+            target=self.serve_connection, args=(conn, buffer, late),
+            daemon=True, name="repro-serve-conn",
+        )
+        self._owners[conn] = thread
+        return thread
 
-    def close_connections(self) -> None:
-        """Wake every handler blocked in ``recv`` on an idle connection."""
-        # Under the lock: a handler closes its socket only after leaving the
-        # set, so no socket here is closed (and its fd reused) meanwhile.
-        with self._connections_lock:
-            for conn in self._connections:
+    def _watch(self) -> None:
+        """Abandon each request still running at its deadline.
+
+        A new owner of the request's connection answers it
+        ``DeadlineExceeded`` and serves the lines read after it.  Every
+        deadline is registered as ``now + deadline_s``, so none falls before
+        the next wake-up: the watchdog sleeps ``deadline_s`` when idle, else
+        until the earliest deadline, and is never woken early.
+        """
+        wait_s = self.deadline_s
+        while not self.stop.wait(wait_s):
+            now = time.monotonic()
+            successors = []
+            with self._lock:
+                for ident, (deadline, conn, buffer, op) in list(self._pending.items()):
+                    if deadline <= now:
+                        # Removing the entry and re-assigning the connection
+                        # under one lock hold: the abandoned thread then
+                        # neither answers nor closes it.
+                        del self._pending[ident]
+                        late = _error(
+                            "DeadlineExceeded",
+                            f"request op={op!r} exceeded {self.deadline_s:g}s wall-clock timeout",
+                            deadline_s=self.deadline_s,
+                        )
+                        successors.append(self.own(conn, buffer, late))
+                wake = min((entry[0] for entry in self._pending.values()),
+                           default=now + self.deadline_s)
+            for thread in successors:
+                thread.start()
+            wait_s = wake - now
+
+    def close(self) -> None:
+        """Stop the watchdog, then wake each connection's owner and wait for it."""
+        self.stop.set()
+        if self.watchdog is not None:
+            self.watchdog.join(timeout=1.0)
+        # Under the lock: an owner closes its socket only after leaving the
+        # map, so no socket here is closed (and its fd reused) meanwhile.
+        with self._lock:
+            owners = list(self._owners.items())
+            for conn, _ in owners:
                 try:
                     conn.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass
+        for _, thread in owners:
+            thread.join(timeout=1.0)
 
-    def respond(self, line: bytes) -> Tuple[Optional[Dict[str, Any]], Dict[str, Any]]:
-        """One request line -> (parsed request or None, response)."""
+    def respond(
+        self, conn: socket.socket, line: bytes, rest: bytes
+    ) -> Tuple[Optional[Dict[str, Any]], Optional[Dict[str, Any]]]:
+        """One request line -> (parsed request or None, response).
+
+        The handler runs on this thread.  The response is ``None`` when the
+        watchdog abandoned the request at its deadline and handed ``conn``
+        and ``rest`` (the lines read after it) to a new owner.
+        """
         session = self.session
         try:
             request_obj = json.loads(line)
         except ValueError as exc:  # malformed JSON or invalid UTF-8
-            return None, {
-                "ok": False,
-                "error": f"bad JSON request: {exc}",
-                "error_type": "BadRequest",
-            }
+            return None, _error("BadRequest", f"bad JSON request: {exc}")
         if not isinstance(request_obj, dict):
-            return None, {
-                "ok": False,
-                "error": "request must be a JSON object",
-                "error_type": "BadRequest",
-            }
+            return None, _error("BadRequest", "request must be a JSON object")
         op = request_obj.get("op")
         if op == "shutdown":
             # Always admitted: a daemon whose every slot is held by stuck
@@ -787,70 +760,62 @@ class _Transport:
             return request_obj, session.handle(request_obj)
         if not self.inflight.acquire(blocking=False):
             session.count("serve/overloaded")
-            return request_obj, {
-                "ok": False,
-                "error": "server at capacity; retry shortly",
-                "error_type": "Overloaded",
-                "retry_after_s": OVERLOAD_RETRY_AFTER_S,
-            }
-        exempt = op in DEADLINE_EXEMPT_OPS or (
-            op == "job" and (request_obj.get("wait_s") or request_obj.get("follow"))
-        )
-        # The pool worker frees the slot when the handler returns.
-        call = self.pool.submit(lambda: session.handle(request_obj))
-        limit = -1 if exempt or not self.deadline_s else self.deadline_s
-        if call.done.acquire(timeout=limit):
-            if call.error is not None:
-                raise call.error
-            return request_obj, call.result
-        session.count("serve/deadline_exceeded")
-        session.count("serve/abandoned")
-        return request_obj, {
-            "ok": False,
-            "error": (
-                f"request op={op!r} exceeded {self.deadline_s:g}s"
-                " wall-clock timeout"
-            ),
-            "error_type": "DeadlineExceeded",
-            "deadline_s": self.deadline_s,
-        }
-
-    def serve_connection(self, conn: socket.socket) -> None:
-        """One client connection: pipelined request lines, answered in order."""
+            return request_obj, _error(
+                "Overloaded", "server at capacity; retry shortly",
+                retry_after_s=OVERLOAD_RETRY_AFTER_S,
+            )
         try:
-            self._serve_lines(conn)
+            if not self.deadline_s or op in DEADLINE_EXEMPT_OPS or (
+                op == "job" and (request_obj.get("wait_s") or request_obj.get("follow"))
+            ):
+                return request_obj, session.handle(request_obj)
+            me = threading.get_ident()
+            with self._lock:
+                self._pending[me] = (time.monotonic() + self.deadline_s, conn, rest, op)
+            try:
+                response = session.handle(request_obj)
+            finally:
+                with self._lock:
+                    abandoned = self._pending.pop(me, None) is None
+            return request_obj, None if abandoned else response
         finally:
-            with self._connections_lock:
-                self._connections.discard(conn)
-            conn.close()
+            self.inflight.release()
 
-    def _serve_lines(self, conn: socket.socket) -> None:
+    def serve_connection(
+        self, conn: socket.socket, buffer: bytes, late: Optional[Dict[str, Any]]
+    ) -> None:
+        """Own one client connection: pipelined request lines, answered in order."""
         session = self.session
         conn.settimeout(None)  # sockets from a timed accept inherit its timeout
-        buffer = b""
-        while not self.stop.is_set():
-            try:
-                chunk = conn.recv(65536)
-            except OSError:
-                return
-            if not chunk:
-                return  # client left (possibly mid-line), or shutdown
-            buffer += chunk
-            if b"\n" not in buffer and len(buffer) > MAX_LINE_BYTES:
-                session.count("serve/rejected_lines")
-                _send(conn, _line_too_long())
-                return
-            while b"\n" in buffer:
-                if self.stop.is_set():
-                    return  # shutting down: start no more requests
-                line, buffer = buffer.split(b"\n", 1)
+        try:
+            if late is not None:
+                # Counted here, not by the watchdog: a session lock held by
+                # a slow handler must not stall it.
+                session.count("serve/deadline_exceeded")
+                session.count("serve/abandoned")
+                if not _send(conn, late):
+                    return
+            while not self.stop.is_set():
+                line, newline, rest = buffer.partition(b"\n")
+                if len(line) > MAX_LINE_BYTES:  # complete or not
+                    session.count("serve/rejected_lines")
+                    _send(conn, _error("LineTooLong", f"request line exceeds {MAX_LINE_BYTES} bytes"))
+                    return
+                if not newline:
+                    try:
+                        chunk = conn.recv(65536)
+                    except OSError:
+                        return
+                    if not chunk:
+                        return  # client left (possibly mid-line), or shutdown
+                    buffer += chunk
+                    continue
+                buffer = rest
                 if not line.strip():
                     continue
-                if len(line) > MAX_LINE_BYTES:
-                    session.count("serve/rejected_lines")
-                    _send(conn, _line_too_long())
-                    return
-                request_obj, response = self.respond(line)
+                request_obj, response = self.respond(conn, line, buffer)
+                if response is None:
+                    return  # abandoned: the connection has a new owner
                 if not _send(conn, response):
                     return
                 if response.get("shutdown"):
@@ -864,6 +829,13 @@ class _Transport:
                 ):
                     _follow_job(conn, session, request_obj, response, self.stop)
                     return  # the stream consumes the connection
+        finally:
+            with self._lock:
+                owner = self._owners.get(conn) is threading.current_thread()
+                if owner:
+                    del self._owners[conn]
+            if owner:
+                conn.close()
 
 
 def _follow_job(
@@ -901,10 +873,10 @@ def serve_forever(
     """Serve line-delimited JSON requests on a Unix socket until shutdown.
 
     The transport is the one the module docstring describes, with
-    ``max_inflight`` in-flight slots and pool threads, and ``deadline_s``
-    per request (``None`` waits without a limit).  A live daemon already
-    bound to ``socket_path`` is detected by pinging it and refused; only a
-    stale socket file is unlinked.  When the session has a job journal,
+    ``max_inflight`` in-flight slots and ``deadline_s`` per request
+    (``None`` or 0 waits without a limit and starts no watchdog).  A live
+    daemon already bound to ``socket_path`` is detected by pinging it and
+    refused; only a stale socket file is unlinked.  When the session has a job journal,
     startup recovers it (orphaned ``running`` jobs are re-queued) and
     starts the supervised job worker.
 
@@ -926,7 +898,6 @@ def serve_forever(
         socket_path.unlink()
     server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     transport = _Transport(session, max_inflight, deadline_s)
-    handlers: List[threading.Thread] = []
     try:
         server.bind(str(socket_path))
         server.listen(backlog)
@@ -946,26 +917,13 @@ def serve_forever(
             except OSError:
                 break  # server socket closed under us (teardown)
             session.count("serve/connections")
-            transport.track(conn)
-            thread = threading.Thread(
-                target=transport.serve_connection,
-                args=(conn,),
-                daemon=True,
-                name="repro-serve-conn",
-            )
-            thread.start()
-            handlers.append(thread)
-            handlers = [t for t in handlers if t.is_alive()]
+            transport.own(conn).start()
     finally:
-        transport.stop.set()
         try:
             server.close()
         except OSError:
             pass
-        transport.close_connections()
-        for thread in handlers:
-            thread.join(timeout=1.0)
-        transport.pool.close()
+        transport.close()
         if socket_path.exists():
             socket_path.unlink()
         session.close()

@@ -99,6 +99,11 @@ class TestCellExecution:
         with pytest.raises(ExperimentError):
             build_scheme("quantum-routing", example_fig1())
 
+    @pytest.mark.parametrize("discriminator", [7, "nope", None])
+    def test_build_scheme_rejects_unknown_discriminator(self, discriminator):
+        with pytest.raises(ExperimentError, match="available: .*'hop-count'"):
+            build_scheme("pr", example_fig1(), discriminator)
+
     def test_generate_scenarios_node_kind(self):
         graph = example_fig1()
         [cell] = CampaignSpec(

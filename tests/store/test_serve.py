@@ -167,6 +167,48 @@ class TestSessionOps:
         assert "repro migrate" in response["error"]
         assert not results.exists()
 
+    @pytest.mark.parametrize("directory", [False, True])
+    @pytest.mark.parametrize("op", ["query", "campaigns"])
+    def test_read_on_a_missing_store_is_an_error_and_creates_nothing(
+        self, session, tmp_path, op, directory
+    ):
+        results = tmp_path / "typo.sqlite"
+        if directory:
+            results.mkdir()
+        response = session.handle({"op": op, "results": str(results)})
+        assert response["ok"] is False
+        assert response["error_type"] == "ExperimentError"
+        assert str(results) in response["error"]
+        assert results.exists() == directory
+        assert session.handle({"op": "stats"})["open_stores"] == []
+
+    @pytest.mark.parametrize("aggregate", [True, "rows", ["summary"]])
+    def test_query_aggregate_must_be_summary(self, session, tmp_path, aggregate):
+        store_path = tmp_path / "c.sqlite"
+        run_campaign(pair_spec(), workers=1, results=store_path)
+        request = {"op": "query", "results": str(store_path)}
+        assert session.handle(dict(request, aggregate=None))["records"] == 4
+        response = session.handle(dict(request, aggregate=aggregate))
+        assert response["ok"] is False
+        assert response["error_type"] == "ExperimentError"
+        assert "'aggregate'" in response["error"]
+
+    @pytest.mark.parametrize("discriminator", [7, "nope"])
+    def test_unknown_discriminator_is_a_typed_error(self, session, discriminator):
+        response = session.handle({
+            "op": "deliver",
+            "topology": "fig1-example",
+            "scheme": "pr",
+            "source": "A",
+            "destination": "F",
+            "discriminator": discriminator,
+        })
+        assert response["ok"] is False
+        assert response["error_type"] == "ExperimentError"
+        assert repr(discriminator) in response["error"]
+        assert "hop-count" in response["error"]
+        assert session._schemes == {}
+
     def test_campaigns_listing(self, session, tmp_path):
         store_path = tmp_path / "c.sqlite"
         result = run_campaign(pair_spec(), workers=1, results=store_path)

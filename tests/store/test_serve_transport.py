@@ -1,5 +1,6 @@
-"""Serve transport: kept-alive client connections, the request pool, shutdown."""
+"""Serve transport: kept-alive client connections, in-flight slots, deadlines, shutdown."""
 
+import json
 import os
 import signal
 import socket
@@ -14,6 +15,35 @@ from repro.runner.executor import run_campaign
 from repro.store.serve import ServeSession, request, serve_forever
 
 from tests.store.conftest import SlowSession, pair_spec, serving
+
+
+class ThreadSession(ServeSession):
+    """Reports the thread its handler runs on."""
+
+    def _op_whoami(self, request):
+        thread = threading.current_thread()
+        return {"thread": thread.name, "ident": thread.ident}
+
+
+def watchdogs():
+    return sum(t.name == "repro-serve-watchdog" for t in threading.enumerate())
+
+
+def read_lines(client, count):
+    """The next ``count`` response lines of a raw client socket, decoded."""
+    buffer = b""
+    while buffer.count(b"\n") < count:
+        chunk = client.recv(65536)
+        assert chunk, "the daemon closed the connection"
+        buffer += chunk
+    return [json.loads(line) for line in buffer.splitlines()]
+
+
+def raw_client(socket_path):
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.settimeout(10)
+    client.connect(str(socket_path))
+    return client
 
 
 def connections(socket_path):
@@ -135,6 +165,93 @@ class TestRequestPool:
         assert request(socket_path, {"op": "shutdown"})["shutdown"] is True
         loop.join(timeout=1.0)
         assert not loop.is_alive()
+
+
+class TestInlineHandlers:
+    def test_handler_runs_on_its_connections_thread(self, tmp_path):
+        with serving(tmp_path / "serve.sock", ThreadSession()) as loop:
+            first = request(loop.socket_path, {"op": "whoami"})
+            again = request(loop.socket_path, {"op": "whoami"})
+            assert first["thread"] == "repro-serve-conn"
+            assert again["ident"] == first["ident"]
+            other = []
+            thread = threading.Thread(
+                target=lambda: other.append(request(loop.socket_path, {"op": "whoami"}))
+            )
+            thread.start()
+            thread.join(timeout=10)
+            [theirs] = other
+            assert theirs["thread"] == "repro-serve-conn"
+            assert theirs["ident"] != first["ident"]
+
+    def test_pipelined_requests_behind_a_stuck_one_are_answered_in_order(self, tmp_path):
+        with serving(tmp_path / "serve.sock", SlowSession(),
+                     max_inflight=4, deadline_s=0.2) as loop:
+            client = raw_client(loop.socket_path)
+            try:
+                sent = time.monotonic()
+                client.sendall(
+                    b'{"op": "slow", "seconds": 1.5}\n'
+                    b'{"op": "ping", "payload": 1}\n'
+                    b'{"op": "ping", "payload": 2}\n'
+                )
+                stuck, first, second = read_lines(client, 3)
+                assert time.monotonic() - sent < 1.2
+            finally:
+                client.close()
+            assert stuck["error_type"] == "DeadlineExceeded"
+            assert (first["payload"], second["payload"]) == (1, 2)
+
+    def test_abandoned_handlers_answer_is_never_written(self, tmp_path):
+        with serving(tmp_path / "serve.sock", SlowSession(), deadline_s=0.1) as loop:
+            client = raw_client(loop.socket_path)
+            try:
+                client.sendall(b'{"op": "slow", "seconds": 0.4}\n')
+                [stuck] = read_lines(client, 1)
+                assert stuck["error_type"] == "DeadlineExceeded"
+                time.sleep(0.6)  # the handler has returned by now
+                client.settimeout(0.2)
+                with pytest.raises(socket.timeout):
+                    client.recv(65536)
+                client.settimeout(10)
+                client.sendall(b'{"op": "ping", "payload": "after"}\n')
+                [answer] = read_lines(client, 1)
+            finally:
+                client.close()
+            assert answer["payload"] == "after"
+            counters = request(loop.socket_path, {"op": "stats"})["counters"]
+            assert counters["serve/abandoned"] == 1
+
+    def test_no_deadline_starts_no_watchdog(self, tmp_path):
+        before = watchdogs()
+        with serving(tmp_path / "a.sock", deadline_s=None) as loop:
+            assert request(loop.socket_path, {"op": "ping"})["pong"] is True
+            assert watchdogs() == before
+        with serving(tmp_path / "b.sock", deadline_s=5.0):
+            assert watchdogs() == before + 1
+        assert watchdogs() == before
+
+    def test_shutdown_is_prompt_with_every_slot_abandoned(self, tmp_path):
+        socket_path = tmp_path / "serve.sock"
+        ready = threading.Event()
+        loop = threading.Thread(
+            target=serve_forever,
+            args=(socket_path, SlowSession(), ready),
+            kwargs={"max_inflight": 2, "deadline_s": 0.1},
+            daemon=True,
+        )
+        loop.start()
+        assert ready.wait(timeout=10)
+        for _ in range(2):
+            assert request(socket_path, {"op": "slow", "seconds": 3.0})[
+                "error_type"
+            ] == "DeadlineExceeded"
+        assert request(socket_path, {"op": "ping"})["error_type"] == "Overloaded"
+        started = time.monotonic()
+        assert request(socket_path, {"op": "shutdown"})["shutdown"] is True
+        loop.join(timeout=1.0)
+        assert not loop.is_alive()
+        assert time.monotonic() - started < 1.0
 
 
 class TestShutdown:

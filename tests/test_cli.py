@@ -260,6 +260,17 @@ class TestSweepModels:
                 "--cache-dir", str(tmp_path / "cache"),
             ])
 
+    def test_sweep_unknown_discriminator_names_the_kinds(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"topologies": ["fig1-example"], "discriminators": ["nope"]}')
+        with pytest.raises(SystemExit, match="'nope'.*available: .*'hop-count'"):
+            main([
+                "sweep", "--spec", str(spec), "--quiet",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--results", str(tmp_path / "r.sqlite"),
+            ])
+        assert not (tmp_path / "r.sqlite").exists()
+
 
 class TestTopologiesCommand:
     def test_list_tabulates_families_and_sets(self, capsys):
